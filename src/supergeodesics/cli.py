@@ -7,7 +7,8 @@ produce byte-identical CSV/JSON.  Files are written to a temporary name and
 atomically renamed, so no partial output survives an error.
 
 Exit codes: 0 success, 1 verification failure, 2 model or usage error,
-3 integration left the chart domain (or hit a singular metric body).
+3 integration left the chart domain or, at an RK4 stage, the domain of a
+function in the metric (or hit a singular metric body).
 """
 
 from __future__ import annotations

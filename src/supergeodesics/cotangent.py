@@ -22,9 +22,14 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import MismatchedGeneratorCount, ParityViolation, SignatureMismatch
+from .errors import (
+    DomainError,
+    MismatchedGeneratorCount,
+    ParityViolation,
+    SignatureMismatch,
+)
 from .geodesics import InitialCondition, _check_domain, _grid, \
-    integrate_geodesic
+    _stage_left_domain, integrate_geodesic
 from .geometry import MetricChart, SuperPoint, _Kernel
 from .grassmann import GrassmannElement, Parity, batched_mul, mask_parity
 
@@ -157,15 +162,18 @@ def integrate_flow(chart: MetricChart, I: PhasePoint,
     momenta = np.empty((steps + 1, n, D))
     positions[0], momenta[0] = pos, mom
 
-    for s in range(steps):
-        k1q, k1p = _xh(kern, pos, mom)
-        k2q, k2p = _xh(kern, pos + 0.5 * h * k1q, mom + 0.5 * h * k1p)
-        k3q, k3p = _xh(kern, pos + 0.5 * h * k2q, mom + 0.5 * h * k2p)
-        k4q, k4p = _xh(kern, pos + h * k3q, mom + h * k3p)
-        pos = pos + (h / 6.0) * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
-        mom = mom + (h / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-        _check_domain(chart, pos, ts[s + 1])
-        positions[s + 1], momenta[s + 1] = pos, mom
+    try:
+        for s in range(steps):
+            k1q, k1p = _xh(kern, pos, mom)
+            k2q, k2p = _xh(kern, pos + 0.5 * h * k1q, mom + 0.5 * h * k1p)
+            k3q, k3p = _xh(kern, pos + 0.5 * h * k2q, mom + 0.5 * h * k2p)
+            k4q, k4p = _xh(kern, pos + h * k3q, mom + h * k3p)
+            pos = pos + (h / 6.0) * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
+            mom = mom + (h / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
+            _check_domain(chart, pos, ts[s + 1])
+            positions[s + 1], momenta[s + 1] = pos, mom
+    except DomainError as exc:
+        raise _stage_left_domain(exc, ts[s]) from exc
 
     return FlowState(chart.sig, I.L, ts, positions, momenta,
                      metadata={"dt": h, "requested_dt": dt, "t_end": t_end,

@@ -54,7 +54,8 @@ class InvalidPoint(SuperGeometryError):
 
 
 class LeftDomain(SuperGeometryError):
-    """Integration left the chart's coordinate box."""
+    """Integration left the chart's coordinate box, or an RK4 stage left the
+    domain of a function in the metric."""
 
 
 class GridTooShort(SuperGeometryError):

@@ -22,6 +22,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import (
+    DomainError,
     GridTooShort,
     LeftDomain,
     MismatchedGeneratorCount,
@@ -158,6 +159,11 @@ def _check_domain(chart: MetricChart, pos: np.ndarray, t: float) -> None:
         raise LeftDomain(f"body {body} left the chart domain at t={t:g}")
 
 
+def _stage_left_domain(exc: DomainError, t: float) -> LeftDomain:
+    """An RK4 stage evaluated a function outside its domain."""
+    return LeftDomain(f"a stage of the step from t={t:g} left the domain: {exc}")
+
+
 def integrate_geodesic(chart: MetricChart, ic: InitialCondition,
                        t_end: float, dt: float) -> Trajectory:
     """Fixed-step RK4 for the supergeodesic equation; deterministic output."""
@@ -175,18 +181,21 @@ def integrate_geodesic(chart: MetricChart, ic: InitialCondition,
     velocities = np.empty((steps + 1, n, D))
     positions[0], velocities[0] = pos, vel
 
-    for s in range(steps):
-        k1p, k1v = vel, _acceleration(kern, pos, vel)
-        p2, v2 = pos + 0.5 * h * k1p, vel + 0.5 * h * k1v
-        k2p, k2v = v2, _acceleration(kern, p2, v2)
-        p3, v3 = pos + 0.5 * h * k2p, vel + 0.5 * h * k2v
-        k3p, k3v = v3, _acceleration(kern, p3, v3)
-        p4, v4 = pos + h * k3p, vel + h * k3v
-        k4p, k4v = v4, _acceleration(kern, p4, v4)
-        pos = pos + (h / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-        vel = vel + (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-        _check_domain(chart, pos, ts[s + 1])
-        positions[s + 1], velocities[s + 1] = pos, vel
+    try:
+        for s in range(steps):
+            k1p, k1v = vel, _acceleration(kern, pos, vel)
+            p2, v2 = pos + 0.5 * h * k1p, vel + 0.5 * h * k1v
+            k2p, k2v = v2, _acceleration(kern, p2, v2)
+            p3, v3 = pos + 0.5 * h * k2p, vel + 0.5 * h * k2v
+            k3p, k3v = v3, _acceleration(kern, p3, v3)
+            p4, v4 = pos + h * k3p, vel + h * k3v
+            k4p, k4v = v4, _acceleration(kern, p4, v4)
+            pos = pos + (h / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
+            vel = vel + (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+            _check_domain(chart, pos, ts[s + 1])
+            positions[s + 1], velocities[s + 1] = pos, vel
+    except DomainError as exc:
+        raise _stage_left_domain(exc, ts[s]) from exc
 
     return Trajectory(chart.sig, ic.L, ts, positions, velocities,
                       metadata={"dt": h, "requested_dt": dt, "t_end": t_end,
@@ -246,19 +255,23 @@ def integrate_goertsches(chart: MetricChart, ic: InitialCondition,
         velocities[s, even_idx] = vel_even
         velocities[s, odd_idx] = dpos[odd_idx]
 
-    record(0, pos, vel_even)
-    for s in range(steps):
-        k1p, k1v = _goertsches_rhs(kern, even_idx, odd_idx, pos, vel_even)
-        k2p, k2v = _goertsches_rhs(kern, even_idx, odd_idx,
-                                   pos + 0.5 * h * k1p, vel_even + 0.5 * h * k1v)
-        k3p, k3v = _goertsches_rhs(kern, even_idx, odd_idx,
-                                   pos + 0.5 * h * k2p, vel_even + 0.5 * h * k2v)
-        k4p, k4v = _goertsches_rhs(kern, even_idx, odd_idx,
-                                   pos + h * k3p, vel_even + h * k3v)
-        pos = pos + (h / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-        vel_even = vel_even + (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-        _check_domain(chart, pos, ts[s + 1])
-        record(s + 1, pos, vel_even)
+    s = 0
+    try:
+        record(0, pos, vel_even)
+        for s in range(steps):
+            k1p, k1v = _goertsches_rhs(kern, even_idx, odd_idx, pos, vel_even)
+            k2p, k2v = _goertsches_rhs(kern, even_idx, odd_idx,
+                                       pos + 0.5 * h * k1p, vel_even + 0.5 * h * k1v)
+            k3p, k3v = _goertsches_rhs(kern, even_idx, odd_idx,
+                                       pos + 0.5 * h * k2p, vel_even + 0.5 * h * k2v)
+            k4p, k4v = _goertsches_rhs(kern, even_idx, odd_idx,
+                                       pos + h * k3p, vel_even + h * k3v)
+            pos = pos + (h / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
+            vel_even = vel_even + (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+            _check_domain(chart, pos, ts[s + 1])
+            record(s + 1, pos, vel_even)
+    except DomainError as exc:
+        raise _stage_left_domain(exc, ts[s]) from exc
 
     return Trajectory(chart.sig, ic.L, ts, positions, velocities,
                       metadata={"dt": h, "requested_dt": dt, "t_end": t_end,

@@ -7,6 +7,17 @@ the scalar ("body") coefficient; everything else is the nilpotent soul.
 
 Basis products carry the sign of the transpositions needed to merge the two
 sorted generator lists; products of masks sharing a generator vanish.
+
+Products are computed from one cached, read-only table per L: the 3^L
+disjoint mask pairs (i, j) with their signs, grouped by the result mask
+i | j.  Above `_TENSOR_MAX` (L > 3) a product gathers the two factors'
+coefficients at the pairs, multiplies them with the signs and sums each
+group (`np.add.reduceat`): 3^L multiply-adds, where a contraction with the
+dense (2^L)^3 structure tensor does 8^L.  For L <= `_TENSOR_MAX` the table
+is scattered into that dense tensor, reshaped to (4^L, 2^L), and a product
+is one contraction, which is faster there than the gather.  A stack of
+products whose pair temporaries would exceed `_CHUNK_ELEMENTS` elements
+(32 MB of float64) is computed in chunks of its flattened leading axes.
 """
 
 from __future__ import annotations
@@ -21,8 +32,8 @@ import numpy as np
 from .errors import MismatchedGeneratorCount, OddElement, ZeroBody
 
 MAX_GENERATORS = 12  # memory/runtime guard
-_TABLE_MAX = 8       # dense (2^L)^2 index/sign tables up to this L
-_TENSOR_MAX = 6      # dense (2^L)^3 product tensor up to this L
+_TENSOR_MAX = 3      # dense (2^L)^3 product tensor up to this L
+_CHUNK_ELEMENTS = 1 << 22  # pair-product elements per temporary above it
 
 
 class Parity(Enum):
@@ -73,78 +84,71 @@ def merge_sign(a: int, b: int) -> float:
 
 
 @lru_cache(maxsize=None)
-def _tables(L: int):
-    """(index, sign) multiplication tables; index[i] is the XOR permutation."""
-    D = dim(L)
-    idx = np.arange(D, dtype=np.intp)[None, :] ^ np.arange(D, dtype=np.intp)[:, None]
-    sgn = np.zeros((D, D))
-    for i in range(D):
-        comp = (D - 1) ^ i
-        j = comp
-        while True:
-            sgn[i, j] = merge_sign(i, j)
-            if j == 0:
-                break
-            j = (j - 1) & comp
-    idx.flags.writeable = False
-    sgn.flags.writeable = False
-    return idx, sgn
+def _pairs(L: int):
+    """The 3^L disjoint mask pairs as (I, J, S, starts), read-only.
 
-
-@lru_cache(maxsize=None)
-def product_tensor(L: int) -> np.ndarray | None:
-    """Dense structure tensor T with T[i, j, i|j] = merge_sign(i, j).
-
-    Lets batched products be written as contractions over the mask axes.
-    None above the size cutoff; callers must fall back to elementwise loops.
+    Pair p multiplies mask I[p] by mask J[p] with sign S[p] = merge_sign;
+    pairs are sorted by K = I | J, and starts[k] is the offset of the group
+    with K == k (every k has 2^popcount(k) pairs, so no group is empty).
+    Built one generator at a time: adding a highest generator t turns each
+    pair (i, j) into (i, j), (i|t, j) and (i, j|t), where moving t left past
+    the generators of j costs (-1)^popcount(j).
     """
-    if L > _TENSOR_MAX:
-        return None
-    D = dim(L)
-    T = np.zeros((D, D, D))
-    for i in range(D):
-        comp = (D - 1) ^ i
-        j = comp
-        while True:
-            T[i, j, i | j] = merge_sign(i, j)
-            if j == 0:
-                break
-            j = (j - 1) & comp
-    T.flags.writeable = False
-    return T
+    I = np.zeros(1, dtype=np.intp)
+    J = np.zeros(1, dtype=np.intp)
+    S = np.ones(1)
+    for t in range(L):
+        bit = 1 << t
+        flip = np.where(np.bitwise_count(J) & 1, -1.0, 1.0)
+        I = np.concatenate([I, I | bit, I])
+        J = np.concatenate([J, J, J | bit])
+        S = np.concatenate([S, S * flip, S])
+    K = I | J
+    order = np.argsort(K, kind="stable")
+    starts = np.searchsorted(K[order], np.arange(dim(L)))
+    table = (I[order], J[order], S[order], starts)
+    for arr in table:
+        arr.flags.writeable = False
+    return table
 
 
 @lru_cache(maxsize=None)
-def _flat_tensor(L: int) -> np.ndarray | None:
-    T = product_tensor(L)
-    if T is None:
-        return None
-    T2 = np.ascontiguousarray(T.reshape(dim(L) * dim(L), dim(L)))
+def _dense_tensor(L: int) -> np.ndarray:
+    """Structure tensor T[i * 2^L + j, i | j] = merge_sign(i, j), (D^2, D)."""
+    D = dim(L)
+    I, J, S, _ = _pairs(L)
+    T2 = np.zeros((D * D, D))
+    T2[I * D + J, I | J] = S
     T2.flags.writeable = False
     return T2
 
 
+def _mul(a: np.ndarray, b: np.ndarray, L: int) -> np.ndarray:
+    """Grassmann product of stacked coefficient arrays (leading axes broadcast)."""
+    if L <= _TENSOR_MAX:
+        outer = a[..., :, None] * b[..., None, :]
+        D = outer.shape[-1]
+        return outer.reshape(outer.shape[:-2] + (D * D,)) @ _dense_tensor(L)
+    I, J, S, starts = _pairs(L)
+    # rows(a) * rows(b) bounds the broadcast row count from above
+    if a.size * b.size // dim(L) ** 2 * len(I) <= _CHUNK_ELEMENTS:
+        return np.add.reduceat(np.take(a, I, -1) * S * np.take(b, J, -1),
+                               starts, axis=-1)
+    shape = np.broadcast_shapes(a.shape, b.shape)
+    flat_a = np.broadcast_to(a, shape).reshape(-1, shape[-1])
+    flat_b = np.broadcast_to(b, shape).reshape(-1, shape[-1])
+    out = np.empty(flat_a.shape)
+    step = max(1, _CHUNK_ELEMENTS // len(I))
+    for r in range(0, len(out), step):
+        out[r:r + step] = np.add.reduceat(
+            np.take(flat_a[r:r + step], I, -1) * S
+            * np.take(flat_b[r:r + step], J, -1), starts, axis=-1)
+    return out.reshape(shape)
+
+
 def mul_dense(a: np.ndarray, b: np.ndarray, L: int) -> np.ndarray:
     """Product of two coefficient vectors over the L-generator algebra."""
-    T2 = _flat_tensor(L)
-    if T2 is not None:
-        return np.outer(a, b).reshape(-1) @ T2
-    out = np.zeros(dim(L))
-    if L <= _TABLE_MAX:
-        idx, sgn = _tables(L)
-        for i in np.nonzero(a)[0]:
-            # XOR rows are permutations, so fancy-indexed += is safe
-            out[idx[i]] += (a[i] * sgn[i]) * b
-        return out
-    for i in np.nonzero(a)[0]:
-        ai = a[i]
-        ii = int(i)
-        for j in np.nonzero(b)[0]:
-            jj = int(j)
-            if ii & jj:
-                continue
-            out[ii | jj] += merge_sign(ii, jj) * ai * b[j]
-    return out
+    return _mul(a, b, L)
 
 
 def batched_mul(a: np.ndarray, b: np.ndarray, L: int) -> np.ndarray:
@@ -152,19 +156,7 @@ def batched_mul(a: np.ndarray, b: np.ndarray, L: int) -> np.ndarray:
 
     Leading axes broadcast; the trailing axis has length 2^L.
     """
-    T2 = _flat_tensor(L)
-    if T2 is not None:
-        outer = a[..., :, None] * b[..., None, :]
-        D = outer.shape[-1]
-        return outer.reshape(outer.shape[:-2] + (D * D,)) @ T2
-    aa, bb = np.broadcast_arrays(a[..., :], b[..., :])
-    out = np.empty_like(aa)
-    flat_a = aa.reshape(-1, aa.shape[-1])
-    flat_b = bb.reshape(-1, bb.shape[-1])
-    flat_o = out.reshape(-1, out.shape[-1])
-    for k in range(flat_a.shape[0]):
-        flat_o[k] = mul_dense(flat_a[k], flat_b[k], L)
-    return out
+    return _mul(a, b, L)
 
 
 def invert_dense(a: np.ndarray, L: int, check_even: bool = True) -> np.ndarray:

@@ -42,6 +42,20 @@ TIGHT_DOMAIN = {
                    "velocity": {"x": 1.0, "y": 0.0}}},
 }
 
+# log(g_yy) is defined only for x > 0: the step from t=0.01 starts at x=1.4
+# inside the domain box, and its last stage evaluates the metric at x=-0.1.
+LOG_CHART = {
+    "schema_version": 1,
+    "name": "logx",
+    "signature": {"even": ["x", "y"], "odd": []},
+    "metric": [["1", "0"], ["0", "log(x)"]],
+    "domain": {"x": [1.2, 10.0]},
+    "L": 0,
+    "initial_conditions": {
+        "dive": {"position": {"x": 2.9, "y": 0.0},
+                 "velocity": {"x": -150.0, "y": 0.0}}},
+}
+
 
 class TestChristoffel:
     def test_table_matches_oracle(self, capsys):
@@ -125,6 +139,27 @@ class TestGeodesicCommand:
                            "--t-end", "1.0", "--out", str(out))
         assert code == 3
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", [("geodesic", "--mode", "paper"),
+                                         ("geodesic", "--mode", "goertsches"),
+                                         ("flow",)])
+    def test_stage_outside_function_domain_exits_3(self, capsys, tmp_path,
+                                                   command):
+        model = write_model(tmp_path, "logx", LOG_CHART)
+        out = tmp_path / "traj.csv"
+        code, _, err = run(capsys, *command, "--model", model, "--ic", "dive",
+                           "--dt", "0.01", "--t-end", "1.0", "--out", str(out))
+        assert code == 3
+        assert "t=0.01" in err
+        assert not out.exists()
+
+    def test_function_domain_error_in_constant_exits_2(self, capsys, tmp_path):
+        bad = dict(LOG_CHART, metric=[["1", "0"], ["0", "log(-1)"]])
+        model = write_model(tmp_path, "logneg", bad)
+        code, _, err = run(capsys, "geodesic", "--model", model, "--ic", "dive",
+                           "--out", str(tmp_path / "x.csv"))
+        assert code == 2
+        assert "log" in err
 
     def test_unknown_ic_exits_2(self, capsys):
         code, _, err = run(capsys, "geodesic", "--model", "flat_r12",

@@ -1,15 +1,21 @@
 """Grassmann algebra: arithmetic examples, laws on random elements, errors."""
 
+import itertools
+
 import numpy as np
 import pytest
 
+from supergeodesics import grassmann
 from supergeodesics.errors import MismatchedGeneratorCount, OddElement, ZeroBody
 from supergeodesics.grassmann import (
+    MAX_GENERATORS,
     GrassmannElement as G,
     Parity,
+    batched_mul,
     dim,
     mask_parity,
     merge_sign,
+    mul_dense,
     strip_generator,
 )
 
@@ -22,6 +28,21 @@ def random_element(rng, L, parity=None, body_min=None):
         body = rng.uniform(body_min, 1.0) * rng.choice([-1.0, 1.0])
         coeffs[0] = body
     return G(L, coeffs)
+
+
+def reference_product(a, b, L):
+    """Oracle: sum of merge_sign(i, j) * a_i * b_j over disjoint mask pairs."""
+    D = dim(L)
+    out = np.zeros(D)
+    for i in range(D):
+        comp = (D - 1) ^ i
+        j = comp
+        while True:  # every submask j of the complement of i
+            out[i | j] += merge_sign(i, j) * a[i] * b[j]
+            if j == 0:
+                break
+            j = (j - 1) & comp
+    return out
 
 
 class TestArithmetic:
@@ -108,29 +129,61 @@ class TestParity:
                         Parity.EVEN if expected == 0 else Parity.ODD)
 
     def test_graded_commutativity(self, rng):
-        for pa in (0, 1):
-            for pb in (0, 1):
-                for _ in range(50):
-                    a = random_element(rng, 3, parity=pa)
-                    b = random_element(rng, 3, parity=pb)
-                    sign = -1.0 if pa and pb else 1.0
-                    assert (a * b).equals(sign * (b * a), 1e-13)
+        for L, pa, pb in itertools.product((3, 7, 8), (0, 1), (0, 1)):
+            for _ in range(50):
+                a = random_element(rng, L, parity=pa)
+                b = random_element(rng, L, parity=pb)
+                sign = -1.0 if pa and pb else 1.0
+                assert (a * b).equals(sign * (b * a), 1e-13)
 
 
 class TestLaws:
     def test_associativity_distributivity(self, rng):
-        for _ in range(1000):
-            a = random_element(rng, 3)
-            b = random_element(rng, 3)
-            c = random_element(rng, 3)
-            assert ((a * b) * c).equals(a * (b * c), 1e-12)
-            assert (a * (b + c)).equals(a * b + a * c, 1e-12)
+        for L, count in ((3, 1000), (7, 50), (8, 50)):
+            for _ in range(count):
+                a = random_element(rng, L)
+                b = random_element(rng, L)
+                c = random_element(rng, L)
+                assert ((a * b) * c).equals(a * (b * c), 1e-12)
+                assert (a * (b + c)).equals(a * b + a * c, 1e-12)
 
     def test_merge_sign_by_reordering(self):
         # t2*t1*t3 needs one transposition to sort
         assert merge_sign(0b010, 0b101) == -1.0
         assert merge_sign(0b001, 0b110) == 1.0
         assert merge_sign(0b011, 0b010) == 0.0
+
+
+class TestProductKernel:
+    @pytest.mark.parametrize("L", range(MAX_GENERATORS + 1))
+    def test_mul_dense_matches_reference(self, rng, L):
+        for _ in range(1 if L >= 10 else 3):
+            a, b = rng.uniform(-1.0, 1.0, (2, dim(L)))
+            np.testing.assert_allclose(mul_dense(a, b, L),
+                                       reference_product(a, b, L),
+                                       rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("L", range(MAX_GENERATORS + 1))
+    def test_batched_mul_matches_rows(self, rng, L):
+        # the (n,n,1,D) x (1,n,n,D) broadcast of the Christoffel contraction
+        n = 3 if L < 10 else 2
+        a = rng.uniform(-1.0, 1.0, (n, n, 1, dim(L)))
+        b = rng.uniform(-1.0, 1.0, (1, n, n, dim(L)))
+        out = batched_mul(a, b, L)
+        assert out.shape == (n, n, n, dim(L))
+        for i, j, k in np.ndindex(n, n, n):
+            np.testing.assert_allclose(out[i, j, k],
+                                       mul_dense(a[i, j, 0], b[0, j, k], L),
+                                       rtol=0, atol=1e-12)
+
+    def test_chunked_batch_equals_unchunked_rows(self, rng):
+        L = MAX_GENERATORS
+        a = rng.uniform(-1.0, 1.0, (3, 1, dim(L)))
+        b = rng.uniform(-1.0, 1.0, (1, 3, dim(L)))
+        assert 9 * 3 ** L > grassmann._CHUNK_ELEMENTS >= 3 ** L
+        out = batched_mul(a, b, L)
+        for i, j in np.ndindex(3, 3):
+            assert np.array_equal(out[i, j], mul_dense(a[i, 0], b[0, j], L))
 
 
 class TestBodySoul:
