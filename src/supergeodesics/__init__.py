@@ -15,6 +15,7 @@ from .errors import (
     DomainError,
     ExpressionSyntaxError,
     GridTooShort,
+    IntegrationFailure,
     InvalidPoint,
     LeftDomain,
     MismatchedGeneratorCount,

@@ -7,8 +7,9 @@ produce byte-identical CSV/JSON.  Files are written to a temporary name and
 atomically renamed, so no partial output survives an error.
 
 Exit codes: 0 success, 1 verification failure, 2 model or usage error,
-3 integration left the chart domain or, at an RK4 stage, the domain of a
-function in the metric (or hit a singular metric body).
+3 integration failure: the integration left the chart domain or, at an RK4
+stage, the domain of a function in the metric, a stage overflowed, a step
+produced a non-finite state, or the metric body turned singular.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from .cotangent import energy_series, integrate_flow, phase_from_ic
-from .errors import LeftDomain, ModelError, SingularBody, SuperGeometryError
+from .errors import IntegrationFailure, LeftDomain, ModelError, SingularBody, \
+    SuperGeometryError
 from .expmap import exp_jacobian_check
 from .geodesics import Trajectory, integrate_geodesic, integrate_goertsches
 from .geometry import SuperPoint, christoffel_at, metric_validate
@@ -290,7 +292,7 @@ def main(argv=None) -> int:
     except ModelError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (LeftDomain, SingularBody) as exc:
+    except (LeftDomain, IntegrationFailure, SingularBody) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except SuperGeometryError as exc:

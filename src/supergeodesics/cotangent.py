@@ -23,13 +23,12 @@ from typing import Mapping
 import numpy as np
 
 from .errors import (
-    DomainError,
     MismatchedGeneratorCount,
     ParityViolation,
     SignatureMismatch,
 )
-from .geodesics import InitialCondition, _check_domain, _grid, \
-    _stage_left_domain, integrate_geodesic
+from .geodesics import InitialCondition, _check_domain, _grid, _rk4, \
+    integrate_geodesic
 from .geometry import MetricChart, SuperPoint, _Kernel
 from .grassmann import GrassmannElement, Parity, batched_mul, mask_parity
 
@@ -118,16 +117,16 @@ def _xh(kern: _Kernel, pos: np.ndarray, mom: np.ndarray):
     env = kern.env(pos)
     ginv = kern.metric_inverse(env)
     # dq_i = sum_j p_j * g^{ji}
-    tq = batched_mul(mom[:, None, :], ginv, kern.L)  # [j,i] = p_j g^{ji}
-    qdot = tq.sum(axis=0)
+    tq = batched_mul(mom[..., :, None, :], ginv, kern.L)  # [j,i] = p_j g^{ji}
+    qdot = tq.sum(axis=-3)
     if kern.is_flat:
         return qdot, np.zeros_like(mom)
     dginv = kern.dginv(env, ginv)  # [a,k,j] = d_a g^{kj}
     # dp_i = -1/2 sum_{k,j} (-1)^{|q_i||q_k|} p_k * d_i(g^{kj}) * p_j
-    u = batched_mul(mom[None, :, None, :], dginv, kern.L)   # [i,k,j] = p_k d_i g^{kj}
-    u = batched_mul(u, mom[None, None, :, :], kern.L)       # [i,k,j] *= p_j
-    u = kern.s1[:, :, None, None] * u                       # (-1)^{|i||k|}
-    pdot = -0.5 * u.sum(axis=(1, 2))
+    u = batched_mul(mom[..., None, :, None, :], dginv, kern.L)  # p_k d_i g^{kj}
+    u = batched_mul(u, mom[..., None, None, :, :], kern.L)      # [i,k,j] *= p_j
+    u = kern.s1[:, :, None, None] * u                           # (-1)^{|i||k|}
+    pdot = -0.5 * u.sum(axis=(-3, -2))
     return qdot, pdot
 
 
@@ -160,20 +159,10 @@ def integrate_flow(chart: MetricChart, I: PhasePoint,
     ts = np.arange(steps + 1) * h
     positions = np.empty((steps + 1, n, D))
     momenta = np.empty((steps + 1, n, D))
-    positions[0], momenta[0] = pos, mom
-
-    try:
-        for s in range(steps):
-            k1q, k1p = _xh(kern, pos, mom)
-            k2q, k2p = _xh(kern, pos + 0.5 * h * k1q, mom + 0.5 * h * k1p)
-            k3q, k3p = _xh(kern, pos + 0.5 * h * k2q, mom + 0.5 * h * k2p)
-            k4q, k4p = _xh(kern, pos + h * k3q, mom + h * k3p)
-            pos = pos + (h / 6.0) * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
-            mom = mom + (h / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-            _check_domain(chart, pos, ts[s + 1])
-            positions[s + 1], momenta[s + 1] = pos, mom
-    except DomainError as exc:
-        raise _stage_left_domain(exc, ts[s]) from exc
+    run = _rk4(lambda st: _xh(kern, *st), (pos, mom), h, steps,
+               lambda st, t: _check_domain(chart, st[0], t))
+    for s, ((pos, mom), _) in enumerate(run):
+        positions[s], momenta[s] = pos, mom
 
     return FlowState(chart.sig, I.L, ts, positions, momenta,
                      metadata={"dt": h, "requested_dt": dt, "t_end": t_end,

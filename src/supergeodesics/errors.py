@@ -58,6 +58,10 @@ class LeftDomain(SuperGeometryError):
     domain of a function in the metric."""
 
 
+class IntegrationFailure(SuperGeometryError):
+    """An RK4 stage overflowed, or a step produced a non-finite state."""
+
+
 class GridTooShort(SuperGeometryError):
     """Too few samples for the finite-difference stencil."""
 

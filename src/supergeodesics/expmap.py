@@ -9,6 +9,18 @@ The Jacobian of exp_q at 0 is assembled numerically: even directions by
 central differences of the body output, odd directions by reading the
 coefficient linear in a single odd generator.  Nilpotent directions admit no
 epsilon limits, so the odd block is extracted exactly, never differenced.
+
+Batching: every check needs several exp values (2m + 1 per Jacobian point,
+v and T Phi v for naturality, v and +-v for linearization).  `_exp_batch`
+integrates them as the rows of one RK4 run on (rows, n, 2^L) arrays, with L
+the largest generator count among them.  A vector over fewer generators is
+embedded by zero-padding: its coefficients sit on the masks of its own
+generators, which keep their numbers, and every other mask is zero; the
+endpoint is read back over its own generators.  Rows keep the bits of their
+serial `exp_at` (see `_Kernel.padded`), so a check reports the same numbers
+batched or not; the one exception is an L = 0 row padded into a larger
+algebra on a chart with two or more even coordinates and n >= 3, which
+agrees to rounding.
 """
 
 from __future__ import annotations
@@ -19,9 +31,10 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import MismatchedGeneratorCount, ParityViolation, SignatureMismatch
-from .geodesics import InitialCondition, integrate_geodesic
+from .geodesics import InitialCondition, _acceleration, _check_domain, _grid, \
+    _rk4, integrate_geodesic
 from .geometry import MetricChart, SuperPoint
-from .grassmann import GrassmannElement, Parity
+from .grassmann import GrassmannElement, Parity, dim
 from .superexpr import (
     ChartSignature,
     Const,
@@ -133,6 +146,32 @@ def exp_at(chart: MetricChart, v: TangentFiberPoint, dt: float = 1e-3) -> SuperP
     return traj.position_at(len(traj) - 1)
 
 
+def _exp_batch(chart: MetricChart, vectors: Sequence[TangentFiberPoint],
+               dt: float = 1e-3) -> list[SuperPoint]:
+    """[exp_at(chart, v, dt) for v in vectors], integrated as the rows of one
+    batched RK4 run (see the module docstring)."""
+    if not vectors:
+        return []
+    L = max(v.L for v in vectors)
+    kern = chart.kernel(L).padded([v.L for v in vectors])
+    pos = np.zeros((len(vectors), kern.n, kern.D))
+    vel = np.zeros_like(pos)
+    for r, v in enumerate(vectors):
+        ic = v.to_initial_condition()
+        if ic.position.sig != chart.sig:
+            raise SignatureMismatch("tangent vector lives on a different chart")
+        pos[r, :, :dim(v.L)] = ic.position.as_array()
+        vel[r, :, :dim(v.L)] = ic.velocity_array()
+    _check_domain(chart, pos, 0.0)
+    steps, h = _grid(1.0, dt)
+    run = _rk4(lambda st: (st[1], _acceleration(kern, *st)), (pos, vel), h,
+               steps, lambda st, t: _check_domain(chart, st[0], t))
+    for (pos, _), _ in run:
+        pass
+    return [SuperPoint.from_array(chart.sig, v.L, pos[r, :, :dim(v.L)])
+            for r, v in enumerate(vectors)]
+
+
 # ---------------------------------------------------------------------------
 # tangent maps of morphisms
 
@@ -240,6 +279,52 @@ class ExpJacobianReport:
         return self.even_dev <= tol_even and self.odd_dev <= tol_odd
 
 
+def _jacobian_rows(sig: ChartSignature, q: np.ndarray,
+                   h: float) -> list[TangentFiberPoint]:
+    """The exp arguments of one Jacobian: +h and -h on each even direction
+    (L = 0), then one run seeding generator a on odd slot a (L = n_odd)."""
+    rows = [TangentFiberPoint(sig, 0, q,
+                              {name: GrassmannElement.from_scalar(s * h, 0)})
+            for name in sig.even_names for s in (+1.0, -1.0)]
+    if sig.n_odd:
+        seeds = {odd: GrassmannElement.generator(a, sig.n_odd)
+                 for a, odd in enumerate(sig.odd_names)}
+        rows.append(TangentFiberPoint(sig, sig.n_odd, q, seeds))
+    return rows
+
+
+def _jacobian_report(sig: ChartSignature, q: np.ndarray, h: float, dt: float,
+                     outs: Sequence[SuperPoint]) -> ExpJacobianReport:
+    """Assemble the report from exp of the `_jacobian_rows`, in that order."""
+    m, n = sig.n_even, sig.n_odd
+    dim_total = sig.dimension
+    mat = np.zeros((dim_total, dim_total))
+    for i in range(m):
+        plus, minus = outs[2 * i], outs[2 * i + 1]
+        mat[i, :m] = (plus.body_even() - minus.body_even()) / (2.0 * h)
+    if n:
+        out = outs[2 * m]
+        for a in range(n):
+            mask = 1 << a
+            for b, odd_out in enumerate(sig.odd_names):
+                mat[m + a, m + b] = out.values[odd_out].coeffs[mask]
+    eye = np.eye(dim_total)
+    even_dev = float(np.max(np.abs(mat[:m] - eye[:m]))) if m else 0.0
+    odd_dev = float(np.max(np.abs(mat[m:] - eye[m:]))) if n else 0.0
+    return ExpJacobianReport(q, h, dt, mat, even_dev, odd_dev)
+
+
+def exp_jacobian_checks(chart: MetricChart, points, h: float = 1e-4,
+                        dt: float = 1e-3) -> list[ExpJacobianReport]:
+    """`exp_jacobian_check` at each body point, with the exp arguments of all
+    the points integrated as one batch."""
+    qs = [np.asarray(q, dtype=float).reshape(-1) for q in points]
+    rows = [_jacobian_rows(chart.sig, q, h) for q in qs]
+    outs = iter(_exp_batch(chart, [v for r in rows for v in r], dt))
+    return [_jacobian_report(chart.sig, q, h, dt, [next(outs) for _ in r])
+            for q, r in zip(qs, rows)]
+
+
 def exp_jacobian_check(chart: MetricChart, q, h: float = 1e-4,
                        dt: float = 1e-3) -> ExpJacobianReport:
     """Numerical linearization of v -> exp_q(v) at v = 0, against identity.
@@ -247,36 +332,10 @@ def exp_jacobian_check(chart: MetricChart, q, h: float = 1e-4,
     Even directions: central differences of the body output at +/- h.  Odd
     directions: one combined run seeding a distinct generator on every odd
     slot; the single-generator coefficients isolate the linear response
-    exactly (products of two seeded generators land on other masks).
+    exactly (products of two seeded generators land on other masks).  The
+    2m + 1 exp values are integrated as one batch.
     """
-    sig = chart.sig
-    q_arr = np.asarray(q, dtype=float).reshape(-1)
-    m, n = sig.n_even, sig.n_odd
-    dim_total = sig.dimension
-    mat = np.zeros((dim_total, dim_total))
-
-    for i, name in enumerate(sig.even_names):
-        columns = []
-        for s in (+1.0, -1.0):
-            v = TangentFiberPoint(sig, 0, q_arr,
-                                  {name: GrassmannElement.from_scalar(s * h, 0)})
-            out = exp_at(chart, v, dt)
-            columns.append(out.body_even())
-        mat[i, :m] = (columns[0] - columns[1]) / (2.0 * h)
-
-    if n:
-        seeds = {odd: GrassmannElement.generator(a, n)
-                 for a, odd in enumerate(sig.odd_names)}
-        out = exp_at(chart, TangentFiberPoint(sig, n, q_arr, seeds), dt)
-        for a in range(n):
-            mask = 1 << a
-            for b, odd_out in enumerate(sig.odd_names):
-                mat[m + a, m + b] = out.values[odd_out].coeffs[mask]
-
-    eye = np.eye(dim_total)
-    even_dev = float(np.max(np.abs(mat[:m] - eye[:m]))) if m else 0.0
-    odd_dev = float(np.max(np.abs(mat[m:] - eye[m:]))) if n else 0.0
-    return ExpJacobianReport(q_arr, h, dt, mat, even_dev, odd_dev)
+    return exp_jacobian_checks(chart, [q], h, dt)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -399,15 +458,17 @@ def naturality_check(chart: MetricChart, phi: SuperMorphism, q,
             f"morphism fails the isometry condition (dev {iso.max_dev:.3g})")
     T = numerical_tangent_map(phi, q)
     q_img = body_image(phi, q)
-    devs = []
-    for v in vectors:
-        lhs = apply_morphism(phi, exp_at(chart, v, dt))
-        mapped = TangentFiberPoint(chart.sig, v.L, q_img, T.apply(v.vector, v.L))
-        rhs = exp_at(chart, mapped, dt)
-        dev = max(float(np.max(np.abs(lhs.values[n].coeffs - rhs.values[n].coeffs)))
-                  for n in chart.sig.names)
-        devs.append(dev)
+    mapped = [TangentFiberPoint(chart.sig, v.L, q_img, T.apply(v.vector, v.L))
+              for v in vectors]
+    outs = _exp_batch(chart, [*vectors, *mapped], dt)
+    devs = [_max_dev(chart.sig, apply_morphism(phi, out), rhs)
+            for out, rhs in zip(outs, outs[len(vectors):])]
     return NaturalityReport(iso.max_dev, devs, tolerance)
+
+
+def _max_dev(sig: ChartSignature, a: SuperPoint, b: SuperPoint) -> float:
+    return max(float(np.max(np.abs(a.values[n].coeffs - b.values[n].coeffs)))
+               for n in sig.names)
 
 
 @dataclass
@@ -450,11 +511,8 @@ def linearization_test(chart: MetricChart, phi: SuperMorphism, q,
         return LinearizationReport(
             False, f"tangent map differs from {tangent_sign:+g}*id "
             f"(dev {t_dev:.3g})", np.inf, tolerance)
-    dev = 0.0
-    for v in vectors:
-        lhs = apply_morphism(phi, exp_at(chart, v, dt))
-        rhs = exp_at(chart, v.scaled(tangent_sign), dt)
-        dev = max(dev, max(float(np.max(np.abs(
-            lhs.values[n].coeffs - rhs.values[n].coeffs)))
-            for n in chart.sig.names))
+    outs = _exp_batch(chart, [*vectors, *(v.scaled(tangent_sign) for v in vectors)],
+                      dt)
+    dev = max((_max_dev(chart.sig, apply_morphism(phi, out), rhs)
+               for out, rhs in zip(outs, outs[len(vectors):])), default=0.0)
     return LinearizationReport(True, "", dev, tolerance)

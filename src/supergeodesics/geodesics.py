@@ -12,6 +12,10 @@ expanded system is a smooth real ODE, so the integration is deterministic):
       d/dt o_d + sum_{i even, b odd} o_b * (dq_i/dt) * Gamma^d_ib = 0.
   Odd coordinates carry value-only initial data; odd velocity entries of the
   initial condition are ignored in this mode.
+
+Both modes, the cotangent flow and the batched exponential map step through
+the one RK4 loop `_rk4`, which also turns a failing stage or a non-finite
+state into a typed error that names t.
 """
 
 from __future__ import annotations
@@ -24,11 +28,13 @@ import numpy as np
 from .errors import (
     DomainError,
     GridTooShort,
+    IntegrationFailure,
     LeftDomain,
     MismatchedGeneratorCount,
     NonHomogeneousField,
     ParityViolation,
     SignatureMismatch,
+    SuperGeometryError,
 )
 from .geometry import MetricChart, SuperPoint, _Kernel
 from .grassmann import (
@@ -126,10 +132,11 @@ def _acceleration(kern: _Kernel, pos: np.ndarray, vel: np.ndarray) -> np.ndarray
     if kern.is_flat:
         return np.zeros_like(pos)
     gamma = kern.christoffel(kern.env(pos))
-    vv = batched_mul(vel[:, None, :], vel[None, :, :], kern.L)  # [i,j] = v_i v_j
-    gt = gamma.transpose(0, 2, 1, 3)  # [k,i,j] <- Gamma[k,j,i]
-    tmp = batched_mul(vv[None, :, :, :], gt, kern.L)
-    return -tmp.sum(axis=(1, 2))
+    # vv[i,j] = v_i v_j
+    vv = batched_mul(vel[..., :, None, :], vel[..., None, :, :], kern.L)
+    gt = gamma.swapaxes(-3, -2)  # [k,i,j] <- Gamma[k,j,i]
+    tmp = batched_mul(vv[..., None, :, :, :], gt, kern.L)
+    return -tmp.sum(axis=(-3, -2))
 
 
 def geodesic_rhs(chart: MetricChart, pos: SuperPoint,
@@ -153,15 +160,59 @@ def _grid(t_end: float, dt: float) -> tuple[int, float]:
 
 
 def _check_domain(chart: MetricChart, pos: np.ndarray, t: float) -> None:
+    """Every batch row of `pos` (..., n, 2^L) has its body in the chart box."""
     m = chart.sig.n_even
-    body = pos[:m, 0]
-    if not chart.domain_contains(body):
-        raise LeftDomain(f"body {body} left the chart domain at t={t:g}")
+    for body in pos[..., :m, 0].reshape(-1, m):
+        if not chart.domain_contains(body):
+            raise LeftDomain(f"body {body} left the chart domain at t={t:g}")
 
 
-def _stage_left_domain(exc: DomainError, t: float) -> LeftDomain:
-    """An RK4 stage evaluated a function outside its domain."""
-    return LeftDomain(f"a stage of the step from t={t:g} left the domain: {exc}")
+# what a stage may raise: a function evaluated outside its domain, or a
+# floating-point overflow (math.exp, or numpy under np.errstate(raise))
+_STAGE_ERRORS = (DomainError, OverflowError, FloatingPointError)
+
+
+def _stage_error(exc: Exception, t: float) -> SuperGeometryError:
+    """The typed error for an exception raised by an RK4 stage."""
+    if isinstance(exc, DomainError):
+        return LeftDomain(f"a stage of the step from t={t:g} left the domain: {exc}")
+    return IntegrationFailure(f"a stage of the step from t={t:g} failed: "
+                              f"{type(exc).__name__}: {exc}")
+
+
+def _rk4(rhs, state: tuple[np.ndarray, ...], h: float, steps: int, check):
+    """Classical fixed-step RK4, the one stepper behind every integrator.
+
+    `state` is a tuple of arrays and `rhs(state)` returns their derivatives
+    as a tuple of arrays.  Arrays may carry leading batch axes: each row then
+    gets exactly the arithmetic of its own serial run.  Yields
+    (state, k1) at t = s * h for s = 0 .. steps - 1, where k1 = rhs(state) is
+    the first stage of the step from there, and finally (state, None) at
+    t = steps * h; the caller may use each k1, so nothing is evaluated twice.
+
+    Guard: a stage that leaves a function's domain raises `LeftDomain`, one
+    that overflows raises `IntegrationFailure`, and so does a step whose new
+    state is not finite; each names the t the step started from.
+    `check(state, t)` then vets every new state (for instance against the
+    chart's coordinate box).
+    """
+    s = 0
+    try:
+        for s in range(steps):
+            k1 = rhs(state)
+            yield state, k1
+            k2 = rhs(tuple(x + 0.5 * h * k for x, k in zip(state, k1)))
+            k3 = rhs(tuple(x + 0.5 * h * k for x, k in zip(state, k2)))
+            k4 = rhs(tuple(x + h * k for x, k in zip(state, k3)))
+            state = tuple(x + (h / 6.0) * (a + 2.0 * b + 2.0 * c + d)
+                          for x, a, b, c, d in zip(state, k1, k2, k3, k4))
+            if not all(np.isfinite(x).all() for x in state):
+                raise IntegrationFailure(
+                    f"the step from t={s * h:g} produced a non-finite state")
+            check(state, (s + 1) * h)
+    except _STAGE_ERRORS as exc:
+        raise _stage_error(exc, s * h) from exc
+    yield state, None
 
 
 def integrate_geodesic(chart: MetricChart, ic: InitialCondition,
@@ -179,23 +230,10 @@ def integrate_geodesic(chart: MetricChart, ic: InitialCondition,
     ts = np.arange(steps + 1) * h
     positions = np.empty((steps + 1, n, D))
     velocities = np.empty((steps + 1, n, D))
-    positions[0], velocities[0] = pos, vel
-
-    try:
-        for s in range(steps):
-            k1p, k1v = vel, _acceleration(kern, pos, vel)
-            p2, v2 = pos + 0.5 * h * k1p, vel + 0.5 * h * k1v
-            k2p, k2v = v2, _acceleration(kern, p2, v2)
-            p3, v3 = pos + 0.5 * h * k2p, vel + 0.5 * h * k2v
-            k3p, k3v = v3, _acceleration(kern, p3, v3)
-            p4, v4 = pos + h * k3p, vel + h * k3v
-            k4p, k4v = v4, _acceleration(kern, p4, v4)
-            pos = pos + (h / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-            vel = vel + (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-            _check_domain(chart, pos, ts[s + 1])
-            positions[s + 1], velocities[s + 1] = pos, vel
-    except DomainError as exc:
-        raise _stage_left_domain(exc, ts[s]) from exc
+    run = _rk4(lambda st: (st[1], _acceleration(kern, *st)), (pos, vel), h,
+               steps, lambda st, t: _check_domain(chart, st[0], t))
+    for s, ((pos, vel), _) in enumerate(run):
+        positions[s], velocities[s] = pos, vel
 
     return Trajectory(chart.sig, ic.L, ts, positions, velocities,
                       metadata={"dt": h, "requested_dt": dt, "t_end": t_end,
@@ -204,24 +242,24 @@ def integrate_geodesic(chart: MetricChart, ic: InitialCondition,
 
 def _goertsches_rhs(kern: _Kernel, even_idx, odd_idx, pos, vel_even):
     """(d pos, d vel_even): mixed 2nd/1st-order right-hand side."""
-    n, D = kern.n, kern.D
-    dpos = np.zeros((n, D))
-    dpos[even_idx] = vel_even
+    dpos = np.zeros(pos.shape)
+    dpos[..., even_idx, :] = vel_even
     if kern.is_flat:
         return dpos, np.zeros_like(vel_even)
     gamma = kern.christoffel(kern.env(pos))
     # even: f_k'' = -sum_{i,j even} f_i' * f_j' * Gamma^k_ji
-    vv = batched_mul(vel_even[:, None, :], vel_even[None, :, :], kern.L)
-    gee = gamma[np.ix_(even_idx, even_idx, even_idx)]  # [k,i,j] all even
-    tmp = batched_mul(vv[None, :, :, :], gee.transpose(0, 2, 1, 3), kern.L)
-    dvel = -tmp.sum(axis=(1, 2))
+    vv = batched_mul(vel_even[..., :, None, :], vel_even[..., None, :, :], kern.L)
+    gee = gamma[(...,) + np.ix_(even_idx, even_idx, even_idx) + (slice(None),)]
+    tmp = batched_mul(vv[..., None, :, :, :], gee.swapaxes(-3, -2), kern.L)
+    dvel = -tmp.sum(axis=(-3, -2))
     # odd: o_d' = -sum_{i even, b odd} o_b * f_i' * Gamma^d_ib
     if len(odd_idx):
-        o = pos[odd_idx]
-        fo = batched_mul(o[:, None, :], vel_even[None, :, :], kern.L)  # [b,i]
-        gob = gamma[np.ix_(odd_idx, even_idx, odd_idx)]  # [d,i,b]
-        tmp = batched_mul(fo.transpose(1, 0, 2)[None, :, :, :], gob, kern.L)
-        dpos[odd_idx] = -tmp.sum(axis=(1, 2))
+        o = pos[..., odd_idx, :]
+        # fo[b,i] = o_b f_i', gob[d,i,b] = Gamma^d_ib
+        fo = batched_mul(o[..., :, None, :], vel_even[..., None, :, :], kern.L)
+        gob = gamma[(...,) + np.ix_(odd_idx, even_idx, odd_idx) + (slice(None),)]
+        tmp = batched_mul(fo.swapaxes(-3, -2)[..., None, :, :, :], gob, kern.L)
+        dpos[..., odd_idx, :] = -tmp.sum(axis=(-3, -2))
     return dpos, dvel
 
 
@@ -231,7 +269,9 @@ def integrate_goertsches(chart: MetricChart, ic: InitialCondition,
 
     Odd coordinates evolve by their own first-order equation; the stored
     velocity samples for odd slots are the time derivatives of the odd
-    positions.  Odd velocity entries of `ic` are not used.
+    positions, read off the first RK4 stage of each step (one more
+    right-hand side call at the final sample).  Odd velocity entries of `ic`
+    are not used.
     """
     if ic.position.sig != chart.sig:
         raise SignatureMismatch("initial condition lives on a different chart")
@@ -249,29 +289,20 @@ def integrate_goertsches(chart: MetricChart, ic: InitialCondition,
     positions = np.empty((steps + 1, n, D))
     velocities = np.empty((steps + 1, n, D))
 
-    def record(s, pos, vel_even):
-        dpos, _ = _goertsches_rhs(kern, even_idx, odd_idx, pos, vel_even)
+    def rhs(st):
+        return _goertsches_rhs(kern, even_idx, odd_idx, *st)
+
+    run = _rk4(rhs, (pos, vel_even), h, steps,
+               lambda st, t: _check_domain(chart, st[0], t))
+    for s, ((pos, vel_even), k1) in enumerate(run):
+        if k1 is None:
+            try:
+                k1 = rhs((pos, vel_even))
+            except _STAGE_ERRORS as exc:
+                raise _stage_error(exc, ts[s - 1]) from exc
         positions[s] = pos
         velocities[s, even_idx] = vel_even
-        velocities[s, odd_idx] = dpos[odd_idx]
-
-    s = 0
-    try:
-        record(0, pos, vel_even)
-        for s in range(steps):
-            k1p, k1v = _goertsches_rhs(kern, even_idx, odd_idx, pos, vel_even)
-            k2p, k2v = _goertsches_rhs(kern, even_idx, odd_idx,
-                                       pos + 0.5 * h * k1p, vel_even + 0.5 * h * k1v)
-            k3p, k3v = _goertsches_rhs(kern, even_idx, odd_idx,
-                                       pos + 0.5 * h * k2p, vel_even + 0.5 * h * k2v)
-            k4p, k4v = _goertsches_rhs(kern, even_idx, odd_idx,
-                                       pos + h * k3p, vel_even + h * k3v)
-            pos = pos + (h / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-            vel_even = vel_even + (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-            _check_domain(chart, pos, ts[s + 1])
-            record(s + 1, pos, vel_even)
-    except DomainError as exc:
-        raise _stage_left_domain(exc, ts[s]) from exc
+        velocities[s, odd_idx] = k1[0][odd_idx]
 
     return Trajectory(chart.sig, ic.L, ts, positions, velocities,
                       metadata={"dt": h, "requested_dt": dt, "t_end": t_end,

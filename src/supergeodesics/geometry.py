@@ -11,11 +11,22 @@ Christoffel symbols are evaluated pointwise:
                              - (-1)^{|l|(|i|+|j|)} d_l g_ij ] * g^{lk}
 
 with the factor order exactly as written.
+
+Batch convention: the numeric kernel takes states of shape (..., n, 2^L).
+Leading axes are a batch of independent points (for instance the rows of
+one batched RK4 run); every method maps them to the same leading axes of its
+result, and a batch row has the bits of the same point evaluated alone.
+Arrays that do not depend on the point (constant metric entries or
+partials) stay unbatched and broadcast, so code indexes from the right:
+`...` indexing, negative axes, `swapaxes` and `transpose` with axis tuples
+built from each array's own `ndim`.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -177,12 +188,21 @@ class MetricChart:
             raise InvalidPoint(f"body {p.body_even()} outside chart domain")
 
 
+@lru_cache(maxsize=None)
+def _last_axes(ndim: int, order: tuple[int, ...]) -> tuple[int, ...]:
+    """Transpose axes that permute the trailing len(order) axes by `order`
+    and keep the leading (batch) axes in place."""
+    lead = ndim - len(order)
+    return tuple(range(lead)) + tuple(lead + o for o in order)
+
+
 class _Kernel:
     """Per-(chart, L) numeric engine working on raw coefficient arrays.
 
-    Positions/velocities are (n, 2^L) arrays in signature order.  Constant
-    metric entries and constant partials are prebaked; only the non-constant
-    expressions are re-evaluated per point.
+    Positions/velocities are (..., n, 2^L) arrays in signature order; leading
+    axes are a batch of independent states (see the module docstring).
+    Constant metric entries and constant partials are prebaked, unbatched;
+    only the non-constant expressions are re-evaluated per point.
     """
 
     def __init__(self, chart: MetricChart, L: int):
@@ -199,25 +219,27 @@ class _Kernel:
         self.s2 = np.where(e2 % 2, -1.0, 1.0)
         e3 = par[:, None, None] * (par[None, :, None] + par[None, None, :])
         self.s3 = np.where(e3 % 2, -1.0, 1.0)
+        self.row_L: np.ndarray | None = None
 
+        # live entries as (index behind any batch axes, expression)
         self._g_const = np.zeros((n, n, self.D))
-        self._g_live: list[tuple[int, int, Expr]] = []
+        self._g_live: list[tuple[tuple, Expr]] = []
         for i in range(n):
             for j in range(n):
                 e = chart.entries[i][j]
                 if e.free_vars():
-                    self._g_live.append((i, j, e))
+                    self._g_live.append(((..., i, j, slice(None)), e))
                 else:
                     self._g_const[i, j] = eval_dense(e, {}, L)
         dg = chart.dg()
         self._dg_const = np.zeros((n, n, n, self.D))
-        self._dg_live: list[tuple[int, int, int, Expr]] = []
+        self._dg_live: list[tuple[tuple, Expr]] = []
         for a in range(n):
             for i in range(n):
                 for j in range(n):
                     e = dg[a][i][j]
                     if e.free_vars():
-                        self._dg_live.append((a, i, j, e))
+                        self._dg_live.append(((..., a, i, j, slice(None)), e))
                     else:
                         self._dg_const[a, i, j] = eval_dense(e, {}, L)
         self.is_flat = not self._dg_live and not self._dg_const.any()
@@ -225,47 +247,86 @@ class _Kernel:
         for arr in (self._g_const, self._dg_const):
             arr.flags.writeable = False
 
+    def padded(self, row_L: Sequence[int]) -> "_Kernel":
+        """This kernel for a batch whose row r is an element over row_L[r] <= L
+        generators, zero-padded to L.
+
+        Padding leaves a row's products and functions unchanged.  Its own L
+        shows in the Neumann series of the inverse metric, whose body residue
+        (body_inv @ body - 1, a rounding error) feeds one more term per
+        generator: the padded kernel stops each row's series at its own L.
+        A row at L >= 1 then has the bits of its own serial run.  An L = 0
+        row agrees with it to rounding only where a sum runs over 8 or more
+        index pairs (the geodesic and flow right-hand sides of charts with
+        n >= 3): with a coefficient axis of length 1, numpy sums those pairs
+        pairwise instead of in order.
+        """
+        row_L = np.asarray(row_L, dtype=int)
+        if np.all(row_L == self.L):
+            return self
+        kern = copy.copy(self)
+        kern.row_L = row_L
+        if self._ginv_const is not None:
+            kern._ginv_const = kern.inverse(np.broadcast_to(
+                self._g_const, row_L.shape + self._g_const.shape))
+        return kern
+
     def env(self, pos: np.ndarray) -> dict[str, np.ndarray]:
-        return {name: pos[i] for i, name in enumerate(self.sig.names)}
+        return dict(zip(self.sig.names, pos.swapaxes(0, -2)))
+
+    def _eval_live(self, const: np.ndarray, live, env) -> np.ndarray:
+        """`const` with the live entries filled in, batched like the env."""
+        vals = [eval_dense(e, env, self.L) for _, e in live]
+        rows = ()
+        for v in vals:
+            if v.ndim > len(rows) + 1:
+                rows = v.shape[:-1]
+        if rows:
+            out = np.empty(rows + const.shape)
+            out[...] = const
+        else:
+            out = const.copy()
+        for (idx, _), v in zip(live, vals):
+            out[idx] = v
+        return out
 
     def eval_metric(self, env: Mapping[str, np.ndarray]) -> np.ndarray:
         if not self._g_live:
             return self._g_const
-        out = self._g_const.copy()
-        for i, j, e in self._g_live:
-            out[i, j] = eval_dense(e, env, self.L)
-        return out
+        return self._eval_live(self._g_const, self._g_live, env)
 
     def eval_dmetric(self, env: Mapping[str, np.ndarray]) -> np.ndarray:
         if not self._dg_live:
             return self._dg_const
-        out = self._dg_const.copy()
-        for a, i, j, e in self._dg_live:
-            out[a, i, j] = eval_dense(e, env, self.L)
-        return out
+        return self._eval_live(self._dg_const, self._dg_live, env)
 
     def inverse(self, G: np.ndarray) -> np.ndarray:
         """Pointwise inverse metric: body inverse plus Neumann series."""
-        body = G[:, :, 0]
+        body = G[..., 0]
         try:
             body_inv = np.linalg.inv(body)
         except np.linalg.LinAlgError as exc:
             raise SingularBody(f"metric body is singular: {exc}") from exc
         n, D = self.n, self.D
-        N = (body_inv @ G.reshape(n, n * D)).reshape(n, n, D)
-        N[np.arange(n), np.arange(n), 0] -= 1.0
-        X = np.zeros((n, n, D))
-        X[np.arange(n), np.arange(n), 0] = 1.0
+        rows = G.shape[:-3]
+        diag = (Ellipsis, np.arange(n), np.arange(n), 0)
+        N = (body_inv @ G.reshape(rows + (n, n * D))).reshape(G.shape)
+        N[diag] -= 1.0
+        X = np.zeros(G.shape)
+        X[diag] = 1.0
         if N.any():
             term = X
-            for _ in range(self.L):
-                tmp = batched_mul(term[:, :, None, :], N[None, :, :, :], self.L)
-                term = -tmp.sum(axis=1)
+            for k in range(self.L):
+                tmp = batched_mul(term[..., :, :, None, :], N[..., None, :, :, :],
+                                  self.L)
+                term = -tmp.sum(axis=-3)
+                if self.row_L is not None:
+                    term[self.row_L <= k] = 0.0
                 if not term.any():
                     break
                 X = X + term
         # right-multiply by the real body inverse
-        return (X.transpose(0, 2, 1) @ body_inv).transpose(0, 2, 1)
+        return (X.swapaxes(-1, -2) @ body_inv[..., None, :, :]).swapaxes(-1, -2)
 
     def metric_inverse(self, env: Mapping[str, np.ndarray]) -> np.ndarray:
         if self._ginv_const is not None:
@@ -274,20 +335,20 @@ class _Kernel:
 
     def christoffel(self, env: Mapping[str, np.ndarray],
                     ginv: np.ndarray | None = None) -> np.ndarray:
-        """Christoffel table as a (n, n, n, 2^L) array indexed [k, i, j]."""
+        """Christoffel table as a (..., n, n, n, 2^L) array indexed [k, i, j]."""
         if self.is_flat:
             return np.zeros((self.n, self.n, self.n, self.D))
         if ginv is None:
             ginv = self.metric_inverse(env)
         dG = self.eval_dmetric(env)
-        t2 = dG.transpose(1, 0, 2, 3)  # [i,j,l] <- d_j g_il
-        t3 = dG.transpose(1, 2, 0, 3)  # [i,j,l] <- d_l g_ij
+        t2 = dG.transpose(_last_axes(dG.ndim, (1, 0, 2, 3)))  # [i,j,l] <- d_j g_il
+        t3 = dG.transpose(_last_axes(dG.ndim, (1, 2, 0, 3)))  # [i,j,l] <- d_l g_ij
         bracket = (dG + self.s1[:, :, None, None] * t2
                    - self.s2[:, :, :, None] * t3)
-        tmp = batched_mul(bracket[:, :, :, None, :], ginv[None, None, :, :, :],
+        tmp = batched_mul(bracket[..., None, :], ginv[..., None, None, :, :, :],
                           self.L)
-        gamma = 0.5 * tmp.sum(axis=2)  # [i,j,k,D]
-        return gamma.transpose(2, 0, 1, 3)
+        gamma = 0.5 * tmp.sum(axis=-3)  # [i,j,k,D]
+        return gamma.transpose(_last_axes(gamma.ndim, (2, 0, 1, 3)))
 
     def dginv(self, env: Mapping[str, np.ndarray],
               ginv: np.ndarray | None = None) -> np.ndarray:
@@ -301,11 +362,12 @@ class _Kernel:
         if ginv is None:
             ginv = self.metric_inverse(env)
         dG = self.eval_dmetric(env)
-        tmp = batched_mul(ginv[None, :, :, None, :], dG[:, None, :, :, :], self.L)
-        step1 = (self.s3[:, :, :, None, None] * tmp).sum(axis=2)  # [a,i,b,D]
-        tmp2 = batched_mul(step1[:, :, :, None, :], ginv[None, None, :, :, :],
-                           self.L)
-        return -tmp2.sum(axis=2)
+        tmp = batched_mul(ginv[..., None, :, :, None, :],
+                          dG[..., :, None, :, :, :], self.L)
+        step1 = (self.s3[:, :, :, None, None] * tmp).sum(axis=-3)  # [a,i,b,D]
+        tmp2 = batched_mul(step1[..., :, :, :, None, :],
+                           ginv[..., None, None, :, :, :], self.L)
+        return -tmp2.sum(axis=-3)
 
 
 # ---------------------------------------------------------------------------

@@ -123,12 +123,21 @@ def _dense_tensor(L: int) -> np.ndarray:
     return T2
 
 
-def _mul(a: np.ndarray, b: np.ndarray, L: int) -> np.ndarray:
-    """Grassmann product of stacked coefficient arrays (leading axes broadcast)."""
+def _mul(a: np.ndarray, b: np.ndarray, L: int, rowwise: bool = False) -> np.ndarray:
+    """Grassmann product of stacked coefficient arrays (leading axes broadcast).
+
+    Up to `_TENSOR_MAX` all leading axes are flattened into one
+    (rows, 4^L) @ (4^L, 2^L) BLAS call.  With `rowwise` each row is a call of
+    its own, (1, 4^L) @ (4^L, 2^L), which BLAS runs as the gemv a single
+    vector gets: its sums associate differently from gemm, and a row must
+    not change its bits with the number of rows beside it.
+    """
     if L <= _TENSOR_MAX:
         outer = a[..., :, None] * b[..., None, :]
-        D = outer.shape[-1]
-        return outer.reshape(outer.shape[:-2] + (D * D,)) @ _dense_tensor(L)
+        shape = outer.shape
+        K = shape[-1] * shape[-1]
+        rows = shape[:-2] + (1, K) if rowwise else (-1, K)
+        return (outer.reshape(rows) @ _dense_tensor(L)).reshape(shape[:-1])
     I, J, S, starts = _pairs(L)
     # rows(a) * rows(b) bounds the broadcast row count from above
     if a.size * b.size // dim(L) ** 2 * len(I) <= _CHUNK_ELEMENTS:
@@ -147,8 +156,12 @@ def _mul(a: np.ndarray, b: np.ndarray, L: int) -> np.ndarray:
 
 
 def mul_dense(a: np.ndarray, b: np.ndarray, L: int) -> np.ndarray:
-    """Product of two coefficient vectors over the L-generator algebra."""
-    return _mul(a, b, L)
+    """Product of two coefficient vectors over the L-generator algebra.
+
+    Leading axes, if any, are rows of independent products (they broadcast);
+    each row has the bits of the same product of two single vectors.
+    """
+    return _mul(a, b, L, rowwise=True)
 
 
 def batched_mul(a: np.ndarray, b: np.ndarray, L: int) -> np.ndarray:
@@ -163,17 +176,19 @@ def invert_dense(a: np.ndarray, L: int, check_even: bool = True) -> np.ndarray:
     """Inverse of an even element with nonzero body.
 
     Finite Neumann series a^-1 = (1/body) * sum_k (-soul/body)^k, which
-    terminates because the soul is nilpotent.
+    terminates because the soul is nilpotent.  Leading axes are rows, each
+    inverted with its own body.
     """
-    body = float(a[0])
-    if body == 0.0:
+    a = np.asarray(a, dtype=float)
+    body = a[..., :1]
+    if not body.all():
         raise ZeroBody("element with zero body is not invertible")
-    if check_even and np.any(a[mask_parity(L) == 1] != 0.0):
+    if check_even and np.any(a[..., mask_parity(L) == 1] != 0.0):
         raise OddElement("only even elements are invertible")
-    step = -(np.asarray(a, dtype=float) / body)
-    step[0] = 0.0
-    out = np.zeros(dim(L))
-    out[0] = 1.0
+    step = -(a / body)
+    step[..., 0] = 0.0
+    out = np.zeros(a.shape)
+    out[..., 0] = 1.0
     term = out
     for _ in range(L):
         term = mul_dense(term, step, L)

@@ -265,9 +265,10 @@ class Sum(Expr):
         return add(*(t.diff(coord, odd) for t in self.terms))
 
     def _eval(self, env, L):
-        out = self.terms[0]._eval(env, L).copy()
+        # not in place: a later term may carry batch rows the first lacks
+        out = self.terms[0]._eval(env, L)
         for t in self.terms[1:]:
-            out += t._eval(env, L)
+            out = out + t._eval(env, L)
         return out
 
     def subst(self, mapping):
@@ -443,24 +444,31 @@ class Fun(Expr):
         return mul(FUNCTIONS[self.name].diff(self.arg), self.arg.diff(coord, odd))
 
     def _eval(self, env, L):
+        # Each row's body goes through the scalar math.* call, so a batch row
+        # has the bits of the same value evaluated alone.
         v = self.arg._eval(env, L)
         spec = FUNCTIONS[self.name]
-        body = float(v[0])
-        if not spec.domain(body):
-            raise DomainError(f"{self.name} undefined at body {body}")
-        out = np.zeros(dim(L))
-        out[0] = spec.derivative_at(0, body)
+        rows = v.shape[:-1]
+        bodies = [float(b) for b in v[..., 0].flat]
+        for body in bodies:
+            if not spec.domain(body):
+                raise DomainError(f"{self.name} undefined at body {body}")
+        out = np.zeros(v.shape)
+        out[..., 0] = np.reshape([spec.derivative_at(0, b) for b in bodies], rows)
         soul = v.copy()
-        soul[0] = 0.0
-        power = np.zeros(dim(L))
-        power[0] = 1.0
+        soul[..., 0] = 0.0
+        power = np.zeros(v.shape)
+        power[..., 0] = 1.0
         fact = 1.0
         for k in range(1, L + 1):
             power = mul_dense(power, soul, L)
-            if not power.any():
+            live = np.ravel(power.any(axis=-1)).tolist()
+            if not any(live):
                 break
             fact *= k
-            out += (spec.derivative_at(k, body) / fact) * power
+            coef = [spec.derivative_at(k, b) / fact if on else 0.0
+                    for b, on in zip(bodies, live)]
+            out += np.reshape(coef, rows + (1,)) * power
         return out
 
     def subst(self, mapping):
@@ -700,7 +708,11 @@ def evaluate(expr: Expr, values, L: int | None = None) -> GrassmannElement:
 
 
 def eval_dense(expr: Expr, env: Mapping[str, np.ndarray], L: int) -> np.ndarray:
-    """Raw-array evaluation without parity checks (integrator hot path)."""
+    """Raw-array evaluation without parity checks (integrator hot path).
+
+    Env arrays have shape (..., 2^L); leading axes are independent rows that
+    broadcast, and every row has the bits it would have evaluated alone.
+    """
     return expr._eval(env, L)
 
 

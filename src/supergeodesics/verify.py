@@ -35,7 +35,7 @@ from .cotangent import (
 )
 from .errors import ModelError
 from .expmap import (
-    exp_jacobian_check,
+    exp_jacobian_checks,
     isometry_check,
     linearization_test,
     naturality_check,
@@ -410,8 +410,7 @@ def run_exp_suite(model: ModelFile,
     checks: list[Check] = []
     even_dev = 0.0
     odd_dev = 0.0
-    for q in _exp_points(model):
-        rep = exp_jacobian_check(chart, q, h=1e-4, dt=dt)
+    for rep in exp_jacobian_checks(chart, _exp_points(model), h=1e-4, dt=dt):
         even_dev = max(even_dev, rep.even_dev)
         odd_dev = max(odd_dev, rep.odd_dev)
     checks.append(Check("exp_identity_even", even_dev <= _tol(

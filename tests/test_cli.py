@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from supergeodesics.cli import main
@@ -54,6 +55,20 @@ LOG_CHART = {
     "initial_conditions": {
         "dive": {"position": {"x": 2.9, "y": 0.0},
                  "velocity": {"x": -150.0, "y": 0.0}}},
+}
+
+
+# g_yy = exp(x^2) blows up along this geodesic: the geodesic's stages
+# overflow math.exp, and the flow's state overflows to inf and nan.
+OVERFLOW_CHART = {
+    "schema_version": 1,
+    "name": "overflow",
+    "signature": {"even": ["x", "y"], "odd": []},
+    "metric": [["1", "0"], ["0", "exp(x^2)"]],
+    "L": 0,
+    "initial_conditions": {
+        "blowup": {"position": {"x": 1.0, "y": 0.0},
+                   "velocity": {"x": 5.0, "y": 5.0}}},
 }
 
 
@@ -151,6 +166,20 @@ class TestGeodesicCommand:
                            "--dt", "0.01", "--t-end", "1.0", "--out", str(out))
         assert code == 3
         assert "t=0.01" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [("geodesic", "--mode", "paper"),
+                                         ("geodesic", "--mode", "goertsches"),
+                                         ("flow",)])
+    def test_overflow_exits_3(self, capsys, tmp_path, command):
+        model = write_model(tmp_path, "overflow", OVERFLOW_CHART)
+        out = tmp_path / "traj.csv"
+        with np.errstate(all="ignore"):
+            code, _, err = run(capsys, *command, "--model", model,
+                               "--ic", "blowup", "--dt", "0.01",
+                               "--t-end", "5", "--out", str(out))
+        assert code == 3
+        assert "t=" in err
         assert not out.exists()
 
     def test_function_domain_error_in_constant_exits_2(self, capsys, tmp_path):

@@ -1,5 +1,7 @@
 """Exponential map, tangent maps, isometry condition, naturality."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -18,9 +20,14 @@ from supergeodesics.expmap import (
     tangent_map,
     tangent_map_matrix,
 )
-from supergeodesics.geometry import MetricChart, SuperPoint
-from supergeodesics.grassmann import GrassmannElement as G
+from supergeodesics import expmap
+from supergeodesics.errors import LeftDomain
+from supergeodesics.expmap import _exp_batch, _jacobian_rows
+from supergeodesics.geometry import MetricChart, SuperPoint, metric_validate
+from supergeodesics.grassmann import GrassmannElement as G, mask_parity
+from supergeodesics.model import bundled_models, load_model
 from supergeodesics.superexpr import ChartSignature, SuperMorphism, evaluate
+from supergeodesics.verify import _base_point, _exp_points, _vectors, run_suites
 
 
 def vec(sig, L, base, components):
@@ -261,3 +268,105 @@ class TestMorphismApplication:
         out = apply_morphism(phi, p)
         assert out.values["x"].body == 3.0
         assert np.allclose(body_image(phi, [2.0]), [3.0])
+
+
+# ---------------------------------------------------------------------------
+# batched exp values
+
+
+def assert_rows_equal_serial(chart, vectors, dt):
+    """Every row of one batched run has the bits of its own serial exp_at."""
+    batched = _exp_batch(chart, vectors, dt)
+    assert len(batched) == len(vectors)
+    for v, out in zip(vectors, batched):
+        ref = exp_at(chart, v, dt)
+        assert out.L == v.L
+        for name in chart.sig.names:
+            assert np.array_equal(out.values[name].coeffs,
+                                  ref.values[name].coeffs), (v.L, name)
+
+
+def random_vector(sig, L, base, rng, scale=0.3):
+    """A parity-correct tangent vector with soul on every allowed mask."""
+    par = mask_parity(L)
+    comps = {}
+    for name in sig.names:
+        want = sig.parity_of(name)
+        coeffs = np.where(par == want, rng.uniform(-scale, scale, 1 << L), 0.0)
+        comps[name] = G(L, coeffs)
+    return TangentFiberPoint(sig, L, base, comps)
+
+
+@pytest.fixture(scope="module")
+def curved_r12(sig_r12):
+    """A 1|2 chart whose metric evaluates log, exp, sin and a reciprocal."""
+    return MetricChart(sig_r12, [
+        ["exp(x/2) + 1/(2 + x^2)", "0.3*sin(x)*th2", "0"],
+        ["0.3*sin(x)*th2", "0", "log(3 + x)"],
+        ["0", "-log(3 + x)", "0"]], name="curved_r12")
+
+
+class TestBatchedExp:
+    @pytest.mark.parametrize("name", bundled_models())
+    def test_bundled_verify_rows(self, name):
+        # the rows the exp and isometry suites batch: Jacobian rows at every
+        # exp point (L = 0 and L = n_odd mixed) plus the test vectors and
+        # their negatives
+        model = load_model(name)
+        base = _base_point(model)
+        vectors = _vectors(model, base)
+        rows = [v for q in _exp_points(model)
+                for v in _jacobian_rows(model.sig, q, 1e-4)]
+        rows += vectors + [v.scaled(-1.0) for v in vectors]
+        assert_rows_equal_serial(model.chart, rows, 1e-2)
+
+    def test_curved_chart_is_valid(self, curved_r12):
+        samples = [SuperPoint.body_point(curved_r12.sig, 2, [x])
+                   for x in (-0.5, 0.0, 0.7)]
+        assert metric_validate(curved_r12, samples).ok
+
+    def test_mixed_L_rows(self, curved_r12, rng):
+        sig = curved_r12.sig
+        rows = [random_vector(sig, L, [base], rng)
+                for L, base in ((3, 0.2), (0, -0.1), (2, 0.4), (1, 0.0),
+                                (3, -0.3), (0, 0.5), (1, 0.3), (2, -0.2))]
+        assert_rows_equal_serial(curved_r12, rows, 1e-2)
+
+    def test_rows_at_L4(self, curved_r12, rng):
+        sig = curved_r12.sig
+        rows = [random_vector(sig, 4, [base], rng) for base in (0.1, -0.2, 0.3)]
+        assert_rows_equal_serial(curved_r12, rows, 2e-2)
+
+    def test_jacobian_rows_batched(self, curved_r12):
+        reps = expmap.exp_jacobian_checks(curved_r12, [[0.0], [0.4]], dt=1e-2)
+        for q, rep in zip(([0.0], [0.4]), reps):
+            one = exp_jacobian_check(curved_r12, q, dt=1e-2)
+            assert np.array_equal(rep.matrix, one.matrix)
+            assert rep.passed(tol_even=1e-3)
+
+    def test_domain_error_in_one_row(self, curved_r12, rng):
+        # the last stage of the first step evaluates log(3 + x) at x < -3
+        sig = curved_r12.sig
+        dive = TangentFiberPoint(sig, 2, [0.0], {"x": G.from_scalar(-500.0, 2)})
+        rows = [random_vector(sig, 2, [0.1], rng), dive,
+                random_vector(sig, 0, [0.2], rng)]
+        with pytest.raises(LeftDomain, match="t=0 .*log undefined"):
+            _exp_batch(curved_r12, rows, 1e-2)
+        with pytest.raises(LeftDomain, match="t=0 .*log undefined"):
+            exp_at(curved_r12, dive, 1e-2)
+
+    def test_empty_batch(self, curved_r12):
+        assert _exp_batch(curved_r12, [], 1e-2) == []
+
+    @pytest.mark.parametrize("name", bundled_models())
+    def test_suites_match_serial_reference(self, name, monkeypatch):
+        # the same suites with every exp value integrated on its own
+        model = load_model(name)
+        model = dataclasses.replace(model, defaults={**model.defaults, "dt": 1e-2})
+        batched = run_suites(model, ("exp", "isometry"))
+
+        def serial(chart, vectors, dt=1e-3):
+            return [exp_at(chart, v, dt) for v in vectors]
+
+        monkeypatch.setattr(expmap, "_exp_batch", serial)
+        assert run_suites(model, ("exp", "isometry")) == batched

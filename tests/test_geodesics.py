@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from supergeodesics.errors import GridTooShort, LeftDomain
+from supergeodesics import geodesics
+from supergeodesics.errors import GridTooShort, IntegrationFailure, LeftDomain
 from supergeodesics.geodesics import (
     InitialCondition,
     covariant_derivative_t,
@@ -13,8 +14,10 @@ from supergeodesics.geodesics import (
     integrate_goertsches,
     metric_speed,
 )
-from supergeodesics.geometry import SuperPoint
+from supergeodesics.cotangent import integrate_flow, phase_from_ic
+from supergeodesics.geometry import MetricChart, SuperPoint
 from supergeodesics.grassmann import GrassmannElement as G, dim, mul_dense
+from supergeodesics.superexpr import ChartSignature
 
 
 def make_ic(chart, L, body, velocity):
@@ -119,6 +122,63 @@ class TestGoertsches:
         idx = c1x_r12.sig.index("th1")
         expect = (1.0 + traj.ts) ** -0.5
         assert np.max(np.abs(traj.positions[:, idx, 1] - expect)) < 1e-10
+
+
+    def test_four_rhs_calls_per_step(self, c1x_r12, monkeypatch):
+        # the first stage of each step doubles as that sample's odd velocity
+        calls = []
+        rhs = geodesics._goertsches_rhs
+
+        def counted(*args):
+            calls.append(args)
+            return rhs(*args)
+
+        monkeypatch.setattr(geodesics, "_goertsches_rhs", counted)
+        pos = SuperPoint(c1x_r12.sig, 2, {
+            "x": G.from_scalar(0.1, 2), "th1": G.generator(0, 2),
+            "th2": 0.5 * G.generator(1, 2)})
+        ic = InitialCondition(2, pos, {"x": G.from_scalar(0.8, 2)})
+        traj = integrate_goertsches(c1x_r12, ic, 0.1, 1e-2)
+        assert len(traj) - 1 == 10
+        assert len(calls) == 4 * 10 + 1
+        # the stored odd velocities are the right-hand side at each sample
+        kern, even, odd = calls[0][:3]
+        for s in range(len(traj)):
+            dpos, _ = rhs(kern, even, odd, traj.positions[s],
+                          traj.velocities[s, even])
+            assert np.array_equal(traj.velocities[s, odd], dpos[odd])
+
+
+class TestStepperGuard:
+    """Overflow and non-finite states end an integration as typed errors."""
+
+    @pytest.fixture(scope="class")
+    def blowup(self):
+        # g_yy = exp(x^2) overflows math.exp once |x| passes about 26.6
+        sig = ChartSignature(("x", "y"), ())
+        chart = MetricChart(sig, [["1", "0"], ["0", "exp(x^2)"]], name="blowup")
+        return chart, make_ic(chart, 0, [1.0, 0.0],
+                              {"x": G.from_scalar(5.0, 0),
+                               "y": G.from_scalar(5.0, 0)})
+
+    @pytest.mark.parametrize("integrate", [integrate_geodesic,
+                                           integrate_goertsches])
+    def test_stage_overflow(self, blowup, integrate):
+        chart, ic = blowup
+        with pytest.raises(IntegrationFailure, match=r"t=1\.49 .*OverflowError"):
+            integrate(chart, ic, 5.0, 1e-2)
+
+    def test_numpy_overflow_raised_under_errstate(self, blowup):
+        chart, ic = blowup
+        with np.errstate(over="raise", invalid="raise"):
+            with pytest.raises(IntegrationFailure, match="FloatingPointError"):
+                integrate_flow(chart, phase_from_ic(chart, ic), 5.0, 1e-2)
+
+    def test_non_finite_state(self, blowup):
+        chart, ic = blowup
+        with np.errstate(all="ignore"):
+            with pytest.raises(IntegrationFailure, match="non-finite state"):
+                integrate_flow(chart, phase_from_ic(chart, ic), 5.0, 1e-2)
 
 
 class TestCovariantDerivatives:

@@ -13,6 +13,7 @@ from supergeodesics.grassmann import (
     Parity,
     batched_mul,
     dim,
+    invert_dense,
     mask_parity,
     merge_sign,
     mul_dense,
@@ -110,6 +111,16 @@ class TestInversion:
         assert worst <= 1e-10
 
 
+    @pytest.mark.parametrize("L", range(5))
+    def test_rows_invert_with_their_own_body(self, rng, L):
+        a = rng.uniform(-1.0, 1.0, (7, dim(L)))
+        a[:, mask_parity(L) == 1] = 0.0
+        a[:, 0] += np.arange(7) + 2.0
+        inv = invert_dense(a, L)
+        for r in range(7):
+            assert np.array_equal(inv[r], invert_dense(a[r], L))
+
+
 class TestParity:
     def test_examples(self):
         assert G.generator(0, 2).parity is Parity.ODD
@@ -175,6 +186,16 @@ class TestProductKernel:
             np.testing.assert_allclose(out[i, j, k],
                                        mul_dense(a[i, j, 0], b[0, j, k], L),
                                        rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("L", range(7))
+    def test_mul_dense_rows_equal_single_products(self, rng, L):
+        # At L = 2 a coefficient of a mixed-parity product sums four terms,
+        # which a gemm over many rows associates unlike a single gemv.
+        a, b = rng.uniform(-1.0, 1.0, (2, 25, dim(L)))
+        rows, bcast = mul_dense(a, b, L), mul_dense(a[3], b, L)
+        for r in range(25):
+            assert np.array_equal(rows[r], mul_dense(a[r], b[r], L))
+            assert np.array_equal(bcast[r], mul_dense(a[3], b[r], L))
 
     def test_chunked_batch_equals_unchunked_rows(self, rng):
         L = MAX_GENERATORS
