@@ -27,8 +27,7 @@ from .errors import (
     ParityViolation,
     SignatureMismatch,
 )
-from .geodesics import InitialCondition, _check_domain, _grid, _rk4, \
-    integrate_geodesic
+from .geodesics import InitialCondition, Trajectory, _grid, _rk4
 from .geometry import MetricChart, SuperPoint, _Kernel
 from .grassmann import GrassmannElement, Parity, batched_mul, mask_parity
 
@@ -154,13 +153,11 @@ def integrate_flow(chart: MetricChart, I: PhasePoint,
     n, D = kern.n, kern.D
     pos = I.position.as_array().astype(float)
     mom = I.momentum_array().astype(float)
-    _check_domain(chart, pos, 0.0)
 
     ts = np.arange(steps + 1) * h
     positions = np.empty((steps + 1, n, D))
     momenta = np.empty((steps + 1, n, D))
-    run = _rk4(lambda st: _xh(kern, *st), (pos, mom), h, steps,
-               lambda st, t: _check_domain(chart, st[0], t))
+    run = _rk4(lambda st: _xh(kern, *st), (pos, mom), h, steps, chart)
     for s, ((pos, mom), _) in enumerate(run):
         positions[s], momenta[s] = pos, mom
 
@@ -256,19 +253,18 @@ class RoundtripReport:
         return self.max_dev <= self.tolerance
 
 
-def roundtrip_check(chart: MetricChart, ic: InitialCondition,
-                    t_end: float, dt: float,
+def roundtrip_check(chart: MetricChart, traj: Trajectory, flow: FlowState,
                     tolerance: float = 1e-6) -> RoundtripReport:
     """Both directions of the geodesic / integral-curve correspondence.
 
-    (a) integrate the flow from the lowered initial condition and compare its
-    projected positions with the integrated geodesic; (b) lower the geodesic
-    velocity along the curve and compare with the flow momenta.
+    `traj` is an integrated geodesic and `flow` the flow integrated from its
+    lowered initial condition (`phase_from_ic`) on the same time grid.
+    (a) compare the projected flow positions with the geodesic; (b) lower the
+    geodesic velocity along the curve and compare with the flow momenta.
     """
-    traj = integrate_geodesic(chart, ic, t_end, dt)
-    kern = chart.kernel(ic.L)
-    I = phase_from_ic(chart, ic)
-    flow = integrate_flow(chart, I, t_end, dt)
+    if traj.L != flow.L or not np.array_equal(traj.ts, flow.ts):
+        raise ValueError("geodesic and flow differ in L or time grid")
+    kern = chart.kernel(traj.L)
 
     dev_a = float(np.max(np.abs(flow.positions - traj.positions)))
 

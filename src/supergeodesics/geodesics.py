@@ -180,22 +180,25 @@ def _stage_error(exc: Exception, t: float) -> SuperGeometryError:
                               f"{type(exc).__name__}: {exc}")
 
 
-def _rk4(rhs, state: tuple[np.ndarray, ...], h: float, steps: int, check):
+def _rk4(rhs, state: tuple[np.ndarray, ...], h: float, steps: int,
+         chart: MetricChart):
     """Classical fixed-step RK4, the one stepper behind every integrator.
 
-    `state` is a tuple of arrays and `rhs(state)` returns their derivatives
-    as a tuple of arrays.  Arrays may carry leading batch axes: each row then
-    gets exactly the arithmetic of its own serial run.  Yields
-    (state, k1) at t = s * h for s = 0 .. steps - 1, where k1 = rhs(state) is
-    the first stage of the step from there, and finally (state, None) at
-    t = steps * h; the caller may use each k1, so nothing is evaluated twice.
+    `state` is a tuple of arrays whose first entry holds the positions on
+    `chart`, and `rhs(state)` returns their derivatives as a tuple of arrays.
+    Arrays may carry leading batch axes: each row then gets exactly the
+    arithmetic of its own serial run.  Yields (state, k1) at t = s * h for
+    s = 0 .. steps - 1, where k1 = rhs(state) is the first stage of the step
+    from there, and finally (state, None) at t = steps * h; the caller may
+    use each k1, so nothing is evaluated twice.
 
-    Guard: a stage that leaves a function's domain raises `LeftDomain`, one
-    that overflows raises `IntegrationFailure`, and so does a step whose new
-    state is not finite; each names the t the step started from.
-    `check(state, t)` then vets every new state (for instance against the
-    chart's coordinate box).
+    Guard, owned here for every caller: the initial state and every new
+    state must have their bodies in the chart's coordinate box (`LeftDomain`
+    otherwise).  A stage that leaves a function's domain raises `LeftDomain`,
+    one that overflows raises `IntegrationFailure`, and so does a step whose
+    new state is not finite; each names the t the step started from.
     """
+    _check_domain(chart, state[0], 0.0)
     s = 0
     try:
         for s in range(steps):
@@ -209,7 +212,7 @@ def _rk4(rhs, state: tuple[np.ndarray, ...], h: float, steps: int, check):
             if not all(np.isfinite(x).all() for x in state):
                 raise IntegrationFailure(
                     f"the step from t={s * h:g} produced a non-finite state")
-            check(state, (s + 1) * h)
+            _check_domain(chart, state[0], (s + 1) * h)
     except _STAGE_ERRORS as exc:
         raise _stage_error(exc, s * h) from exc
     yield state, None
@@ -225,13 +228,12 @@ def integrate_geodesic(chart: MetricChart, ic: InitialCondition,
     n, D = kern.n, kern.D
     pos = ic.position.as_array().astype(float)
     vel = ic.velocity_array().astype(float)
-    _check_domain(chart, pos, 0.0)
 
     ts = np.arange(steps + 1) * h
     positions = np.empty((steps + 1, n, D))
     velocities = np.empty((steps + 1, n, D))
     run = _rk4(lambda st: (st[1], _acceleration(kern, *st)), (pos, vel), h,
-               steps, lambda st, t: _check_domain(chart, st[0], t))
+               steps, chart)
     for s, ((pos, vel), _) in enumerate(run):
         positions[s], velocities[s] = pos, vel
 
@@ -283,7 +285,6 @@ def integrate_goertsches(chart: MetricChart, ic: InitialCondition,
     odd_idx = np.arange(sig.n_even, n)
     pos = ic.position.as_array().astype(float)
     vel_even = ic.velocity_array()[even_idx].astype(float)
-    _check_domain(chart, pos, 0.0)
 
     ts = np.arange(steps + 1) * h
     positions = np.empty((steps + 1, n, D))
@@ -292,8 +293,7 @@ def integrate_goertsches(chart: MetricChart, ic: InitialCondition,
     def rhs(st):
         return _goertsches_rhs(kern, even_idx, odd_idx, *st)
 
-    run = _rk4(rhs, (pos, vel_even), h, steps,
-               lambda st, t: _check_domain(chart, st[0], t))
+    run = _rk4(rhs, (pos, vel_even), h, steps, chart)
     for s, ((pos, vel_even), k1) in enumerate(run):
         if k1 is None:
             try:
@@ -347,6 +347,18 @@ def _time_derivative(arr: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
+def _add_connection_terms(kern: _Kernel, positions: np.ndarray, X: np.ndarray,
+                          Y: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out[s, k] += sum_{i,j} X_i * Y_j * Gamma^k_ji at every sample s of the
+    curve; returns `out`."""
+    for s in range(len(positions)):
+        gamma = kern.christoffel(kern.env(positions[s]))
+        xy = batched_mul(X[s][:, None, :], Y[s][None, :, :], kern.L)
+        tmp = batched_mul(xy[None, :, :, :], gamma.transpose(0, 2, 1, 3), kern.L)
+        out[s] += tmp.sum(axis=(1, 2))
+    return out
+
+
 def covariant_derivative_t(chart: MetricChart, traj: Trajectory,
                            field) -> np.ndarray:
     """Components of the even covariant derivative of a field along the curve:
@@ -362,12 +374,7 @@ def covariant_derivative_t(chart: MetricChart, traj: Trajectory,
     out = _time_derivative(X, traj.dt)
     if kern.is_flat:
         return out
-    for s in range(len(traj)):
-        gamma = kern.christoffel(kern.env(traj.positions[s]))
-        xv = batched_mul(X[s][:, None, :], traj.velocities[s][None, :, :], kern.L)
-        tmp = batched_mul(xv[None, :, :, :], gamma.transpose(0, 2, 1, 3), kern.L)
-        out[s] += tmp.sum(axis=(1, 2))
-    return out
+    return _add_connection_terms(kern, traj.positions, X, traj.velocities, out)
 
 
 def _field_parity(traj: Trajectory, X: np.ndarray) -> int:
@@ -403,13 +410,8 @@ def covariant_derivative_theta(chart: MetricChart, traj: Trajectory,
     par = traj.sig.parity_vector()
     signs = np.where((x_par + par) % 2, -1.0, 1.0)  # per slot i
     dth_pos = strip_generator(traj.positions, traj.L, generator)
-    for s in range(len(traj)):
-        gamma = kern.christoffel(kern.env(traj.positions[s]))
-        xv = batched_mul(X[s][:, None, :], dth_pos[s][None, :, :], kern.L)
-        xv = signs[:, None, None] * xv
-        tmp = batched_mul(xv[None, :, :, :], gamma.transpose(0, 2, 1, 3), kern.L)
-        out[s] += tmp.sum(axis=(1, 2))
-    return out
+    return _add_connection_terms(kern, traj.positions,
+                                 signs[None, :, None] * X, dth_pos, out)
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,10 @@ Christoffel symbols are evaluated pointwise:
 with the factor order exactly as written.
 
 Batch convention: the numeric kernel takes states of shape (..., n, 2^L).
-Leading axes are a batch of independent points (for instance the rows of
-one batched RK4 run); every method maps them to the same leading axes of its
-result, and a batch row has the bits of the same point evaluated alone.
+Leading axes are a batch of independent points over the kernel's L
+generators (for instance the rows of one batched RK4 run); every method maps
+them to the same leading axes of its result, and a batch row has the bits of
+the same point evaluated alone.
 Arrays that do not depend on the point (constant metric entries or
 partials) stay unbatched and broadcast, so code indexes from the right:
 `...` indexing, negative axes, `swapaxes` and `transpose` with axis tuples
@@ -24,7 +25,6 @@ built from each array's own `ndim`.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Mapping, Sequence
@@ -219,7 +219,6 @@ class _Kernel:
         self.s2 = np.where(e2 % 2, -1.0, 1.0)
         e3 = par[:, None, None] * (par[None, :, None] + par[None, None, :])
         self.s3 = np.where(e3 % 2, -1.0, 1.0)
-        self.row_L: np.ndarray | None = None
 
         # live entries as (index behind any batch axes, expression)
         self._g_const = np.zeros((n, n, self.D))
@@ -246,30 +245,6 @@ class _Kernel:
         self._ginv_const = self.inverse(self._g_const) if not self._g_live else None
         for arr in (self._g_const, self._dg_const):
             arr.flags.writeable = False
-
-    def padded(self, row_L: Sequence[int]) -> "_Kernel":
-        """This kernel for a batch whose row r is an element over row_L[r] <= L
-        generators, zero-padded to L.
-
-        Padding leaves a row's products and functions unchanged.  Its own L
-        shows in the Neumann series of the inverse metric, whose body residue
-        (body_inv @ body - 1, a rounding error) feeds one more term per
-        generator: the padded kernel stops each row's series at its own L.
-        A row at L >= 1 then has the bits of its own serial run.  An L = 0
-        row agrees with it to rounding only where a sum runs over 8 or more
-        index pairs (the geodesic and flow right-hand sides of charts with
-        n >= 3): with a coefficient axis of length 1, numpy sums those pairs
-        pairwise instead of in order.
-        """
-        row_L = np.asarray(row_L, dtype=int)
-        if np.all(row_L == self.L):
-            return self
-        kern = copy.copy(self)
-        kern.row_L = row_L
-        if self._ginv_const is not None:
-            kern._ginv_const = kern.inverse(np.broadcast_to(
-                self._g_const, row_L.shape + self._g_const.shape))
-        return kern
 
     def env(self, pos: np.ndarray) -> dict[str, np.ndarray]:
         return dict(zip(self.sig.names, pos.swapaxes(0, -2)))
@@ -316,12 +291,10 @@ class _Kernel:
         X[diag] = 1.0
         if N.any():
             term = X
-            for k in range(self.L):
+            for _ in range(self.L):
                 tmp = batched_mul(term[..., :, :, None, :], N[..., None, :, :, :],
                                   self.L)
                 term = -tmp.sum(axis=-3)
-                if self.row_L is not None:
-                    term[self.row_L <= k] = 0.0
                 if not term.any():
                     break
                 X = X + term

@@ -375,7 +375,8 @@ def run_flow_suite(model: ModelFile,
         model, overrides, "parity_preservation"), pv,
         _tol(model, overrides, "parity_preservation"), "exact zero check"))
 
-    rt = roundtrip_check(chart, ic, t_end, dt,
+    traj = integrate_geodesic(chart, ic, t_end, dt)
+    rt = roundtrip_check(chart, traj, flow,
                          tolerance=_tol(model, overrides, "roundtrip"))
     checks.append(Check("roundtrip", rt.passed, rt.max_dev, rt.tolerance,
                         f"flow->geodesic {rt.flow_to_geodesic_dev:.3g}, "

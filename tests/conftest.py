@@ -48,6 +48,17 @@ def flat_r22(sig_r22):
         {"x": (-50.0, 50.0), "y": (-50.0, 50.0)}, name="flat_r22")
 
 
+@pytest.fixture(scope="session")
+def curved_r22(sig_r22):
+    # a full even block, whose LAPACK inverse leaves a body residue
+    return MetricChart(sig_r22, [
+        ["1 + 0.3*y^2", "0.1*x*y", "0.2*th2", "0.15*x*th1"],
+        ["0.1*x*y", "1 + 0.4*x^2", "0.1*th1", "0.2*th2"],
+        ["0.2*th2", "0.1*th1", "0", "1 + 0.3*x"],
+        ["0.15*x*th1", "0.2*th2", "-(1 + 0.3*x)", "0"]],
+        {"x": (-1.0, 1.0), "y": (-1.0, 1.0)}, name="curved_r22")
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240)

@@ -141,17 +141,31 @@ class TestRoundtrip:
         ic = InitialCondition(1, SuperPoint.body_point(flat_r12.sig, 1, [0.0]),
                               {"x": G.from_scalar(1.0, 1),
                                "th1": G.generator(0, 1)})
-        rep = roundtrip_check(flat_r12, ic, 1.0, 1e-2)
+        traj = integrate_geodesic(flat_r12, ic, 1.0, 1e-2)
+        flow = integrate_flow(flat_r12, phase_from_ic(flat_r12, ic), 1.0, 1e-2)
+        rep = roundtrip_check(flat_r12, traj, flow)
         assert rep.max_dev < 1e-12
         assert rep.initial_velocity_dev < 1e-14
         assert rep.passed
+
+    def test_mismatched_curves_rejected(self, flat_r12):
+        ic = InitialCondition(1, SuperPoint.body_point(flat_r12.sig, 1, [0.0]),
+                              {"x": G.from_scalar(1.0, 1)})
+        traj = integrate_geodesic(flat_r12, ic, 1.0, 1e-2)
+        coarse = integrate_flow(flat_r12, phase_from_ic(flat_r12, ic), 1.0, 2e-2)
+        at_L0 = integrate_flow(flat_r12, phase(flat_r12, 0, [0.0], {}), 1.0, 1e-2)
+        for flow in (coarse, at_L0):
+            with pytest.raises(ValueError, match="L or time grid"):
+                roundtrip_check(flat_r12, traj, flow)
 
     def test_curved_quick(self, c1x_r12):
         ic = InitialCondition(2, SuperPoint.body_point(c1x_r12.sig, 2, [0.0]),
                               {"x": G.from_scalar(1.0, 2),
                                "th1": G.generator(0, 2),
                                "th2": G.generator(1, 2)})
-        rep = roundtrip_check(c1x_r12, ic, 0.5, 1e-3, tolerance=1e-6)
+        traj = integrate_geodesic(c1x_r12, ic, 0.5, 1e-3)
+        flow = integrate_flow(c1x_r12, phase_from_ic(c1x_r12, ic), 0.5, 1e-3)
+        rep = roundtrip_check(c1x_r12, traj, flow, tolerance=1e-6)
         assert rep.passed
 
     def test_flow_matches_geodesic_velocity(self, diag_x2):

@@ -325,12 +325,13 @@ class TestBatchedExp:
                    for x in (-0.5, 0.0, 0.7)]
         assert metric_validate(curved_r12, samples).ok
 
-    def test_mixed_L_rows(self, curved_r12, rng):
-        sig = curved_r12.sig
-        rows = [random_vector(sig, L, [base], rng)
-                for L, base in ((3, 0.2), (0, -0.1), (2, 0.4), (1, 0.0),
-                                (3, -0.3), (0, 0.5), (1, 0.3), (2, -0.2))]
-        assert_rows_equal_serial(curved_r12, rows, 1e-2)
+    def test_mixed_L_rows(self, curved_r12, curved_r22, rng):
+        for chart in (curved_r12, curved_r22):
+            sig = chart.sig
+            rows = [random_vector(sig, L, np.full(sig.n_even, base), rng)
+                    for L, base in ((3, 0.2), (0, -0.1), (2, 0.4), (1, 0.0),
+                                    (3, -0.3), (0, 0.5), (1, 0.3), (2, -0.2))]
+            assert_rows_equal_serial(chart, rows, 1e-2)
 
     def test_rows_at_L4(self, curved_r12, rng):
         sig = curved_r12.sig

@@ -14,7 +14,8 @@ from supergeodesics.geodesics import (
     integrate_goertsches,
     metric_speed,
 )
-from supergeodesics.cotangent import integrate_flow, phase_from_ic
+from supergeodesics.cotangent import PhasePoint, integrate_flow, phase_from_ic
+from supergeodesics.expmap import TangentFiberPoint, _exp_batch
 from supergeodesics.geometry import MetricChart, SuperPoint
 from supergeodesics.grassmann import GrassmannElement as G, dim, mul_dense
 from supergeodesics.superexpr import ChartSignature
@@ -150,7 +151,20 @@ class TestGoertsches:
 
 
 class TestStepperGuard:
-    """Overflow and non-finite states end an integration as typed errors."""
+    """A start outside the chart box, overflow and non-finite states end an
+    integration as typed errors."""
+
+    def test_start_outside_domain(self, diag_x2):
+        ic = make_ic(diag_x2, 0, [0.1, 0.0], {"y": G.from_scalar(1.0, 0)})
+        runs = [lambda: integrate_geodesic(diag_x2, ic, 0.1, 1e-2),
+                lambda: integrate_goertsches(diag_x2, ic, 0.1, 1e-2),
+                lambda: integrate_flow(diag_x2, PhasePoint(ic.position, {}),
+                                       0.1, 1e-2),
+                lambda: _exp_batch(diag_x2, [TangentFiberPoint(
+                    diag_x2.sig, 0, [0.1, 0.0], {})], 1e-2)]
+        for run in runs:
+            with pytest.raises(LeftDomain, match="at t=0$"):
+                run()
 
     @pytest.fixture(scope="class")
     def blowup(self):

@@ -218,73 +218,23 @@ class TestBatchAxis:
     """States with a leading batch axis: every row has the bits of its own
     single-point evaluation."""
 
-    @pytest.fixture(scope="class")
-    def curved_r22(self, sig_r22):
-        # a full even block, whose LAPACK inverse leaves a body residue
-        return MetricChart(sig_r22, [
-            ["1 + 0.3*y^2", "0.1*x*y", "0.2*th2", "0.15*x*th1"],
-            ["0.1*x*y", "1 + 0.4*x^2", "0.1*th1", "0.2*th2"],
-            ["0.2*th2", "0.1*th1", "0", "1 + 0.3*x"],
-            ["0.15*x*th1", "0.2*th2", "-(1 + 0.3*x)", "0"]],
-            {"x": (-1.0, 1.0), "y": (-1.0, 1.0)}, name="curved_r22")
-
     @staticmethod
-    def kernel_values(kern, pos):
+    def kernel_values(kern, pos, vel):
         env = kern.env(pos)
         ginv = kern.metric_inverse(env)
         return (kern.eval_metric(env), kern.eval_dmetric(env), ginv,
-                kern.christoffel(env), kern.dginv(env, ginv))
+                kern.christoffel(env), kern.dginv(env, ginv),
+                _acceleration(kern, pos, vel), *_xh(kern, pos, vel))
 
     @pytest.mark.parametrize("L", [0, 1, 2, 3, 4])
     def test_rows_match_single_points(self, curved_r22, c1x_r12, rng, L):
         for chart in (curved_r22, c1x_r12):
             kern = chart.kernel(L)
-            pos = np.stack([random_superpoint(chart, L, rng).as_array()
-                            for _ in range(5)])
-            batched = self.kernel_values(kern, pos)
+            pos, vel = (np.stack([random_superpoint(chart, L, rng).as_array()
+                                  for _ in range(5)]) for _ in range(2))
+            batched = self.kernel_values(kern, pos, vel)
             for r in range(len(pos)):
-                for got, want in zip(batched, self.kernel_values(kern, pos[r])):
+                single = self.kernel_values(kern, pos[r], vel[r])
+                for got, want in zip(batched, single):
                     got = np.broadcast_to(got, (5,) + want.shape)
                     assert np.array_equal(got[r], want)
-
-    def test_padded_rows_match_their_own_L(self, curved_r22, rng):
-        row_L = [0, 3, 1, 2, 0, 3, 2, 1]
-        kern = curved_r22.kernel(3).padded(row_L)
-        pos = np.zeros((len(row_L), 4, dim(3)))
-        own = [random_superpoint(curved_r22, L, rng).as_array() for L in row_L]
-        for r, (L, p) in enumerate(zip(row_L, own)):
-            pos[r, :, :dim(L)] = p
-        batched = self.kernel_values(kern, pos)
-        for r, (L, p) in enumerate(zip(row_L, own)):
-            single = self.kernel_values(curved_r22.kernel(L), p)
-            for got, want in zip(batched, single):
-                assert np.array_equal(got[r, ..., :dim(L)], want)
-                assert not got[r, ..., dim(L):].any()
-
-    def test_padded_right_hand_sides(self, curved_r22, rng):
-        # Rows at L >= 1 keep their bits.  At L = 0 the coefficient axis has
-        # length 1, numpy then sums the 16 (i, j) index pairs pairwise rather
-        # than in order, so an L = 0 row agrees to rounding only.
-        row_L = [0, 3, 1, 2, 0, 1]
-        kern = curved_r22.kernel(3).padded(row_L)
-        own = [[random_superpoint(curved_r22, L, rng).as_array() for _ in range(2)]
-               for L in row_L]
-        state = np.zeros((2, len(row_L), 4, dim(3)))
-        for r, (L, pair) in enumerate(zip(row_L, own)):
-            state[:, r, :, :dim(L)] = pair
-        batched = (_acceleration(kern, *state),) + _xh(kern, *state)
-        for r, (L, pair) in enumerate(zip(row_L, own)):
-            single = (_acceleration(curved_r22.kernel(L), *pair),) + _xh(
-                curved_r22.kernel(L), *pair)
-            for got, want in zip(batched, single):
-                if L:
-                    assert np.array_equal(got[r, :, :dim(L)], want)
-                else:
-                    np.testing.assert_allclose(got[r, :, :1], want,
-                                               rtol=1e-14, atol=1e-15)
-
-    def test_padded_constant_metric(self, flat_r12):
-        kern = flat_r12.kernel(2).padded([0, 2])
-        assert kern.metric_inverse({}).shape == (2, 3, 3, 4)
-        assert np.array_equal(kern.metric_inverse({})[0, ..., :1],
-                              flat_r12.kernel(0).metric_inverse({}))
