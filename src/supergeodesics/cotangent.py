@@ -22,14 +22,10 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import (
-    MismatchedGeneratorCount,
-    ParityViolation,
-    SignatureMismatch,
-)
+from .errors import SignatureMismatch
 from .geodesics import InitialCondition, Trajectory, _grid, _rk4
 from .geometry import MetricChart, SuperPoint, _Kernel
-from .grassmann import GrassmannElement, Parity, batched_mul, mask_parity
+from .grassmann import GrassmannElement, batched_mul, mask_parity
 
 
 # ---------------------------------------------------------------------------
@@ -38,33 +34,23 @@ from .grassmann import GrassmannElement, Parity, batched_mul, mask_parity
 
 class PhasePoint:
     """A point of the cotangent chart: position plus momenta p_i with
-    parity |p_i| = |q_i|."""
+    parity |p_i| = |q_i|, checked by the coordinate values rule of
+    `ChartSignature` (a missing momentum is zero)."""
 
     __slots__ = ("position", "momenta", "L")
 
     def __init__(self, position: SuperPoint,
                  momenta: Mapping[str, GrassmannElement]):
-        sig = position.sig
-        mom: dict[str, GrassmannElement] = {}
-        for name in sig.names:
-            p = momenta.get(name, GrassmannElement.zero(position.L))
-            if p.L != position.L:
-                raise MismatchedGeneratorCount(f"momentum {name}: L={p.L}")
-            want = Parity.EVEN if sig.parity_of(name) == 0 else Parity.ODD
-            if not p.has_parity(want):
-                raise ParityViolation(
-                    f"momentum of {name} must be {want.name.lower()}")
-            mom[name] = p
         object.__setattr__(self, "position", position)
-        object.__setattr__(self, "momenta", mom)
+        object.__setattr__(self, "momenta",
+                           position.sig.graded(position.L, momenta, "momentum"))
         object.__setattr__(self, "L", position.L)
 
     def __setattr__(self, name, value):
         raise AttributeError("PhasePoint is immutable")
 
     def momentum_array(self) -> np.ndarray:
-        sig = self.position.sig
-        return np.stack([self.momenta[name].coeffs for name in sig.names])
+        return self.position.sig.pack(self.momenta)
 
 
 @dataclass
@@ -83,9 +69,7 @@ class FlowState:
 
     def phase_at(self, idx: int) -> PhasePoint:
         pos = SuperPoint.from_array(self.sig, self.L, self.positions[idx])
-        mom = {name: GrassmannElement(self.L, self.momenta[idx, i])
-               for i, name in enumerate(self.sig.names)}
-        return PhasePoint(pos, mom)
+        return PhasePoint(pos, self.sig.unpack(self.L, self.momenta[idx]))
 
     @property
     def dt(self) -> float:
@@ -134,9 +118,7 @@ def xh_at(chart: MetricChart, s: PhasePoint):
     chart.check_point(s.position)
     kern = chart.kernel(s.L)
     qdot, pdot = _xh(kern, s.position.as_array(), s.momentum_array())
-    names = chart.sig.names
-    return ({name: GrassmannElement(s.L, qdot[i]) for i, name in enumerate(names)},
-            {name: GrassmannElement(s.L, pdot[i]) for i, name in enumerate(names)})
+    return chart.sig.unpack(s.L, qdot), chart.sig.unpack(s.L, pdot)
 
 
 # ---------------------------------------------------------------------------
@@ -209,10 +191,8 @@ def flat(chart: MetricChart, pos: SuperPoint,
     """Lower a velocity to momenta: p_j = sum_i v_i * g_ij at the position."""
     chart.check_point(pos)
     kern = chart.kernel(pos.L)
-    varr = np.stack([velocity[name].coeffs for name in chart.sig.names])
-    p = _flat_arrays(kern, pos.as_array(), varr)
-    return {name: GrassmannElement(pos.L, p[i])
-            for i, name in enumerate(chart.sig.names)}
+    p = _flat_arrays(kern, pos.as_array(), chart.sig.pack(velocity))
+    return chart.sig.unpack(pos.L, p)
 
 
 def sharp(chart: MetricChart, pos: SuperPoint,
@@ -220,10 +200,8 @@ def sharp(chart: MetricChart, pos: SuperPoint,
     """Raise momenta to a velocity: v_i = sum_j p_j * g^{ji} at the position."""
     chart.check_point(pos)
     kern = chart.kernel(pos.L)
-    parr = np.stack([momenta[name].coeffs for name in chart.sig.names])
-    v = _sharp_arrays(kern, pos.as_array(), parr)
-    return {name: GrassmannElement(pos.L, v[i])
-            for i, name in enumerate(chart.sig.names)}
+    v = _sharp_arrays(kern, pos.as_array(), chart.sig.pack(momenta))
+    return chart.sig.unpack(pos.L, v)
 
 
 def phase_from_ic(chart: MetricChart, ic: InitialCondition) -> PhasePoint:

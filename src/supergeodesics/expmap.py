@@ -25,11 +25,11 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import MismatchedGeneratorCount, ParityViolation, SignatureMismatch
+from .errors import SignatureMismatch
 from .geodesics import InitialCondition, _acceleration, _grid, _rk4, \
     integrate_geodesic
 from .geometry import MetricChart, SuperPoint
-from .grassmann import GrassmannElement, Parity
+from .grassmann import GrassmannElement
 from .superexpr import (
     ChartSignature,
     Const,
@@ -48,8 +48,9 @@ from .superexpr import (
 
 
 class TangentFiberPoint:
-    """A tangent vector at a body point: real base plus a Grassmann-valued,
-    parity-matching component per coordinate."""
+    """A tangent vector at a body point: real base plus a Grassmann-valued
+    component per coordinate, checked by the coordinate values rule of
+    `ChartSignature` (a missing component is zero)."""
 
     __slots__ = ("sig", "L", "base", "vector")
 
@@ -58,15 +59,7 @@ class TangentFiberPoint:
         base_arr = np.asarray(base, dtype=float).reshape(-1)
         if base_arr.shape != (sig.n_even,):
             raise ValueError(f"base must have {sig.n_even} components")
-        vec: dict[str, GrassmannElement] = {}
-        for name in sig.names:
-            v = vector.get(name, GrassmannElement.zero(L))
-            if v.L != L:
-                raise MismatchedGeneratorCount(f"component {name}: L={v.L}")
-            want = Parity.EVEN if sig.parity_of(name) == 0 else Parity.ODD
-            if not v.has_parity(want):
-                raise ParityViolation(f"component {name} must be {want.name.lower()}")
-            vec[name] = v
+        vec = sig.graded(L, vector, "component")
         base_arr.flags.writeable = False
         object.__setattr__(self, "sig", sig)
         object.__setattr__(self, "L", L)

@@ -32,14 +32,12 @@ from .errors import (
     LeftDomain,
     MismatchedGeneratorCount,
     NonHomogeneousField,
-    ParityViolation,
     SignatureMismatch,
     SuperGeometryError,
 )
 from .geometry import MetricChart, SuperPoint, _Kernel
 from .grassmann import (
     GrassmannElement,
-    Parity,
     batched_mul,
     dim,
     mask_parity,
@@ -56,7 +54,8 @@ class InitialCondition:
 
     Encodes a morphism from the odd parameter space with L generators into
     the tangent bundle: each coordinate gets a position value and a velocity
-    value of the coordinate's own parity.
+    value of the coordinate's own parity.  The velocity is checked by the
+    coordinate values rule of `ChartSignature` (a missing entry is zero).
     """
 
     __slots__ = ("L", "position", "velocity")
@@ -66,27 +65,16 @@ class InitialCondition:
         if position.L != L:
             raise MismatchedGeneratorCount(
                 f"position has L={position.L}, expected {L}")
-        sig = position.sig
-        vel: dict[str, GrassmannElement] = {}
-        for name in sig.names:
-            v = velocity.get(name, GrassmannElement.zero(L))
-            if v.L != L:
-                raise MismatchedGeneratorCount(f"velocity {name}: L={v.L}")
-            want = Parity.EVEN if sig.parity_of(name) == 0 else Parity.ODD
-            if not v.has_parity(want):
-                raise ParityViolation(
-                    f"velocity of {name} must be {want.name.lower()}")
-            vel[name] = v
         object.__setattr__(self, "L", L)
         object.__setattr__(self, "position", position)
-        object.__setattr__(self, "velocity", vel)
+        object.__setattr__(self, "velocity",
+                           position.sig.graded(L, velocity, "velocity"))
 
     def __setattr__(self, name, value):
         raise AttributeError("InitialCondition is immutable")
 
     def velocity_array(self) -> np.ndarray:
-        sig = self.position.sig
-        return np.stack([self.velocity[name].coeffs for name in sig.names])
+        return self.position.sig.pack(self.velocity)
 
 
 @dataclass
@@ -111,8 +99,7 @@ class Trajectory:
         return SuperPoint.from_array(self.sig, self.L, self.positions[idx])
 
     def velocity_at(self, idx: int) -> dict[str, GrassmannElement]:
-        return {name: GrassmannElement(self.L, self.velocities[idx, i])
-                for i, name in enumerate(self.sig.names)}
+        return self.sig.unpack(self.L, self.velocities[idx])
 
     def samples(self):
         for idx, t in enumerate(self.ts):
@@ -127,16 +114,20 @@ class Trajectory:
 # right-hand sides
 
 
+def _connection(kern: _Kernel, gamma: np.ndarray, X: np.ndarray,
+                Y: np.ndarray) -> np.ndarray:
+    """sum_{i,j} X_i * Y_j * Gamma^k_ji, in exactly that factor order, for
+    X, Y of shape (..., n, 2^L) and gamma[..., k, i, j] = Gamma^k_ij."""
+    xy = batched_mul(X[..., :, None, :], Y[..., None, :, :], kern.L)
+    gt = gamma.swapaxes(-3, -2)  # [k,i,j] <- Gamma[k,j,i]
+    return batched_mul(xy[..., None, :, :, :], gt, kern.L).sum(axis=(-3, -2))
+
+
 def _acceleration(kern: _Kernel, pos: np.ndarray, vel: np.ndarray) -> np.ndarray:
     """a_k = -sum_{i,j} v_i * v_j * Gamma^k_ji, in exactly that factor order."""
     if kern.is_flat:
         return np.zeros_like(pos)
-    gamma = kern.christoffel(kern.env(pos))
-    # vv[i,j] = v_i v_j
-    vv = batched_mul(vel[..., :, None, :], vel[..., None, :, :], kern.L)
-    gt = gamma.swapaxes(-3, -2)  # [k,i,j] <- Gamma[k,j,i]
-    tmp = batched_mul(vv[..., None, :, :, :], gt, kern.L)
-    return -tmp.sum(axis=(-3, -2))
+    return -_connection(kern, kern.christoffel(kern.env(pos)), vel, vel)
 
 
 def geodesic_rhs(chart: MetricChart, pos: SuperPoint,
@@ -144,10 +135,8 @@ def geodesic_rhs(chart: MetricChart, pos: SuperPoint,
     """Accelerations of the supergeodesic equation at a state."""
     chart.check_point(pos)
     kern = chart.kernel(pos.L)
-    varr = np.stack([vel[name].coeffs for name in chart.sig.names])
-    acc = _acceleration(kern, pos.as_array(), varr)
-    return {name: GrassmannElement(pos.L, acc[i])
-            for i, name in enumerate(chart.sig.names)}
+    acc = _acceleration(kern, pos.as_array(), chart.sig.pack(vel))
+    return chart.sig.unpack(pos.L, acc)
 
 
 def _grid(t_end: float, dt: float) -> tuple[int, float]:
@@ -250,10 +239,8 @@ def _goertsches_rhs(kern: _Kernel, even_idx, odd_idx, pos, vel_even):
         return dpos, np.zeros_like(vel_even)
     gamma = kern.christoffel(kern.env(pos))
     # even: f_k'' = -sum_{i,j even} f_i' * f_j' * Gamma^k_ji
-    vv = batched_mul(vel_even[..., :, None, :], vel_even[..., None, :, :], kern.L)
     gee = gamma[(...,) + np.ix_(even_idx, even_idx, even_idx) + (slice(None),)]
-    tmp = batched_mul(vv[..., None, :, :, :], gee.swapaxes(-3, -2), kern.L)
-    dvel = -tmp.sum(axis=(-3, -2))
+    dvel = -_connection(kern, gee, vel_even, vel_even)
     # odd: o_d' = -sum_{i even, b odd} o_b * f_i' * Gamma^d_ib
     if len(odd_idx):
         o = pos[..., odd_idx, :]
@@ -353,9 +340,7 @@ def _add_connection_terms(kern: _Kernel, positions: np.ndarray, X: np.ndarray,
     curve; returns `out`."""
     for s in range(len(positions)):
         gamma = kern.christoffel(kern.env(positions[s]))
-        xy = batched_mul(X[s][:, None, :], Y[s][None, :, :], kern.L)
-        tmp = batched_mul(xy[None, :, :, :], gamma.transpose(0, 2, 1, 3), kern.L)
-        out[s] += tmp.sum(axis=(1, 2))
+        out[s] += _connection(kern, gamma, X[s], Y[s])
     return out
 
 

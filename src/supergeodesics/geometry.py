@@ -31,12 +31,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import (
-    InvalidPoint,
-    MismatchedGeneratorCount,
-    ParityViolation,
-    SingularBody,
-)
+from .errors import InvalidPoint, SingularBody
 from .grassmann import GrassmannElement, Parity, batched_mul, dim
 from .superexpr import (
     ChartSignature,
@@ -55,7 +50,9 @@ from .superexpr import (
 
 
 class SuperPoint:
-    """Parity-respecting assignment of Grassmann values to chart coordinates."""
+    """Grassmann values of every chart coordinate, checked by the coordinate
+    values rule of `ChartSignature`; a missing coordinate raises
+    `InvalidPoint`."""
 
     __slots__ = ("sig", "L", "values")
 
@@ -64,31 +61,16 @@ class SuperPoint:
         missing = set(sig.names) - set(values)
         if missing:
             raise InvalidPoint(f"missing coordinates {sorted(missing)}")
-        extra = set(values) - set(sig.names)
-        if extra:
-            raise InvalidPoint(f"unknown coordinates {sorted(extra)}")
-        vals: dict[str, GrassmannElement] = {}
-        for name in sig.names:
-            v = values[name]
-            if v.L != L:
-                raise MismatchedGeneratorCount(f"{name}: L={v.L}, expected {L}")
-            want = Parity.EVEN if sig.parity_of(name) == 0 else Parity.ODD
-            if not v.has_parity(want):
-                raise ParityViolation(
-                    f"coordinate {name} needs a {want.name.lower()} value, "
-                    f"got parity {v.parity.name}")
-            vals[name] = v
         object.__setattr__(self, "sig", sig)
         object.__setattr__(self, "L", L)
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", sig.graded(L, values, "coordinate"))
 
     def __setattr__(self, name, value):
         raise AttributeError("SuperPoint is immutable")
 
     @classmethod
     def from_array(cls, sig: ChartSignature, L: int, arr: np.ndarray) -> "SuperPoint":
-        return cls(sig, L, {name: GrassmannElement(L, arr[i])
-                            for i, name in enumerate(sig.names)})
+        return cls(sig, L, sig.unpack(L, arr))
 
     @classmethod
     def body_point(cls, sig: ChartSignature, L: int, even_values) -> "SuperPoint":
@@ -103,7 +85,7 @@ class SuperPoint:
         return cls(sig, L, values)
 
     def as_array(self) -> np.ndarray:
-        return np.stack([self.values[name].coeffs for name in self.sig.names])
+        return self.sig.pack(self.values)
 
     def body_even(self) -> np.ndarray:
         return np.array([self.values[name].body for name in self.sig.even_names])

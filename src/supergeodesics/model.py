@@ -26,6 +26,9 @@ Schema (version 1)::
 Grassmann values are either a plain number (body value; odd coordinates only
 accept 0) or a list of [mask, coefficient] pairs, where bit g of the integer
 mask selects generator g.
+The keys of a position, a velocity and a `verify.vectors` entry must be
+chart coordinates; a missing one is zero and an unknown one is a ModelError
+(the rule of `ChartSignature.graded`).
 """
 
 from __future__ import annotations
@@ -127,14 +130,13 @@ def _build_ic(name: str, raw: Mapping, sig: ChartSignature,
     L = int(raw.get("L", default_L))
     pos_raw = _require(raw, "position", where)
     vel_raw = raw.get("velocity", {})
+    position = {n: grassmann_value(v, L, f"{where}.position.{n}")
+                for n, v in pos_raw.items()}
+    velocity = {n: grassmann_value(v, L, f"{where}.velocity.{n}")
+                for n, v in vel_raw.items()}
     try:
-        position = SuperPoint(sig, L, {
-            n: grassmann_value(pos_raw.get(n, 0.0), L, f"{where}.position.{n}")
-            for n in sig.names})
-        velocity = {n: grassmann_value(vel_raw.get(n, 0.0), L,
-                                       f"{where}.velocity.{n}")
-                    for n in sig.names}
-        return InitialCondition(L, position, velocity)
+        return InitialCondition(
+            L, SuperPoint(sig, L, sig.graded(L, position, "position")), velocity)
     except SuperGeometryError as exc:
         raise ModelError(f"{where}: {exc}") from exc
 
@@ -197,8 +199,7 @@ def vector_from_spec(raw: Mapping, sig: ChartSignature, L: int, base,
     """Decode a tangent-vector spec {coord: grassmann value} at a body point."""
     from .expmap import TangentFiberPoint
 
-    vec = {n: grassmann_value(raw.get(n, 0.0), L, f"{where}.{n}")
-           for n in sig.names}
+    vec = {n: grassmann_value(v, L, f"{where}.{n}") for n, v in raw.items()}
     try:
         return TangentFiberPoint(sig, L, base, vec)
     except SuperGeometryError as exc:

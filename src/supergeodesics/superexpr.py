@@ -62,7 +62,17 @@ from .grassmann import (
 
 @dataclass(frozen=True)
 class ChartSignature:
-    """Ordered even and odd coordinate names of a chart of dimension m|n."""
+    """Ordered even and odd coordinate names of a chart of dimension m|n.
+
+    Coordinate values rule: a point, a tangent vector and a covector hold one
+    Grassmann value per coordinate, over the same L generators and with the
+    coordinate's own parity.  `graded` is the one place that checks it: a
+    name that is not a coordinate raises `UnknownCoordinate`, a missing
+    coordinate is zero, a value over other than L generators raises
+    `MismatchedGeneratorCount` and one of the wrong parity `ParityViolation`.
+    `pack` and `unpack` convert between name -> value dicts and (n, 2^L)
+    arrays in signature order.
+    """
 
     even_names: tuple[str, ...]
     odd_names: tuple[str, ...]
@@ -113,6 +123,39 @@ class ChartSignature:
 
     def variable(self, name: str) -> "Expr":
         return EvenVar(name) if self.parity_of(name) == 0 else OddVar(name)
+
+    def graded(self, L: int, values: Mapping[str, GrassmannElement],
+               what: str) -> dict[str, GrassmannElement]:
+        """The values in signature order, checked by the rule above; `what`
+        names them in error messages."""
+        unknown = set(values) - set(self.names)
+        if unknown:
+            raise UnknownCoordinate(
+                f"{what}: {sorted(unknown)} not in chart {self.names}")
+        out: dict[str, GrassmannElement] = {}
+        for name in self.names:
+            v = values.get(name)
+            if v is None:
+                v = GrassmannElement.zero(L)
+            elif v.L != L:
+                raise MismatchedGeneratorCount(
+                    f"{what} {name}: L={v.L}, expected {L}")
+            want = Parity.EVEN if name in self.even_names else Parity.ODD
+            if not v.has_parity(want):
+                raise ParityViolation(
+                    f"{what} {name} must be {want.name.lower()}, "
+                    f"got parity {v.parity.name}")
+            out[name] = v
+        return out
+
+    def pack(self, values: Mapping[str, GrassmannElement]) -> np.ndarray:
+        """The (n, 2^L) coefficient array of a name -> value dict."""
+        return np.stack([values[name].coeffs for name in self.names])
+
+    def unpack(self, L: int, arr: np.ndarray) -> dict[str, GrassmannElement]:
+        """The name -> value dict of an (n, 2^L) coefficient array."""
+        return {name: GrassmannElement(L, arr[i])
+                for i, name in enumerate(self.names)}
 
 
 # ---------------------------------------------------------------------------

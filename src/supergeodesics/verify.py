@@ -104,6 +104,13 @@ def _tol(model: ModelFile, overrides: dict | None, key: str) -> float:
     return TOLERANCES[key]
 
 
+def _bounded(model: ModelFile, overrides: dict | None, name: str, dev: float,
+             details: str = "") -> Check:
+    """The check `name`: it passes when `dev` is within its tolerance."""
+    tol = _tol(model, overrides, name)
+    return Check(name, dev <= tol, dev, tol, details)
+
+
 def _seed(model: ModelFile, salt: str = "") -> int:
     return zlib.crc32((model.name + salt).encode())
 
@@ -286,16 +293,10 @@ def run_metric_suite(model: ModelFile, overrides: dict | None = None,
         resid = dG - term1 - term2
         compat_dev = max(compat_dev, float(np.max(np.abs(resid))))
 
-    checks.append(Check("christoffel_symmetry", sym_dev <= _tol(
-        model, overrides, "christoffel_symmetry"), sym_dev,
-        _tol(model, overrides, "christoffel_symmetry")))
-    checks.append(Check("christoffel_parity", par_dev <= _tol(
-        model, overrides, "christoffel_parity"), par_dev,
-        _tol(model, overrides, "christoffel_parity")))
-    checks.append(Check("metric_compatibility", compat_dev <= _tol(
-        model, overrides, "metric_compatibility"), compat_dev,
-        _tol(model, overrides, "metric_compatibility"),
-        f"{n_points} random points"))
+    checks.append(_bounded(model, overrides, "christoffel_symmetry", sym_dev))
+    checks.append(_bounded(model, overrides, "christoffel_parity", par_dev))
+    checks.append(_bounded(model, overrides, "metric_compatibility",
+                           compat_dev, f"{n_points} random points"))
 
     body = reduce_body(chart)
     beta_dev = 0.0
@@ -305,9 +306,7 @@ def run_metric_suite(model: ModelFile, overrides: dict | None = None,
         gamma0 = chart.kernel(0).christoffel(chart.kernel(0).env(p0.as_array()))
         beta_dev = max(beta_dev, float(np.max(np.abs(
             gamma0[:m, :m, :m, 0] - body.christoffel(q)))))
-    checks.append(Check("beta_compatibility", beta_dev <= _tol(
-        model, overrides, "beta_compatibility"), beta_dev,
-        _tol(model, overrides, "beta_compatibility")))
+    checks.append(_bounded(model, overrides, "beta_compatibility", beta_dev))
     return checks
 
 
@@ -322,15 +321,11 @@ def run_geodesic_suite(model: ModelFile,
 
     resid = covariant_derivative_t(chart, traj, traj.velocities)
     resid_dev = float(np.max(np.abs(resid)))
-    checks.append(Check("geodesic_residual", resid_dev <= _tol(
-        model, overrides, "geodesic_residual"), resid_dev,
-        _tol(model, overrides, "geodesic_residual")))
+    checks.append(_bounded(model, overrides, "geodesic_residual", resid_dev))
 
     speed = metric_speed(chart, traj)
     drift = float(np.max(np.abs(speed - speed[0])))
-    checks.append(Check("speed_drift", drift <= _tol(
-        model, overrides, "speed_drift"), drift,
-        _tol(model, overrides, "speed_drift")))
+    checks.append(_bounded(model, overrides, "speed_drift", drift))
 
     body = reduce_body(chart)
     m = chart.sig.n_even
@@ -338,10 +333,8 @@ def run_geodesic_suite(model: ModelFile,
     v0 = traj.velocities[0, :m, 0]
     _, xs, _ = classical_geodesic(body, x0, v0, t_end, dt)
     body_dev = float(np.max(np.abs(traj.positions[:, :m, 0] - xs)))
-    checks.append(Check("body_reduction", body_dev <= _tol(
-        model, overrides, "body_reduction"), body_dev,
-        _tol(model, overrides, "body_reduction"),
-        "vs independent classical integrator"))
+    checks.append(_bounded(model, overrides, "body_reduction", body_dev,
+                           "vs independent classical integrator"))
 
     again = integrate_geodesic(chart, ic, t_end, dt)
     identical = (np.array_equal(traj.positions, again.positions)
@@ -366,14 +359,11 @@ def run_flow_suite(model: ModelFile,
 
     H = energy_series(chart, flow)
     drift = float(np.max(np.abs(H - H[0])))
-    checks.append(Check("energy_drift", drift <= _tol(
-        model, overrides, "energy_drift"), drift,
-        _tol(model, overrides, "energy_drift")))
+    checks.append(_bounded(model, overrides, "energy_drift", drift))
 
     pv = parity_violation_max(flow)
-    checks.append(Check("parity_preservation", pv <= _tol(
-        model, overrides, "parity_preservation"), pv,
-        _tol(model, overrides, "parity_preservation"), "exact zero check"))
+    checks.append(_bounded(model, overrides, "parity_preservation", pv,
+                           "exact zero check"))
 
     traj = integrate_geodesic(chart, ic, t_end, dt)
     rt = roundtrip_check(chart, traj, flow,
@@ -390,10 +380,8 @@ def run_flow_suite(model: ModelFile,
     _, qs, ps = classical_cotangent_flow(body, q0, p0, t_end, dt)
     dev = max(float(np.max(np.abs(flow.positions[:, :m, 0] - qs))),
               float(np.max(np.abs(flow.momenta[:, :m, 0] - ps))))
-    checks.append(Check("flow_body_reduction", dev <= _tol(
-        model, overrides, "flow_body_reduction"), dev,
-        _tol(model, overrides, "flow_body_reduction"),
-        "vs independent classical cotangent flow"))
+    checks.append(_bounded(model, overrides, "flow_body_reduction", dev,
+                           "vs independent classical cotangent flow"))
 
     again = integrate_flow(chart, I, t_end, dt)
     identical = (np.array_equal(flow.positions, again.positions)
@@ -414,14 +402,10 @@ def run_exp_suite(model: ModelFile,
     for rep in exp_jacobian_checks(chart, _exp_points(model), h=1e-4, dt=dt):
         even_dev = max(even_dev, rep.even_dev)
         odd_dev = max(odd_dev, rep.odd_dev)
-    checks.append(Check("exp_identity_even", even_dev <= _tol(
-        model, overrides, "exp_identity_even"), even_dev,
-        _tol(model, overrides, "exp_identity_even"),
-        f"{len(_exp_points(model))} body points, h=1e-4"))
-    checks.append(Check("exp_identity_odd", odd_dev <= _tol(
-        model, overrides, "exp_identity_odd"), odd_dev,
-        _tol(model, overrides, "exp_identity_odd"),
-        "exact coefficient extraction"))
+    checks.append(_bounded(model, overrides, "exp_identity_even", even_dev,
+                           f"{len(_exp_points(model))} body points, h=1e-4"))
+    checks.append(_bounded(model, overrides, "exp_identity_odd", odd_dev,
+                           "exact coefficient extraction"))
 
     base = _base_point(model)
     agree_dev = 0.0
@@ -429,10 +413,8 @@ def run_exp_suite(model: ModelFile,
         sym = tangent_map_matrix(phi, base)
         num = numerical_tangent_map(phi, base).matrix
         agree_dev = max(agree_dev, float(np.max(np.abs(sym - num))))
-    checks.append(Check("tangent_map_agreement", agree_dev <= _tol(
-        model, overrides, "tangent_map_agreement"), agree_dev,
-        _tol(model, overrides, "tangent_map_agreement"),
-        "symbolic tangent map vs numerical Jacobian"))
+    checks.append(_bounded(model, overrides, "tangent_map_agreement",
+                           agree_dev, "symbolic tangent map vs numerical Jacobian"))
     return checks
 
 

@@ -1,6 +1,7 @@
 """CLI subcommands: tables, CSV determinism, verification, error codes."""
 
 import json
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -12,6 +13,11 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def bundled_doc(name):
+    path = resources.files("supergeodesics.models") / f"{name}.json"
+    return json.loads(path.read_text())
 
 
 def write_model(tmp_path, name, data):
@@ -190,6 +196,20 @@ class TestGeodesicCommand:
         assert code == 2
         assert "log" in err
 
+    @pytest.mark.parametrize("part,key,value", [("velocity", "xx", 5.0),
+                                                ("position", "thh", [[1, 0.3]])])
+    def test_unknown_coordinate_exits_2(self, capsys, tmp_path, part, key,
+                                        value):
+        doc = bundled_doc("c1x_r12")
+        doc["initial_conditions"]["run"][part][key] = value
+        model = write_model(tmp_path, "typo", doc)
+        out = tmp_path / "traj.csv"
+        code, _, err = run(capsys, "geodesic", "--model", model,
+                           "--ic", "run", "--out", str(out))
+        assert code == 2
+        assert repr(key) in err
+        assert not out.exists()
+
     def test_unknown_ic_exits_2(self, capsys):
         code, _, err = run(capsys, "geodesic", "--model", "flat_r12",
                            "--ic", "nope", "--out", "/dev/null")
@@ -261,6 +281,17 @@ class TestVerifyCommand:
     def test_bad_suite_rejected(self, capsys):
         with pytest.raises(SystemExit):
             run(capsys, "verify", "--model", "flat_r12", "--suite", "bogus")
+
+    def test_unknown_vector_coordinate_exits_2(self, capsys, tmp_path):
+        doc = bundled_doc("c1x_r12")
+        doc["verify"]["vectors"][1]["xx"] = 0.5
+        model = write_model(tmp_path, "typo", doc)
+        out = tmp_path / "report.json"
+        code, _, err = run(capsys, "verify", "--model", model,
+                           "--suite", "isometry", "--out", str(out))
+        assert code == 2
+        assert "verify.vectors[1]" in err and "'xx'" in err
+        assert not out.exists()
 
     def test_report_written_to_file(self, capsys, tmp_path):
         out = tmp_path / "report.json"

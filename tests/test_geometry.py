@@ -14,9 +14,16 @@ implementation:
 import numpy as np
 import pytest
 
-from supergeodesics.cotangent import _xh
-from supergeodesics.errors import InvalidPoint, SingularBody
-from supergeodesics.geodesics import _acceleration
+from supergeodesics.cotangent import PhasePoint, _xh
+from supergeodesics.errors import (
+    InvalidPoint,
+    MismatchedGeneratorCount,
+    ParityViolation,
+    SingularBody,
+    UnknownCoordinate,
+)
+from supergeodesics.expmap import TangentFiberPoint
+from supergeodesics.geodesics import InitialCondition, _acceleration
 from supergeodesics.geometry import (
     ChristoffelTable,
     MetricChart,
@@ -53,6 +60,61 @@ class TestSuperPoint:
         again = SuperPoint.from_array(sig_r12, 2, p.as_array())
         assert again == p
         assert p.body_even() == pytest.approx([1.0])
+
+
+# each record's constructor on (sig, L, values), returning its checked values
+RECORDS = {
+    "SuperPoint": lambda sig, L, vals: SuperPoint(sig, L, vals).values,
+    "InitialCondition": lambda sig, L, vals: InitialCondition(
+        L, SuperPoint.body_point(sig, L, [0.0]), vals).velocity,
+    "PhasePoint": lambda sig, L, vals: PhasePoint(
+        SuperPoint.body_point(sig, L, [0.0]), vals).momenta,
+    "TangentFiberPoint": lambda sig, L, vals: TangentFiberPoint(
+        sig, L, [0.0], vals).vector,
+}
+
+
+@pytest.mark.parametrize("record", sorted(RECORDS))
+class TestCoordinateValuesRule:
+    """The one rule of ChartSignature.graded, as each record applies it."""
+
+    @staticmethod
+    def full():
+        return {"th2": G.generator(1, 2), "th1": 0.5 * G.generator(0, 2),
+                "x": 1 + G.basis(0b11, 2, 0.5)}
+
+    def test_values_in_signature_order(self, sig_r12, record):
+        vals = RECORDS[record](sig_r12, 2, self.full())
+        assert list(vals) == ["x", "th1", "th2"]
+        assert all(vals[n] == v for n, v in self.full().items())
+
+    def test_unknown_name(self, sig_r12, record):
+        with pytest.raises(UnknownCoordinate, match="xx"):
+            RECORDS[record](sig_r12, 2, {**self.full(), "xx": G.zero(2)})
+
+    def test_wrong_generator_count(self, sig_r12, record):
+        with pytest.raises(MismatchedGeneratorCount):
+            RECORDS[record](sig_r12, 2, {**self.full(), "x": G.from_scalar(1, 1)})
+
+    def test_wrong_parity(self, sig_r12, record):
+        with pytest.raises(ParityViolation):
+            RECORDS[record](sig_r12, 2,
+                            {**self.full(), "th1": G.from_scalar(1, 2)})
+
+    def test_missing_coordinate(self, sig_r12, record):
+        x = G.from_scalar(0.3, 2)
+        if record == "SuperPoint":
+            with pytest.raises(InvalidPoint):
+                RECORDS[record](sig_r12, 2, {"x": x})
+        else:
+            assert RECORDS[record](sig_r12, 2, {"x": x}) == {
+                "x": x, "th1": G.zero(2), "th2": G.zero(2)}
+
+    def test_pack_unpack_roundtrip(self, sig_r12, record):
+        vals = RECORDS[record](sig_r12, 2, self.full())
+        arr = sig_r12.pack(vals)
+        assert arr.shape == (3, dim(2))
+        assert sig_r12.unpack(2, arr) == vals
 
 
 class TestValidation:
