@@ -19,6 +19,7 @@ import json
 import os
 import sys
 import tempfile
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -59,35 +60,28 @@ def _atomic_write(path: str | Path, text: str) -> None:
         raise
 
 
+def _sample_csv(header: str, curve, *columns: np.ndarray) -> str:
+    """`header`, then one row per (t, coordinate, mask) of a sampled curve
+    with the repr of each (T, n, 2^L) column's float there."""
+    keys = [f"{name},{_mask_str(mask, curve.L)}"
+            for name in curve.sig.names for mask in range(dim(curve.L))]
+    places = product(map(repr, curve.ts.tolist()), keys)
+    values = zip(*(map(repr, col.reshape(-1).tolist()) for col in columns))
+    return header + "\n" + "".join(f"{t},{key},{','.join(vals)}\n"
+                                   for (t, key), vals in zip(places, values))
+
+
 def trajectory_csv(traj: Trajectory) -> str:
     """One row per (t, coordinate, mask): t,coordinate,mask,position,velocity."""
-    names = traj.sig.names
-    D = dim(traj.L)
-    lines = ["t,coordinate,mask,position,velocity"]
-    for s in range(len(traj)):
-        t = repr(float(traj.ts[s]))
-        for i, name in enumerate(names):
-            for mask in range(D):
-                lines.append(f"{t},{name},{_mask_str(mask, traj.L)},"
-                             f"{float(traj.positions[s, i, mask])!r},"
-                             f"{float(traj.velocities[s, i, mask])!r}")
-    return "\n".join(lines) + "\n"
+    return _sample_csv("t,coordinate,mask,position,velocity", traj,
+                       traj.positions, traj.velocities)
 
 
 def flow_csv(flow, energies: np.ndarray) -> str:
     """Trajectory CSV with a momentum block and the energy per (t, mask)."""
-    names = flow.sig.names
-    D = dim(flow.L)
-    lines = ["t,coordinate,mask,position,momentum,energy"]
-    for s in range(len(flow)):
-        t = repr(float(flow.ts[s]))
-        for i, name in enumerate(names):
-            for mask in range(D):
-                lines.append(f"{t},{name},{_mask_str(mask, flow.L)},"
-                             f"{float(flow.positions[s, i, mask])!r},"
-                             f"{float(flow.momenta[s, i, mask])!r},"
-                             f"{float(energies[s, mask])!r}")
-    return "\n".join(lines) + "\n"
+    return _sample_csv("t,coordinate,mask,position,momentum,energy", flow,
+                       flow.positions, flow.momenta,
+                       np.broadcast_to(energies[:, None, :], flow.positions.shape))
 
 
 def _emit(text: str, out: str | None) -> None:

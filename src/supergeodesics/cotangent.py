@@ -13,6 +13,9 @@ differentiating sum_k g^{ik} g_{kj} = delta_ij pointwise.
 Musical maps: `flat` lowers a velocity to momenta (p_j = sum_i v_i * g_ij),
 `sharp` raises momenta to a velocity (v_i = sum_j p_j * g^{ji}); they are
 mutually inverse.
+
+`energy_series` and the round trip's lowered velocities run batched, one
+kernel call per chunk of samples (`geometry._chunks`).
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import numpy as np
 
 from .errors import SignatureMismatch
 from .geodesics import InitialCondition, Trajectory, _grid, _rk4
-from .geometry import MetricChart, SuperPoint, _Kernel
+from .geometry import MetricChart, SuperPoint, _chunks, _Kernel
 from .grassmann import GrassmannElement, batched_mul, mask_parity
 
 
@@ -82,9 +85,9 @@ class FlowState:
 
 def _energy(kern: _Kernel, pos: np.ndarray, mom: np.ndarray) -> np.ndarray:
     ginv = kern.metric_inverse(kern.env(pos))
-    t1 = batched_mul(mom[:, None, :], ginv, kern.L)       # [i,j] = p_i g^{ij}
-    t2 = batched_mul(t1, mom[None, :, :], kern.L)         # [i,j] = p_i g^{ij} p_j
-    return 0.5 * t2.sum(axis=(0, 1))
+    t1 = batched_mul(mom[..., :, None, :], ginv, kern.L)  # [i,j] = p_i g^{ij}
+    t2 = batched_mul(t1, mom[..., None, :, :], kern.L)    # [i,j] = p_i g^{ij} p_j
+    return 0.5 * t2.sum(axis=(-3, -2))
 
 
 def energy_at(chart: MetricChart, s: PhasePoint) -> GrassmannElement:
@@ -99,9 +102,7 @@ def _xh(kern: _Kernel, pos: np.ndarray, mom: np.ndarray):
     """Component equations of the Hamiltonian field at a phase point."""
     env = kern.env(pos)
     ginv = kern.metric_inverse(env)
-    # dq_i = sum_j p_j * g^{ji}
-    tq = batched_mul(mom[..., :, None, :], ginv, kern.L)  # [j,i] = p_j g^{ji}
-    qdot = tq.sum(axis=-3)
+    qdot = _sharp_arrays(kern, ginv, mom)  # dq_i = sum_j p_j * g^{ji}
     if kern.is_flat:
         return qdot, np.zeros_like(mom)
     dginv = kern.dginv(env, ginv)  # [a,k,j] = d_a g^{kj}
@@ -152,22 +153,18 @@ def energy_series(chart: MetricChart, flow: FlowState) -> np.ndarray:
     """H at every sample of a flow, shape (n_samples, 2^L)."""
     kern = chart.kernel(flow.L)
     out = np.empty((len(flow), kern.D))
-    for s in range(len(flow)):
-        out[s] = _energy(kern, flow.positions[s], flow.momenta[s])
+    for c in _chunks(len(flow), kern.n, kern.D):
+        out[c] = _energy(kern, flow.positions[c], flow.momenta[c])
     return out
 
 
 def parity_violation_max(flow: FlowState) -> float:
     """Largest coefficient sitting on a wrong-parity mask (should be 0.0)."""
-    par = flow.sig.parity_vector()
-    mpar = mask_parity(flow.L)
-    worst = 0.0
-    for arr in (flow.positions, flow.momenta):
-        for i in range(arr.shape[1]):
-            wrong = mpar != par[i]
-            if wrong.any():
-                worst = max(worst, float(np.max(np.abs(arr[:, i, wrong]))))
-    return worst
+    wrong = mask_parity(flow.L) != flow.sig.parity_vector()[:, None]  # [i, mask]
+    if not wrong.any():
+        return 0.0
+    return max(float(np.max(np.abs(arr[:, wrong])))
+               for arr in (flow.positions, flow.momenta))
 
 
 # ---------------------------------------------------------------------------
@@ -176,14 +173,13 @@ def parity_violation_max(flow: FlowState) -> float:
 
 def _flat_arrays(kern: _Kernel, pos: np.ndarray, vel: np.ndarray) -> np.ndarray:
     G = kern.eval_metric(kern.env(pos))
-    t = batched_mul(vel[:, None, :], G, kern.L)  # [i,j] = v_i g_ij
-    return t.sum(axis=0)
+    t = batched_mul(vel[..., :, None, :], G, kern.L)  # [i,j] = v_i g_ij
+    return t.sum(axis=-3)
 
 
-def _sharp_arrays(kern: _Kernel, pos: np.ndarray, mom: np.ndarray) -> np.ndarray:
-    ginv = kern.metric_inverse(kern.env(pos))
-    t = batched_mul(mom[:, None, :], ginv, kern.L)  # [j,i] = p_j g^{ji}
-    return t.sum(axis=0)
+def _sharp_arrays(kern: _Kernel, ginv: np.ndarray, mom: np.ndarray) -> np.ndarray:
+    t = batched_mul(mom[..., :, None, :], ginv, kern.L)  # [j,i] = p_j g^{ji}
+    return t.sum(axis=-3)
 
 
 def flat(chart: MetricChart, pos: SuperPoint,
@@ -200,7 +196,8 @@ def sharp(chart: MetricChart, pos: SuperPoint,
     """Raise momenta to a velocity: v_i = sum_j p_j * g^{ji} at the position."""
     chart.check_point(pos)
     kern = chart.kernel(pos.L)
-    v = _sharp_arrays(kern, pos.as_array(), chart.sig.pack(momenta))
+    ginv = kern.metric_inverse(kern.env(pos.as_array()))
+    v = _sharp_arrays(kern, ginv, chart.sig.pack(momenta))
     return chart.sig.unpack(pos.L, v)
 
 
@@ -247,11 +244,12 @@ def roundtrip_check(chart: MetricChart, traj: Trajectory, flow: FlowState,
     dev_a = float(np.max(np.abs(flow.positions - traj.positions)))
 
     dev_b = 0.0
-    for s in range(len(traj)):
-        p_s = _flat_arrays(kern, traj.positions[s], traj.velocities[s])
-        dev_b = max(dev_b, float(np.max(np.abs(p_s - flow.momenta[s]))))
+    for c in _chunks(len(traj), kern.n, kern.D):
+        p = _flat_arrays(kern, traj.positions[c], traj.velocities[c])
+        dev_b = max(dev_b, float(np.max(np.abs(p - flow.momenta[c]))))
 
-    v_back = _sharp_arrays(kern, traj.positions[0], flow.momenta[0])
+    ginv0 = kern.metric_inverse(kern.env(traj.positions[0]))
+    v_back = _sharp_arrays(kern, ginv0, flow.momenta[0])
     dev_init = float(np.max(np.abs(v_back - traj.velocities[0])))
 
     return RoundtripReport(dev_a, dev_b, dev_init, tolerance)

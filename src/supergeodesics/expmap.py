@@ -28,14 +28,15 @@ import numpy as np
 from .errors import SignatureMismatch
 from .geodesics import InitialCondition, _acceleration, _grid, _rk4, \
     integrate_geodesic
-from .geometry import MetricChart, SuperPoint
-from .grassmann import GrassmannElement
+from .geometry import MetricChart, SuperPoint, _chunks
+from .grassmann import GrassmannElement, dim
 from .superexpr import (
     ChartSignature,
     Const,
     Expr,
     SuperMorphism,
     add,
+    eval_dense,
     evaluate,
     mul,
     partial_derivative,
@@ -348,6 +349,8 @@ def isometry_check(m_src: MetricChart, m_dst: MetricChart, phi: SuperMorphism,
     """
     if phi.source != m_src.sig or phi.target != m_dst.sig:
         raise SignatureMismatch("morphism does not connect the two charts")
+    if any(p.sig != m_src.sig for p in samples):
+        raise SignatureMismatch("sample point lives on a different chart")
     src, dst = m_src.sig, m_dst.sig
     ps, pt = src.parity_vector(), dst.parity_vector()
     dphi = [[partial_derivative(phi.pullbacks[qk], qi, src)
@@ -369,12 +372,15 @@ def isometry_check(m_src: MetricChart, m_dst: MetricChart, phi: SuperMorphism,
         rhs_exprs.append(row)
 
     dev = 0.0
-    for p in samples:
-        for i in range(src.dimension):
-            for j in range(src.dimension):
-                lhs = evaluate(m_src.entries[i][j], p)
-                rhs = evaluate(rhs_exprs[i][j], p, p.L)
-                dev = max(dev, float(np.max(np.abs(lhs.coeffs - rhs.coeffs))))
+    for L in sorted({p.L for p in samples}):
+        pts = np.stack([p.as_array() for p in samples if p.L == L])
+        for c in _chunks(len(pts), src.dimension, dim(L)):
+            env = dict(zip(src.names, pts[c].swapaxes(0, -2)))
+            for i in range(src.dimension):
+                for j in range(src.dimension):
+                    lhs = eval_dense(m_src.entries[i][j], env, L)
+                    rhs = eval_dense(rhs_exprs[i][j], env, L)
+                    dev = max(dev, float(np.max(np.abs(lhs - rhs))))
     return IsometryReport(dev, tolerance, len(samples))
 
 

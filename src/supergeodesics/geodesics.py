@@ -16,6 +16,9 @@ expanded system is a smooth real ODE, so the integration is deterministic):
 Both modes, the cotangent flow and the batched exponential map step through
 the one RK4 loop `_rk4`, which also turns a failing stage or a non-finite
 state into a typed error that names t.
+
+The diagnostics along a curve (covariant derivatives, `metric_speed`) run
+batched, one kernel call per chunk of samples (`geometry._chunks`).
 """
 
 from __future__ import annotations
@@ -35,11 +38,10 @@ from .errors import (
     SignatureMismatch,
     SuperGeometryError,
 )
-from .geometry import MetricChart, SuperPoint, _Kernel
+from .geometry import MetricChart, SuperPoint, _chunks, _Kernel
 from .grassmann import (
     GrassmannElement,
     batched_mul,
-    dim,
     mask_parity,
     strip_generator,
 )
@@ -304,11 +306,9 @@ def _as_field_array(traj: Trajectory, field) -> np.ndarray:
     if isinstance(field, np.ndarray):
         arr = field
     else:
-        names = traj.sig.names
-        arr = np.zeros((len(traj), len(names), dim(traj.L)))
-        for i, name in enumerate(names):
-            if name in field:
-                arr[:, i, :] = field[name]
+        arr = np.zeros(traj.positions.shape)
+        for name, values in field.items():
+            arr[:, traj.sig.index(name), :] = values
     if arr.shape != traj.positions.shape:
         raise ValueError(f"field shape {arr.shape} does not match trajectory")
     return arr
@@ -338,9 +338,9 @@ def _add_connection_terms(kern: _Kernel, positions: np.ndarray, X: np.ndarray,
                           Y: np.ndarray, out: np.ndarray) -> np.ndarray:
     """out[s, k] += sum_{i,j} X_i * Y_j * Gamma^k_ji at every sample s of the
     curve; returns `out`."""
-    for s in range(len(positions)):
-        gamma = kern.christoffel(kern.env(positions[s]))
-        out[s] += _connection(kern, gamma, X[s], Y[s])
+    for c in _chunks(len(positions), kern.n, kern.D):
+        gamma = kern.christoffel(kern.env(positions[c]))
+        out[c] += _connection(kern, gamma, X[c], Y[c])
     return out
 
 
@@ -364,13 +364,9 @@ def covariant_derivative_t(chart: MetricChart, traj: Trajectory,
 
 def _field_parity(traj: Trajectory, X: np.ndarray) -> int:
     """Parity |X| of a homogeneous field: |X(q_k)| = |X| + |q_k| for all k."""
-    par = traj.sig.parity_vector()
-    mpar = mask_parity(traj.L)
-    found: set[int] = set()
-    for i in range(X.shape[1]):
-        nz = np.any(X[:, i, :] != 0.0, axis=0)
-        for p in np.unique(mpar[nz]):
-            found.add((int(p) + int(par[i])) % 2)
+    nz = np.any(X != 0.0, axis=0)  # [k, mask]: X(q_k) uses the mask somewhere
+    parity = (traj.sig.parity_vector()[:, None] + mask_parity(traj.L)) % 2
+    found = set(parity[nz].tolist())
     if len(found) > 1:
         raise NonHomogeneousField("field mixes parities across slots/masks")
     return found.pop() if found else 0
@@ -411,10 +407,10 @@ def metric_speed(chart: MetricChart, traj: Trajectory) -> np.ndarray:
     """
     kern = chart.kernel(traj.L)
     out = np.empty((len(traj), kern.D))
-    for s in range(len(traj)):
-        G = kern.eval_metric(kern.env(traj.positions[s]))
-        v = traj.velocities[s]
-        vv = batched_mul(v[:, None, :], v[None, :, :], kern.L)
-        tmp = batched_mul(vv, G.transpose(1, 0, 2), kern.L)
-        out[s] = tmp.sum(axis=(0, 1))
+    for c in _chunks(len(traj), kern.n, kern.D):
+        G = kern.eval_metric(kern.env(traj.positions[c]))
+        v = traj.velocities[c]
+        vv = batched_mul(v[..., :, None, :], v[..., None, :, :], kern.L)
+        tmp = batched_mul(vv, G.swapaxes(-3, -2), kern.L)
+        out[c] = tmp.sum(axis=(-3, -2))
     return out

@@ -20,14 +20,15 @@ the same point evaluated alone.
 Arrays that do not depend on the point (constant metric entries or
 partials) stay unbatched and broadcast, so code indexes from the right:
 `...` indexing, negative axes, `swapaxes` and `transpose` with axis tuples
-built from each array's own `ndim`.
+built from each array's own `ndim`.  Diagnostics over many points call the
+kernel on the row slices of `_chunks`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -176,6 +177,16 @@ def _last_axes(ndim: int, order: tuple[int, ...]) -> tuple[int, ...]:
     and keep the leading (batch) axes in place."""
     lead = ndim - len(order)
     return tuple(range(lead)) + tuple(lead + o for o in order)
+
+
+def _chunks(total: int, n: int, D: int) -> Iterator[slice]:
+    """Slices of `total` points for batched kernel calls over n coordinates
+    and D = 2^L coefficients, sized so that a call's largest temporary, the
+    (rows, n, n, n, n, D, D) outer product of a Christoffel contraction,
+    stays near 256 KB.  Slicing changes no bits (module docstring)."""
+    step = max(1, (1 << 18) // (8 * n ** 4 * D * D))
+    for start in range(0, total, step):
+        yield slice(start, start + step)
 
 
 class _Kernel:

@@ -530,7 +530,7 @@ class Fun(Expr):
         return f"{self.name}({self.arg})"
 
 
-def _paren(e: Expr, _unused=None) -> str:
+def _paren(e: Expr) -> str:
     if isinstance(e, (Sum,)) or (isinstance(e, Const) and e.value < 0):
         return f"({e})"
     return str(e)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -45,12 +46,13 @@ from .expmap import (
 )
 from .geodesics import (
     InitialCondition,
+    Trajectory,
     covariant_derivative_t,
     integrate_geodesic,
     metric_speed,
 )
-from .geometry import BodyGeometry, MetricChart, SuperPoint, metric_validate, \
-    reduce_body
+from .geometry import BodyGeometry, MetricChart, SuperPoint, _chunks, \
+    _last_axes, metric_validate, reduce_body
 from .grassmann import GrassmannElement, batched_mul, dim, mask_parity
 from .model import ModelFile, vector_from_spec
 from .superexpr import SuperMorphism
@@ -140,41 +142,44 @@ def random_superpoint(chart: MetricChart, L: int, rng: np.random.Generator,
     return SuperPoint(sig, L, values)
 
 
-def _run_ic(model: ModelFile) -> InitialCondition:
-    cfg = model.verify_config
-    name = cfg.get("ic")
-    if name:
-        return model.initial_condition(name)
-    if model.initial_conditions:
-        return next(iter(model.initial_conditions.values()))
-    raise ModelError(f"model {model.name!r} has no initial condition to verify")
+class Fixtures:
+    """A model's verify fixtures, decoded before any suite runs (a bad one
+    raises `ModelError`); the body geometry and the suite geodesic are built
+    on first use and shared by every suite."""
 
+    def __init__(self, model: ModelFile):
+        cfg, sig = model.verify_config, model.sig
+        self.model, self.chart = model, model.chart
+        name = cfg.get("ic")
+        self.ic: InitialCondition | None = (
+            model.initial_condition(name) if name
+            else next(iter(model.initial_conditions.values()), None))
+        self.dt, self.t_end = model.defaults["dt"], model.defaults["t_end"]
+        boxes = [model.chart.domain.get(n, (-1.0, 1.0)) for n in sig.even_names]
+        self.base = np.asarray(cfg.get("base_point", [
+            (max(lo, -1.0) + min(hi, 1.0)) / 2.0 for lo, hi in boxes]), dtype=float)
+        self.exp_points = ([np.asarray(p, dtype=float) for p in cfg["exp_points"]]
+                           if "exp_points" in cfg else
+                           [self.base + off for off in (-0.2, -0.1, 0.0, 0.1, 0.2)])
+        L = max(model.L, 1) if sig.n_odd else model.L
+        self.vectors = [vector_from_spec(v, sig, L, self.base,
+                                         f"verify.vectors[{i}]")
+                        for i, v in enumerate(cfg.get("vectors", []))]
 
-def _base_point(model: ModelFile) -> np.ndarray:
-    cfg = model.verify_config
-    if "base_point" in cfg:
-        return np.asarray(cfg["base_point"], dtype=float)
-    out = []
-    for name in model.sig.even_names:
-        lo, hi = model.chart.domain.get(name, (-1.0, 1.0))
-        out.append((max(lo, -1.0) + min(hi, 1.0)) / 2.0)
-    return np.asarray(out)
+    def run_ic(self) -> InitialCondition:
+        if self.ic is None:
+            raise ModelError(f"model {self.model.name!r} has no initial "
+                             "condition to verify")
+        return self.ic
 
+    @cached_property
+    def body(self) -> BodyGeometry:
+        return reduce_body(self.chart)
 
-def _exp_points(model: ModelFile) -> list[np.ndarray]:
-    cfg = model.verify_config
-    if "exp_points" in cfg:
-        return [np.asarray(p, dtype=float) for p in cfg["exp_points"]]
-    base = _base_point(model)
-    return [base + off for off in (-0.2, -0.1, 0.0, 0.1, 0.2)]
-
-
-def _vectors(model: ModelFile, base: np.ndarray) -> list:
-    cfg = model.verify_config
-    specs = cfg.get("vectors", [])
-    L = max(model.L, 1) if model.sig.n_odd else model.L
-    return [vector_from_spec(s, model.sig, L, base, f"verify.vectors[{i}]")
-            for i, s in enumerate(specs)]
+    @cached_property
+    def geodesic(self) -> Trajectory:
+        return integrate_geodesic(self.chart, self.run_ic(), self.t_end,
+                                  self.dt)
 
 
 # ---------------------------------------------------------------------------
@@ -244,9 +249,9 @@ def classical_cotangent_flow(body: BodyGeometry, x0, p0, t_end: float,
 # suites
 
 
-def run_metric_suite(model: ModelFile, overrides: dict | None = None,
+def run_metric_suite(fx: Fixtures, overrides: dict | None = None,
                      n_points: int = 100) -> list[Check]:
-    chart = model.chart
+    model, chart = fx.model, fx.chart
     L = model.L
     rng = np.random.default_rng(_seed(model, "metric"))
     samples = [random_superpoint(chart, L, rng) for _ in range(8)]
@@ -262,34 +267,33 @@ def run_metric_suite(model: ModelFile, overrides: dict | None = None,
 
     kern = chart.kernel(L)
     par = chart.sig.parity_vector()
-    mpar = mask_parity(L)
+    # the masks of the wrong parity for Gamma^k_ij, |Gamma^k_ij| = |i|+|j|+|k|
+    wrong = mask_parity(L) != (par[:, None, None, None] + par[:, None, None]
+                               + par[:, None]) % 2
     sym_dev = 0.0
     par_dev = 0.0
     compat_dev = 0.0
-    pts = [random_superpoint(chart, L, rng) for _ in range(n_points)]
-    for p in pts:
-        env = kern.env(p.as_array())
+    pts = np.stack([random_superpoint(chart, L, rng).as_array()
+                    for _ in range(n_points)])
+    for c in _chunks(n_points, kern.n, kern.D):
+        env = kern.env(pts[c])
         G = kern.eval_metric(env)
         gamma = kern.christoffel(env)
         # graded symmetry Gamma^k_ij = (-1)^{|i||j|} Gamma^k_ji
-        sym = gamma - kern.s1[None, :, :, None] * gamma.transpose(0, 2, 1, 3)
+        sym = gamma - kern.s1[:, :, None] * gamma.swapaxes(-3, -2)
         sym_dev = max(sym_dev, float(np.max(np.abs(sym))))
-        # parity |Gamma^k_ij| = |i|+|j|+|k|
-        expected = (par[:, None, None] + par[None, :, None]
-                    + par[None, None, :]) % 2
-        wrong = mpar[None, None, None, :] != expected[..., None]
-        par_dev = max(par_dev, float(np.max(np.abs(gamma[wrong])))
-                      if wrong.any() else 0.0)
+        if wrong.any():
+            par_dev = max(par_dev, float(np.max(np.abs(gamma[..., wrong]))))
         # metric compatibility (oracle in the module docstring)
         dG = kern.eval_dmetric(env)
-        gT = gamma.transpose(1, 2, 0, 3)  # [i,j,l] = Gamma^l_ij
-        t1 = batched_mul(gT[:, :, :, None, :], G[None, None, :, :, :], L)
-        term1 = t1.sum(axis=2)            # [i,j,k] = sum_l Gamma^l_ij g_lk
-        a = gT[:, None, :, :, :]          # [i,1,k,l] = Gamma^l_ik
-        b = G[None, :, None, :, :]        # [1,j,1,l] = g_jl
-        t2 = batched_mul(a, b, L)         # [i,j,k,l]
+        gT = gamma.transpose(_last_axes(gamma.ndim, (1, 2, 0, 3)))  # Gamma^l_ij
+        t1 = batched_mul(gT[..., :, :, :, None, :], G[..., None, None, :, :, :], L)
+        term1 = t1.sum(axis=-3)          # [i,j,k] = sum_l Gamma^l_ij g_lk
+        a = gT[..., :, None, :, :, :]    # [i,1,k,l] = Gamma^l_ik
+        b = G[..., None, :, None, :, :]  # [1,j,1,l] = g_jl
+        t2 = batched_mul(a, b, L)        # [i,j,k,l]
         t2 = kern.s3[None, :, :, :, None] * t2  # (-1)^{|j|(|k|+|l|)}
-        term2 = t2.sum(axis=3)
+        term2 = t2.sum(axis=-2)
         resid = dG - term1 - term2
         compat_dev = max(compat_dev, float(np.max(np.abs(resid))))
 
@@ -298,26 +302,23 @@ def run_metric_suite(model: ModelFile, overrides: dict | None = None,
     checks.append(_bounded(model, overrides, "metric_compatibility",
                            compat_dev, f"{n_points} random points"))
 
-    body = reduce_body(chart)
     beta_dev = 0.0
     m = chart.sig.n_even
-    for q in _exp_points(model):
+    for q in fx.exp_points:
         p0 = SuperPoint.body_point(chart.sig, 0, q)
         gamma0 = chart.kernel(0).christoffel(chart.kernel(0).env(p0.as_array()))
         beta_dev = max(beta_dev, float(np.max(np.abs(
-            gamma0[:m, :m, :m, 0] - body.christoffel(q)))))
+            gamma0[:m, :m, :m, 0] - fx.body.christoffel(q)))))
     checks.append(_bounded(model, overrides, "beta_compatibility", beta_dev))
     return checks
 
 
-def run_geodesic_suite(model: ModelFile,
+def run_geodesic_suite(fx: Fixtures,
                        overrides: dict | None = None) -> list[Check]:
-    chart = model.chart
-    ic = _run_ic(model)
-    dt, t_end = model.defaults["dt"], model.defaults["t_end"]
+    model, chart = fx.model, fx.chart
     checks: list[Check] = []
 
-    traj = integrate_geodesic(chart, ic, t_end, dt)
+    traj = fx.geodesic
 
     resid = covariant_derivative_t(chart, traj, traj.velocities)
     resid_dev = float(np.max(np.abs(resid)))
@@ -327,16 +328,15 @@ def run_geodesic_suite(model: ModelFile,
     drift = float(np.max(np.abs(speed - speed[0])))
     checks.append(_bounded(model, overrides, "speed_drift", drift))
 
-    body = reduce_body(chart)
     m = chart.sig.n_even
     x0 = traj.positions[0, :m, 0]
     v0 = traj.velocities[0, :m, 0]
-    _, xs, _ = classical_geodesic(body, x0, v0, t_end, dt)
+    _, xs, _ = classical_geodesic(fx.body, x0, v0, fx.t_end, fx.dt)
     body_dev = float(np.max(np.abs(traj.positions[:, :m, 0] - xs)))
     checks.append(_bounded(model, overrides, "body_reduction", body_dev,
                            "vs independent classical integrator"))
 
-    again = integrate_geodesic(chart, ic, t_end, dt)
+    again = integrate_geodesic(chart, fx.run_ic(), fx.t_end, fx.dt)
     identical = (np.array_equal(traj.positions, again.positions)
                  and np.array_equal(traj.velocities, again.velocities))
     checks.append(Check("determinism", identical,
@@ -347,15 +347,13 @@ def run_geodesic_suite(model: ModelFile,
     return checks
 
 
-def run_flow_suite(model: ModelFile,
+def run_flow_suite(fx: Fixtures,
                    overrides: dict | None = None) -> list[Check]:
-    chart = model.chart
-    ic = _run_ic(model)
-    dt, t_end = model.defaults["dt"], model.defaults["t_end"]
+    model, chart = fx.model, fx.chart
     checks: list[Check] = []
 
-    I = phase_from_ic(chart, ic)
-    flow = integrate_flow(chart, I, t_end, dt)
+    I = phase_from_ic(chart, fx.run_ic())
+    flow = integrate_flow(chart, I, fx.t_end, fx.dt)
 
     H = energy_series(chart, flow)
     drift = float(np.max(np.abs(H - H[0])))
@@ -365,25 +363,23 @@ def run_flow_suite(model: ModelFile,
     checks.append(_bounded(model, overrides, "parity_preservation", pv,
                            "exact zero check"))
 
-    traj = integrate_geodesic(chart, ic, t_end, dt)
-    rt = roundtrip_check(chart, traj, flow,
+    rt = roundtrip_check(chart, fx.geodesic, flow,
                          tolerance=_tol(model, overrides, "roundtrip"))
     checks.append(Check("roundtrip", rt.passed, rt.max_dev, rt.tolerance,
                         f"flow->geodesic {rt.flow_to_geodesic_dev:.3g}, "
                         f"geodesic->flow {rt.geodesic_to_flow_dev:.3g}, "
                         f"initial velocity {rt.initial_velocity_dev:.3g}"))
 
-    body = reduce_body(chart)
     m = chart.sig.n_even
     q0 = flow.positions[0, :m, 0]
     p0 = flow.momenta[0, :m, 0]
-    _, qs, ps = classical_cotangent_flow(body, q0, p0, t_end, dt)
+    _, qs, ps = classical_cotangent_flow(fx.body, q0, p0, fx.t_end, fx.dt)
     dev = max(float(np.max(np.abs(flow.positions[:, :m, 0] - qs))),
               float(np.max(np.abs(flow.momenta[:, :m, 0] - ps))))
     checks.append(_bounded(model, overrides, "flow_body_reduction", dev,
                            "vs independent classical cotangent flow"))
 
-    again = integrate_flow(chart, I, t_end, dt)
+    again = integrate_flow(chart, I, fx.t_end, fx.dt)
     identical = (np.array_equal(flow.positions, again.positions)
                  and np.array_equal(flow.momenta, again.momenta))
     checks.append(Check("determinism", identical, 0.0,
@@ -392,39 +388,35 @@ def run_flow_suite(model: ModelFile,
     return checks
 
 
-def run_exp_suite(model: ModelFile,
+def run_exp_suite(fx: Fixtures,
                   overrides: dict | None = None) -> list[Check]:
-    chart = model.chart
-    dt = model.defaults["dt"]
+    model, chart = fx.model, fx.chart
     checks: list[Check] = []
     even_dev = 0.0
     odd_dev = 0.0
-    for rep in exp_jacobian_checks(chart, _exp_points(model), h=1e-4, dt=dt):
+    for rep in exp_jacobian_checks(chart, fx.exp_points, h=1e-4, dt=fx.dt):
         even_dev = max(even_dev, rep.even_dev)
         odd_dev = max(odd_dev, rep.odd_dev)
     checks.append(_bounded(model, overrides, "exp_identity_even", even_dev,
-                           f"{len(_exp_points(model))} body points, h=1e-4"))
+                           f"{len(fx.exp_points)} body points, h=1e-4"))
     checks.append(_bounded(model, overrides, "exp_identity_odd", odd_dev,
                            "exact coefficient extraction"))
 
-    base = _base_point(model)
     agree_dev = 0.0
     for name, phi in model.morphisms.items():
-        sym = tangent_map_matrix(phi, base)
-        num = numerical_tangent_map(phi, base).matrix
+        sym = tangent_map_matrix(phi, fx.base)
+        num = numerical_tangent_map(phi, fx.base).matrix
         agree_dev = max(agree_dev, float(np.max(np.abs(sym - num))))
     checks.append(_bounded(model, overrides, "tangent_map_agreement",
                            agree_dev, "symbolic tangent map vs numerical Jacobian"))
     return checks
 
 
-def run_isometry_suite(model: ModelFile,
+def run_isometry_suite(fx: Fixtures,
                        overrides: dict | None = None) -> list[Check]:
-    chart = model.chart
+    model, chart = fx.model, fx.chart
     cfg = model.verify_config
-    dt = model.defaults["dt"]
-    base = _base_point(model)
-    vectors = _vectors(model, base)
+    dt, base, vectors = fx.dt, fx.base, fx.vectors
     L = vectors[0].L if vectors else max(model.L, 1)
     samples = probe_points(chart, base, L)
     checks: list[Check] = []
@@ -495,9 +487,10 @@ def run_suites(model: ModelFile, suites=("all",),
     if unknown:
         raise ModelError(f"unknown suites {sorted(unknown)}; "
                          f"choose from {('all',) + SUITES}")
+    fx = Fixtures(model)
     report: dict = {"model": model.name, "suites": {}, "passed": True}
     for suite in wanted:
-        checks = _SUITE_RUNNERS[suite](model, overrides)
+        checks = _SUITE_RUNNERS[suite](fx, overrides)
         report["suites"][suite] = [c.as_dict() for c in checks]
         if not all(c.passed for c in checks):
             report["passed"] = False

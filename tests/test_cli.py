@@ -6,7 +6,22 @@ from importlib import resources
 import numpy as np
 import pytest
 
+from supergeodesics import verify
 from supergeodesics.cli import main
+from supergeodesics.model import load_model
+
+
+def count_calls(monkeypatch, module, name):
+    """Wrap module.name; returns the list its calls append to."""
+    calls = []
+    inner = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 def run(capsys, *argv):
@@ -292,6 +307,27 @@ class TestVerifyCommand:
         assert code == 2
         assert "verify.vectors[1]" in err and "'xx'" in err
         assert not out.exists()
+
+    def test_bad_vector_fails_before_any_integration(self, capsys, tmp_path,
+                                                      monkeypatch):
+        doc = bundled_doc("c1x_r12")
+        doc["verify"]["vectors"][0]["xx"] = 0.5
+        model = write_model(tmp_path, "typo", doc)
+        calls = count_calls(monkeypatch, verify, "integrate_geodesic")
+        code, _, err = run(capsys, "verify", "--model", model)
+        assert code == 2
+        assert "verify.vectors[0]" in err and "'xx'" in err
+        assert calls == []
+
+    @pytest.mark.parametrize("suites, runs", [(("geodesic", "flow"), 2),
+                                              (("flow",), 1)])
+    def test_suite_geodesic_integrated_once(self, monkeypatch, suites, runs):
+        # the flow suite's round trip reuses the suite geodesic; the
+        # geodesic suite's determinism check integrates it once more
+        calls = count_calls(monkeypatch, verify, "integrate_geodesic")
+        report = verify.run_suites(load_model("flat_r12"), suites)
+        assert report["passed"] is True
+        assert len(calls) == runs
 
     def test_report_written_to_file(self, capsys, tmp_path):
         out = tmp_path / "report.json"

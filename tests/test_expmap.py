@@ -27,7 +27,7 @@ from supergeodesics.geometry import MetricChart, SuperPoint, metric_validate
 from supergeodesics.grassmann import GrassmannElement as G, mask_parity
 from supergeodesics.model import bundled_models, load_model
 from supergeodesics.superexpr import ChartSignature, SuperMorphism, evaluate
-from supergeodesics.verify import _base_point, _exp_points, _vectors, run_suites
+from supergeodesics.verify import Fixtures, run_suites
 
 
 def vec(sig, L, base, components):
@@ -313,11 +313,10 @@ class TestBatchedExp:
         # exp point (L = 0 and L = n_odd mixed) plus the test vectors and
         # their negatives
         model = load_model(name)
-        base = _base_point(model)
-        vectors = _vectors(model, base)
-        rows = [v for q in _exp_points(model)
+        fx = Fixtures(model)
+        rows = [v for q in fx.exp_points
                 for v in _jacobian_rows(model.sig, q, 1e-4)]
-        rows += vectors + [v.scaled(-1.0) for v in vectors]
+        rows += fx.vectors + [v.scaled(-1.0) for v in fx.vectors]
         assert_rows_equal_serial(model.chart, rows, 1e-2)
 
     def test_curved_chart_is_valid(self, curved_r12):

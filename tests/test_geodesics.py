@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from supergeodesics import geodesics
-from supergeodesics.errors import GridTooShort, IntegrationFailure, LeftDomain
+from supergeodesics.errors import GridTooShort, IntegrationFailure, LeftDomain, \
+    UnknownCoordinate
 from supergeodesics.geodesics import (
     InitialCondition,
     covariant_derivative_t,
@@ -219,6 +220,15 @@ class TestCovariantDerivatives:
         X[:, 0, 0] = traj.ts**2
         out = covariant_derivative_t(flat_r12, traj, X)
         assert np.max(np.abs(out[:, 0, 0] - 2.0 * traj.ts)) < 1e-9
+
+    @pytest.mark.parametrize("derivative", [covariant_derivative_t,
+                                            covariant_derivative_theta])
+    def test_unknown_field_name(self, c1x_r12, derivative):
+        ic = make_ic(c1x_r12, 1, [0.0], {"x": G.from_scalar(1.0, 1)})
+        traj = integrate_geodesic(c1x_r12, ic, 0.05, 1e-2)
+        field = {"x": traj.velocities[:, 0], "xx": traj.velocities[:, 0]}
+        with pytest.raises(UnknownCoordinate, match="xx"):
+            derivative(c1x_r12, traj, field)
 
     def test_grid_too_short(self, flat_r12):
         ic = make_ic(flat_r12, 1, [0.0], {"x": G.from_scalar(1.0, 1)})

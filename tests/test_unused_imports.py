@@ -1,9 +1,12 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module imports is used in that module, and every
+module-level private function or class is used somewhere in the package.
 
 No linter ships with the test dependencies, so this parses each module of
-`supergeodesics` (except `__init__.py`, whose imports are its API) with the
-standard `ast` module.  A name counts as used when it appears as a name
-expression anywhere in the module, including inside quoted annotations.
+`supergeodesics` with the standard `ast` module.  A name counts as used when
+it appears as a name expression anywhere in the module, including inside
+quoted annotations.  The import check skips `__init__.py`, whose imports are
+its API; a private definition counts as used when a statement other than
+itself names it (as a name, an attribute or an imported name).
 """
 
 import ast
@@ -13,6 +16,8 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "supergeodesics"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TREES = {p.name: ast.parse(p.read_text(), filename=str(p))
+         for p in sorted(PACKAGE.glob("*.py"))}
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:
@@ -58,8 +63,46 @@ def test_modules_found():
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
-    tree = ast.parse(path.read_text(), filename=str(path))
+    tree = TREES[path.name]
     used = used_names(tree)
     unused = {name: line for name, line in imported_names(tree).items()
               if name not in used}
     assert not unused, f"{path.name}: unused imports {unused}"
+
+
+def referenced_names(node: ast.AST) -> set[str]:
+    names = used_names(node)
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            names |= {alias.name for alias in sub.names}
+    return names
+
+
+def unreferenced_private_defs(trees: dict[str, ast.Module]) -> list[str]:
+    """module:name of each module-level private def/class that no other
+    top-level statement of the package refers to."""
+    defs = {}
+    uses = []
+    for module, tree in trees.items():
+        for stmt in tree.body:
+            if (isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+                    and stmt.name.startswith("_") and not stmt.name.startswith("__")):
+                defs[stmt] = f"{module}:{stmt.name}"
+            uses.append((stmt, referenced_names(stmt)))
+    return sorted(label for node, label in defs.items()
+                  if not any(node.name in names for stmt, names in uses
+                             if stmt is not node))
+
+
+def test_no_unreferenced_private_defs():
+    assert unreferenced_private_defs(TREES) == []
+
+
+def test_unreferenced_private_def_detected():
+    # a self-reference does not count as a use
+    planted = ast.parse("def _orphan():\n    return _orphan()\n\n"
+                        "def _used():\n    pass\n\nVALUE = _used\n")
+    assert unreferenced_private_defs({"planted.py": planted}) == [
+        "planted.py:_orphan"]
