@@ -11,23 +11,29 @@ coefficient linear in a single odd generator.  Nilpotent directions admit no
 epsilon limits, so the odd block is extracted exactly, never differenced.
 
 Batching: every check needs several exp values (2m + 1 per Jacobian point,
-v and T Phi v for naturality, v and +-v for linearization).  `_exp_batch`
-groups them by generator count L and integrates each group as the rows of
-one RK4 run on (rows, n, 2^L) arrays, on the chart's kernel for that L.
+v and T Phi v for naturality, v and +-v for linearization), and takes them
+from an `exp` callable with the signature of `_exp_batch`.  By default that
+is `_exp_batch` itself: one batched RK4 run per generator count L on
+(rows, n, 2^L) arrays, on the chart's kernel for that L.  `verify` instead
+builds an `ExpTable` from the rows of every check it will run (each check's
+rows come from one helper, `_jacobian_rows`, `_naturality_rows` or
+`_linearization_rows`, which the check calls too), integrates each distinct
+row once, and passes the table as `exp`; the suite geodesic rides along as
+the one recorded row of the run whose (L, h, steps) it shares (`_shoot`).
 Every row keeps the bits of its serial `exp_at`, so a check reports the
-same numbers batched or not.
+same numbers batched, planned or not.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import SignatureMismatch
-from .geodesics import InitialCondition, _acceleration, _grid, _rk4, \
-    integrate_geodesic
+from .geodesics import InitialCondition, Trajectory, _grid, _paper_run, \
+    _paper_trajectory, integrate_geodesic
 from .geometry import MetricChart, SuperPoint, _chunks
 from .grassmann import GrassmannElement, dim
 from .superexpr import (
@@ -135,27 +141,85 @@ def exp_at(chart: MetricChart, v: TangentFiberPoint, dt: float = 1e-3) -> SuperP
     return traj.position_at(len(traj) - 1)
 
 
+def _shoot(chart: MetricChart, vectors: Sequence[TangentFiberPoint],
+           dt: float, curve: tuple[InitialCondition, float, float] | None = None
+           ) -> tuple[list[SuperPoint], Trajectory | None]:
+    """exp of each of `vectors` and, given `curve` = (ic, t_end, dt), that
+    geodesic as `integrate_geodesic` returns it, in one batched paper-mode
+    run per (L, h, steps) among them.  The curve is a row of the run whose
+    grid it shares and the only row whose samples are recorded."""
+    if any(v.sig != chart.sig for v in vectors):
+        raise SignatureMismatch("tangent vector lives on a different chart")
+    ics = [v.to_initial_condition() for v in vectors]
+    grids = [(v.L, *_grid(1.0, dt)) for v in vectors]
+    curve_row = len(vectors)  # the curve's index in ics and grids, if any
+    if curve is not None:
+        ic, t_end, curve_dt = curve
+        if ic.position.sig != chart.sig:
+            raise SignatureMismatch("initial condition lives on a different chart")
+        ics.append(ic)
+        grids.append((ic.L, *_grid(t_end, curve_dt)))
+    outs: list[SuperPoint | None] = [None] * len(vectors)
+    traj = None
+    for grid in sorted(set(grids)):
+        L, steps, h = grid
+        rows = [r for r, g in enumerate(grids) if g == grid]
+        pos = np.stack([ics[r].position.as_array() for r in rows])
+        vel = np.stack([ics[r].velocity_array() for r in rows])
+        record = rows.index(curve_row) if curve_row in rows else None
+        pos, samples = _paper_run(chart, L, pos, vel, h, steps, record)
+        for r, p in zip(rows, pos):
+            if r != curve_row:
+                outs[r] = SuperPoint.from_array(chart.sig, L, p)
+        if samples is not None:
+            traj = _paper_trajectory(chart, L, t_end, curve_dt, samples)
+    return outs, traj
+
+
 def _exp_batch(chart: MetricChart, vectors: Sequence[TangentFiberPoint],
                dt: float = 1e-3) -> list[SuperPoint]:
     """[exp_at(chart, v, dt) for v in vectors], integrated as one batched RK4
     run per generator count L among them (see the module docstring)."""
-    if any(v.sig != chart.sig for v in vectors):
-        raise SignatureMismatch("tangent vector lives on a different chart")
-    steps, h = _grid(1.0, dt)
-    out: list[SuperPoint | None] = [None] * len(vectors)
-    for L in sorted({v.L for v in vectors}):
-        rows = [r for r, v in enumerate(vectors) if v.L == L]
-        ics = [vectors[r].to_initial_condition() for r in rows]
-        kern = chart.kernel(L)
-        pos = np.stack([ic.position.as_array() for ic in ics])
-        vel = np.stack([ic.velocity_array() for ic in ics])
-        run = _rk4(lambda st: (st[1], _acceleration(kern, *st)), (pos, vel),
-                   h, steps, chart)
-        for (pos, _), _ in run:
-            pass
-        for r, p in zip(rows, pos):
-            out[r] = SuperPoint.from_array(chart.sig, L, p)
-    return out
+    return _shoot(chart, vectors, dt)[0]
+
+
+ExpFn = Callable[[MetricChart, Sequence[TangentFiberPoint], float],
+                 list[SuperPoint]]
+
+
+def _row_key(v: TangentFiberPoint) -> tuple[int, bytes, bytes]:
+    """(L, base bytes, coefficient bytes in signature order): the whole input
+    of an exp row; bytes keep -0.0 apart from 0.0."""
+    return v.L, v.base.tobytes(), v.sig.pack(v.vector).tobytes()
+
+
+class ExpTable:
+    """exp values of planned rows on one chart and grid, each distinct row
+    integrated once, plus an optional recorded geodesic `curve` = (ic,
+    t_end, dt) (see `_shoot`).
+
+    Called like `_exp_batch`, it looks the rows up; a row, chart or dt that
+    was not planned raises `LookupError`, nothing is integrated on demand.
+    """
+
+    def __init__(self, chart: MetricChart, rows: Sequence[TangentFiberPoint],
+                 dt: float,
+                 curve: tuple[InitialCondition, float, float] | None = None):
+        distinct: dict[tuple, TangentFiberPoint] = {}
+        for v in rows:
+            distinct.setdefault(_row_key(v), v)
+        self.chart, self.dt = chart, dt
+        outs, self.curve = _shoot(chart, list(distinct.values()), dt, curve)
+        self._values = dict(zip(distinct, outs))
+
+    def __call__(self, chart: MetricChart, vectors: Sequence[TangentFiberPoint],
+                 dt: float = 1e-3) -> list[SuperPoint]:
+        if chart is not self.chart or dt != self.dt:
+            raise LookupError("exp rows on another chart or grid were not planned")
+        try:
+            return [self._values[_row_key(v)] for v in vectors]
+        except KeyError:
+            raise LookupError("an exp row was not planned") from None
 
 
 # ---------------------------------------------------------------------------
@@ -301,12 +365,13 @@ def _jacobian_report(sig: ChartSignature, q: np.ndarray, h: float, dt: float,
 
 
 def exp_jacobian_checks(chart: MetricChart, points, h: float = 1e-4,
-                        dt: float = 1e-3) -> list[ExpJacobianReport]:
+                        dt: float = 1e-3,
+                        exp: ExpFn | None = None) -> list[ExpJacobianReport]:
     """`exp_jacobian_check` at each body point, with the exp arguments of all
-    the points integrated as one batch."""
+    the points taken from one `exp` call (default `_exp_batch`)."""
     qs = [np.asarray(q, dtype=float).reshape(-1) for q in points]
     rows = [_jacobian_rows(chart.sig, q, h) for q in qs]
-    outs = iter(_exp_batch(chart, [v for r in rows for v in r], dt))
+    outs = iter((exp or _exp_batch)(chart, [v for r in rows for v in r], dt))
     return [_jacobian_report(chart.sig, q, h, dt, [next(outs) for _ in r])
             for q, r in zip(qs, rows)]
 
@@ -429,16 +494,29 @@ class NaturalityReport:
         return self.max_dev <= self.tolerance
 
 
+def _naturality_rows(chart: MetricChart, phi: SuperMorphism, q,
+                     vectors: Sequence[TangentFiberPoint]
+                     ) -> list[TangentFiberPoint]:
+    """The exp arguments of `naturality_check`: the vectors v at q, then
+    T_q Phi v at Phi(q)."""
+    T = numerical_tangent_map(phi, q)
+    q_img = body_image(phi, q)
+    return [*vectors, *(TangentFiberPoint(chart.sig, v.L, q_img,
+                                          T.apply(v.vector, v.L))
+                        for v in vectors)]
+
+
 def naturality_check(chart: MetricChart, phi: SuperMorphism, q,
                      vectors: Sequence[TangentFiberPoint], dt: float = 1e-3,
                      tolerance: float = 1e-6,
                      isometry_samples: Sequence[SuperPoint] | None = None,
-                     require_isometry: bool = True) -> NaturalityReport:
+                     require_isometry: bool = True,
+                     exp: ExpFn | None = None) -> NaturalityReport:
     """Compare Phi(exp_q(v)) with exp_{Phi(q)}(T_q Phi v) on test vectors.
 
     With `require_isometry` the morphism must first pass the coordinate
     isometry condition; pass False to measure the deviation of a negative
-    control.
+    control.  The exp values come from `exp` (default `_exp_batch`).
     """
     L = vectors[0].L if vectors else 0
     if isometry_samples is None:
@@ -447,11 +525,8 @@ def naturality_check(chart: MetricChart, phi: SuperMorphism, q,
     if require_isometry and not iso.passed:
         raise ValueError(
             f"morphism fails the isometry condition (dev {iso.max_dev:.3g})")
-    T = numerical_tangent_map(phi, q)
-    q_img = body_image(phi, q)
-    mapped = [TangentFiberPoint(chart.sig, v.L, q_img, T.apply(v.vector, v.L))
-              for v in vectors]
-    outs = _exp_batch(chart, [*vectors, *mapped], dt)
+    outs = (exp or _exp_batch)(chart, _naturality_rows(chart, phi, q, vectors),
+                               dt)
     devs = [_max_dev(chart.sig, apply_morphism(phi, out), rhs)
             for out, rhs in zip(outs, outs[len(vectors):])]
     return NaturalityReport(iso.max_dev, devs, tolerance)
@@ -474,16 +549,24 @@ class LinearizationReport:
         return self.hypotheses_met and self.max_dev <= self.tolerance
 
 
+def _linearization_rows(vectors: Sequence[TangentFiberPoint],
+                        tangent_sign: float) -> list[TangentFiberPoint]:
+    """The exp arguments of `linearization_test`: v, then tangent_sign * v."""
+    return [*vectors, *(v.scaled(tangent_sign) for v in vectors)]
+
+
 def linearization_test(chart: MetricChart, phi: SuperMorphism, q,
                        vectors: Sequence[TangentFiberPoint], dt: float = 1e-3,
                        tangent_sign: float = 1.0,
-                       tolerance: float = 1e-6) -> LinearizationReport:
+                       tolerance: float = 1e-6,
+                       exp: ExpFn | None = None) -> LinearizationReport:
     """Computable content of faithful linearization on a single chart.
 
     Gates, in order: the isometry condition, the fixed body point, and
     T_q Phi = tangent_sign * id.  With sign +1 the check is
     Phi(exp_q(v)) = exp_q(v); with sign -1 (a candidate geodesic symmetry)
-    it is Phi(exp_q(v)) = exp_q(-v).
+    it is Phi(exp_q(v)) = exp_q(-v).  The exp values come from `exp`
+    (default `_exp_batch`).
     """
     L = vectors[0].L if vectors else 0
     samples = probe_points(chart, q, max(L, min(chart.sig.n_odd, 2)))
@@ -502,8 +585,8 @@ def linearization_test(chart: MetricChart, phi: SuperMorphism, q,
         return LinearizationReport(
             False, f"tangent map differs from {tangent_sign:+g}*id "
             f"(dev {t_dev:.3g})", np.inf, tolerance)
-    outs = _exp_batch(chart, [*vectors, *(v.scaled(tangent_sign) for v in vectors)],
-                      dt)
+    outs = (exp or _exp_batch)(chart, _linearization_rows(vectors, tangent_sign),
+                               dt)
     dev = max((_max_dev(chart.sig, apply_morphism(phi, out), rhs)
                for out, rhs in zip(outs, outs[len(vectors):])), default=0.0)
     return LinearizationReport(True, "", dev, tolerance)

@@ -15,7 +15,9 @@ expanded system is a smooth real ODE, so the integration is deterministic):
 
 Both modes, the cotangent flow and the batched exponential map step through
 the one RK4 loop `_rk4`, which also turns a failing stage or a non-finite
-state into a typed error that names t.
+state into a typed error that names t.  Every paper-mode run, a serial
+`integrate_geodesic` or a batch of exp rows with one recorded curve among
+them, is one `_paper_run`.
 
 The diagnostics along a curve (covariant derivatives, `metric_speed`) run
 batched, one kernel call per chunk of samples (`geometry._chunks`).
@@ -151,11 +153,14 @@ def _grid(t_end: float, dt: float) -> tuple[int, float]:
 
 
 def _check_domain(chart: MetricChart, pos: np.ndarray, t: float) -> None:
-    """Every batch row of `pos` (..., n, 2^L) has its body in the chart box."""
+    """Every batch row of `pos` (..., n, 2^L) has its body in the chart box;
+    the error names the first row that has not."""
     m = chart.sig.n_even
-    for body in pos[..., :m, 0].reshape(-1, m):
-        if not chart.domain_contains(body):
-            raise LeftDomain(f"body {body} left the chart domain at t={t:g}")
+    bodies = pos[..., :m, 0].reshape(-1, m)
+    outside = chart.outside_domain(bodies)
+    if outside.any():
+        raise LeftDomain(f"body {bodies[outside.argmax()]} left the chart "
+                         f"domain at t={t:g}")
 
 
 # what a stage may raise: a function evaluated outside its domain, or a
@@ -190,15 +195,16 @@ def _rk4(rhs, state: tuple[np.ndarray, ...], h: float, steps: int,
     new state is not finite; each names the t the step started from.
     """
     _check_domain(chart, state[0], 0.0)
+    half, sixth = 0.5 * h, h / 6.0
     s = 0
     try:
         for s in range(steps):
             k1 = rhs(state)
             yield state, k1
-            k2 = rhs(tuple(x + 0.5 * h * k for x, k in zip(state, k1)))
-            k3 = rhs(tuple(x + 0.5 * h * k for x, k in zip(state, k2)))
+            k2 = rhs(tuple(x + half * k for x, k in zip(state, k1)))
+            k3 = rhs(tuple(x + half * k for x, k in zip(state, k2)))
             k4 = rhs(tuple(x + h * k for x, k in zip(state, k3)))
-            state = tuple(x + (h / 6.0) * (a + 2.0 * b + 2.0 * c + d)
+            state = tuple(x + sixth * (a + 2.0 * b + 2.0 * c + d)
                           for x, a, b, c, d in zip(state, k1, k2, k3, k4))
             if not all(np.isfinite(x).all() for x in state):
                 raise IntegrationFailure(
@@ -209,28 +215,48 @@ def _rk4(rhs, state: tuple[np.ndarray, ...], h: float, steps: int,
     yield state, None
 
 
+def _paper_run(chart: MetricChart, L: int, pos: np.ndarray, vel: np.ndarray,
+               h: float, steps: int, record=None):
+    """One paper-mode RK4 run from positions and velocities (..., n, 2^L).
+
+    Returns the final positions and, if `record` indexes one state of the
+    leading axes (`()` for an unbatched state), the (positions, velocities)
+    of that state at every sample; no other state is recorded.
+    """
+    kern = chart.kernel(L)
+    run = _rk4(lambda st: (st[1], _acceleration(kern, *st)), (pos, vel), h,
+               steps, chart)
+    if record is None:
+        for (pos, _), _ in run:
+            pass
+        return pos, None
+    positions = np.empty((steps + 1,) + pos[record].shape)
+    velocities = np.empty(positions.shape)
+    for s, ((pos, vel), _) in enumerate(run):
+        positions[s], velocities[s] = pos[record], vel[record]
+    return pos, (positions, velocities)
+
+
+def _paper_trajectory(chart: MetricChart, L: int, t_end: float, dt: float,
+                      samples: tuple[np.ndarray, np.ndarray]) -> Trajectory:
+    """The `Trajectory` of a recorded paper-mode run on the grid of
+    (t_end, dt)."""
+    steps, h = _grid(t_end, dt)
+    return Trajectory(chart.sig, L, np.arange(steps + 1) * h, *samples,
+                      metadata={"dt": h, "requested_dt": dt, "t_end": t_end,
+                                "mode": "paper", "metric": chart.name})
+
+
 def integrate_geodesic(chart: MetricChart, ic: InitialCondition,
                        t_end: float, dt: float) -> Trajectory:
     """Fixed-step RK4 for the supergeodesic equation; deterministic output."""
     if ic.position.sig != chart.sig:
         raise SignatureMismatch("initial condition lives on a different chart")
     steps, h = _grid(t_end, dt)
-    kern = chart.kernel(ic.L)
-    n, D = kern.n, kern.D
     pos = ic.position.as_array().astype(float)
     vel = ic.velocity_array().astype(float)
-
-    ts = np.arange(steps + 1) * h
-    positions = np.empty((steps + 1, n, D))
-    velocities = np.empty((steps + 1, n, D))
-    run = _rk4(lambda st: (st[1], _acceleration(kern, *st)), (pos, vel), h,
-               steps, chart)
-    for s, ((pos, vel), _) in enumerate(run):
-        positions[s], velocities[s] = pos, vel
-
-    return Trajectory(chart.sig, ic.L, ts, positions, velocities,
-                      metadata={"dt": h, "requested_dt": dt, "t_end": t_end,
-                                "mode": "paper", "metric": chart.name})
+    _, samples = _paper_run(chart, ic.L, pos, vel, h, steps, record=())
+    return _paper_trajectory(chart, ic.L, t_end, dt, samples)
 
 
 def _goertsches_rhs(kern: _Kernel, even_idx, odd_idx, pos, vel_even):

@@ -136,6 +136,11 @@ class MetricChart:
                 raise ValueError(f"empty domain for {name_!r}")
             dom[name_] = (lo, hi)
         self.domain = dom
+        # the bounded even slots and their bounds, for `outside_domain`
+        boxed = [i for i, name_ in enumerate(sig.even_names) if name_ in dom]
+        self._box = (np.array(boxed, dtype=int),
+                     np.array([dom[sig.even_names[i]][0] for i in boxed]),
+                     np.array([dom[sig.even_names[i]][1] for i in boxed]))
         self._dg: tuple | None = None
         self._kernels: dict[int, _Kernel] = {}
 
@@ -157,12 +162,16 @@ class MetricChart:
             self._kernels[L] = k
         return k
 
+    def outside_domain(self, bodies: np.ndarray) -> np.ndarray:
+        """Per row of `bodies` (rows, n_even): whether some bounded even
+        coordinate is not strictly inside its interval."""
+        idx, lo, hi = self._box
+        b = bodies[:, idx]
+        return ~((lo < b) & (b < hi)).all(axis=1)
+
     def domain_contains(self, body_even: np.ndarray) -> bool:
-        for i, name in enumerate(self.sig.even_names):
-            box = self.domain.get(name)
-            if box is not None and not box[0] < body_even[i] < box[1]:
-                return False
-        return True
+        body = np.asarray(body_even, dtype=float).reshape(1, -1)
+        return not self.outside_domain(body)[0]
 
     def check_point(self, p: SuperPoint) -> None:
         if p.sig != self.sig:
@@ -235,7 +244,10 @@ class _Kernel:
                     else:
                         self._dg_const[a, i, j] = eval_dense(e, {}, L)
         self.is_flat = not self._dg_live and not self._dg_const.any()
+        self._diag = (Ellipsis, np.arange(n), np.arange(n), 0)
         self._ginv_const = self.inverse(self._g_const) if not self._g_live else None
+        self._bracket_const = (self._make_bracket(self._dg_const)
+                               if not self._dg_live else None)
         for arr in (self._g_const, self._dg_const):
             arr.flags.writeable = False
 
@@ -277,7 +289,7 @@ class _Kernel:
             raise SingularBody(f"metric body is singular: {exc}") from exc
         n, D = self.n, self.D
         rows = G.shape[:-3]
-        diag = (Ellipsis, np.arange(n), np.arange(n), 0)
+        diag = self._diag
         N = (body_inv @ G.reshape(rows + (n, n * D))).reshape(G.shape)
         N[diag] -= 1.0
         X = np.zeros(G.shape)
@@ -299,6 +311,14 @@ class _Kernel:
             return self._ginv_const
         return self.inverse(self.eval_metric(env))
 
+    def _make_bracket(self, dG: np.ndarray) -> np.ndarray:
+        """[i,j,l] = d_i g_jl + (-1)^{|i||j|} d_j g_il
+        - (-1)^{|l|(|i|+|j|)} d_l g_ij, the bracket of the Christoffel
+        symbols (module docstring), from dG[..., a, i, j] = d_a g_ij."""
+        t2 = dG.transpose(_last_axes(dG.ndim, (1, 0, 2, 3)))  # [i,j,l] <- d_j g_il
+        t3 = dG.transpose(_last_axes(dG.ndim, (1, 2, 0, 3)))  # [i,j,l] <- d_l g_ij
+        return dG + self.s1[:, :, None, None] * t2 - self.s2[:, :, :, None] * t3
+
     def christoffel(self, env: Mapping[str, np.ndarray],
                     ginv: np.ndarray | None = None) -> np.ndarray:
         """Christoffel table as a (..., n, n, n, 2^L) array indexed [k, i, j]."""
@@ -306,11 +326,9 @@ class _Kernel:
             return np.zeros((self.n, self.n, self.n, self.D))
         if ginv is None:
             ginv = self.metric_inverse(env)
-        dG = self.eval_dmetric(env)
-        t2 = dG.transpose(_last_axes(dG.ndim, (1, 0, 2, 3)))  # [i,j,l] <- d_j g_il
-        t3 = dG.transpose(_last_axes(dG.ndim, (1, 2, 0, 3)))  # [i,j,l] <- d_l g_ij
-        bracket = (dG + self.s1[:, :, None, None] * t2
-                   - self.s2[:, :, :, None] * t3)
+        bracket = self._bracket_const
+        if bracket is None:
+            bracket = self._make_bracket(self.eval_dmetric(env))
         tmp = batched_mul(bracket[..., None, :], ginv[..., None, None, :, :, :],
                           self.L)
         gamma = 0.5 * tmp.sum(axis=-3)  # [i,j,k,D]

@@ -218,6 +218,7 @@ class Expr:
 class Const(Expr):
     def __init__(self, value: float):
         self.value = float(value)
+        self._dense: dict[int, np.ndarray] = {}  # L -> read-only value
 
     def parity(self):
         return Parity.EVEN
@@ -229,8 +230,12 @@ class Const(Expr):
         return Const(0.0)
 
     def _eval(self, env, L):
-        out = np.zeros(dim(L))
-        out[0] = self.value
+        out = self._dense.get(L)
+        if out is None:
+            out = np.zeros(dim(L))
+            out[0] = self.value
+            out.flags.writeable = False
+            self._dense[L] = out
         return out
 
     def subst(self, mapping):

@@ -17,6 +17,18 @@ and the graded function-linearity of the pairing
              + sum_l (-1)^{|j|(|k|+|l|)} Gamma^l_ik * g_jl .
 
 This signed expansion is fixed here once and checked at random points.
+
+Verify as one plan
+------------------
+`Fixtures` decodes a model's verify data before any suite runs.  On first
+use, `Fixtures.exp` lists every exp row the requested suites need (the
+Jacobian rows of the exp suite; the naturality and linearization rows of
+the isometry suite) and, for the geodesic and flow suites, the suite
+geodesic.  It integrates each distinct row once, in one batched paper-mode
+run per (L, h, steps), with the suite geodesic as the one recorded row of
+the run whose grid it shares (`expmap.ExpTable`).  The checks read their
+exp values from that table.  Only the determinism re-runs, the flow and the
+classical oracles integrate on their own.
 """
 
 from __future__ import annotations
@@ -36,6 +48,11 @@ from .cotangent import (
 )
 from .errors import ModelError
 from .expmap import (
+    ExpTable,
+    TangentFiberPoint,
+    _jacobian_rows,
+    _linearization_rows,
+    _naturality_rows,
     exp_jacobian_checks,
     isometry_check,
     linearization_test,
@@ -82,6 +99,9 @@ TOLERANCES: dict[str, float] = {
 }
 
 SUITES = ("metric", "geodesic", "flow", "exp", "isometry")
+
+# finite-difference step of the even rows of the exp Jacobian
+_JACOBIAN_H = 1e-4
 
 
 @dataclass
@@ -143,13 +163,15 @@ def random_superpoint(chart: MetricChart, L: int, rng: np.random.Generator,
 
 
 class Fixtures:
-    """A model's verify fixtures, decoded before any suite runs (a bad one
-    raises `ModelError`); the body geometry and the suite geodesic are built
-    on first use and shared by every suite."""
+    """A model's verify fixtures for the `suites` that will run, decoded
+    before any suite runs (a bad one raises `ModelError`); the body geometry
+    and the planned integrations (`exp`, `geodesic`) are built on first use
+    and shared by every suite."""
 
-    def __init__(self, model: ModelFile):
+    def __init__(self, model: ModelFile, suites=SUITES):
         cfg, sig = model.verify_config, model.sig
         self.model, self.chart = model, model.chart
+        self.suites = frozenset(suites)
         name = cfg.get("ic")
         self.ic: InitialCondition | None = (
             model.initial_condition(name) if name
@@ -177,9 +199,40 @@ class Fixtures:
         return reduce_body(self.chart)
 
     @cached_property
+    def exp(self) -> ExpTable:
+        """Every exp row of the planned suites, and the suite geodesic if the
+        geodesic or flow suite is planned, integrated once (module
+        docstring)."""
+        rows: list[TangentFiberPoint] = []
+        if "exp" in self.suites:
+            for q in self.exp_points:
+                rows += _jacobian_rows(self.chart.sig, q, _JACOBIAN_H)
+        if "isometry" in self.suites:
+            rows += _isometry_rows(self)
+        curve = ((self.run_ic(), self.t_end, self.dt)
+                 if self.suites & {"geodesic", "flow"} else None)
+        return ExpTable(self.chart, rows, self.dt, curve)
+
+    @property
     def geodesic(self) -> Trajectory:
-        return integrate_geodesic(self.chart, self.run_ic(), self.t_end,
-                                  self.dt)
+        if self.exp.curve is None:
+            raise LookupError("the suite geodesic was not planned")
+        return self.exp.curve
+
+
+def _isometry_rows(fx: Fixtures) -> list[TangentFiberPoint]:
+    """The exp rows of `run_isometry_suite`, from the row helpers of the
+    checks it runs."""
+    cfg = fx.model.verify_config
+    rows: list[TangentFiberPoint] = []
+    if fx.vectors:
+        for name in (*cfg.get("isometries", []),
+                     *cfg.get("negative_controls", [])):
+            rows += _naturality_rows(fx.chart, fx.model.morphism(name),
+                                     fx.base, fx.vectors)
+    if cfg.get("point_symmetries"):
+        rows += _linearization_rows(fx.vectors, -1.0)
+    return rows + _linearization_rows(fx.vectors, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +447,8 @@ def run_exp_suite(fx: Fixtures,
     checks: list[Check] = []
     even_dev = 0.0
     odd_dev = 0.0
-    for rep in exp_jacobian_checks(chart, fx.exp_points, h=1e-4, dt=fx.dt):
+    for rep in exp_jacobian_checks(chart, fx.exp_points, h=_JACOBIAN_H,
+                                   dt=fx.dt, exp=fx.exp):
         even_dev = max(even_dev, rep.even_dev)
         odd_dev = max(odd_dev, rep.odd_dev)
     checks.append(_bounded(model, overrides, "exp_identity_even", even_dev,
@@ -433,7 +487,7 @@ def run_isometry_suite(fx: Fixtures,
         if vectors:
             nat = naturality_check(chart, phi, base, vectors, dt=dt,
                                    tolerance=nat_tol,
-                                   isometry_samples=samples)
+                                   isometry_samples=samples, exp=fx.exp)
             checks.append(Check(f"naturality[{name}]", nat.passed,
                                 nat.max_dev, nat_tol))
 
@@ -444,7 +498,7 @@ def run_isometry_suite(fx: Fixtures,
         if vectors:
             nat = naturality_check(chart, phi, base, vectors, dt=dt,
                                    isometry_samples=samples,
-                                   require_isometry=False)
+                                   require_isometry=False, exp=fx.exp)
             dev = nat.max_dev
         ok = (not iso.passed) and (not vectors or dev > neg_min)
         checks.append(Check(f"negative_control[{name}]", ok, dev, neg_min,
@@ -456,14 +510,16 @@ def run_isometry_suite(fx: Fixtures,
         rep = linearization_test(chart, phi, base, vectors, dt=dt,
                                  tangent_sign=-1.0,
                                  tolerance=_tol(model, overrides,
-                                                "geodesic_symmetry"))
+                                                "geodesic_symmetry"),
+                                 exp=fx.exp)
         checks.append(Check(f"geodesic_symmetry[{name}]", rep.passed,
                             rep.max_dev, rep.tolerance, rep.reason))
 
     identity = SuperMorphism.identity(chart.sig)
     rep = linearization_test(chart, identity, base, vectors, dt=dt,
                              tolerance=_tol(model, overrides,
-                                            "identity_linearization"))
+                                            "identity_linearization"),
+                             exp=fx.exp)
     checks.append(Check("identity_linearization", rep.passed, rep.max_dev,
                         rep.tolerance, rep.reason))
     return checks
@@ -487,7 +543,7 @@ def run_suites(model: ModelFile, suites=("all",),
     if unknown:
         raise ModelError(f"unknown suites {sorted(unknown)}; "
                          f"choose from {('all',) + SUITES}")
-    fx = Fixtures(model)
+    fx = Fixtures(model, wanted)
     report: dict = {"model": model.name, "suites": {}, "passed": True}
     for suite in wanted:
         checks = _SUITE_RUNNERS[suite](fx, overrides)

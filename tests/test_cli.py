@@ -6,7 +6,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from supergeodesics import verify
+from supergeodesics import geodesics, verify
 from supergeodesics.cli import main
 from supergeodesics.model import load_model
 
@@ -322,9 +322,10 @@ class TestVerifyCommand:
     @pytest.mark.parametrize("suites, runs", [(("geodesic", "flow"), 2),
                                               (("flow",), 1)])
     def test_suite_geodesic_integrated_once(self, monkeypatch, suites, runs):
-        # the flow suite's round trip reuses the suite geodesic; the
-        # geodesic suite's determinism check integrates it once more
-        calls = count_calls(monkeypatch, verify, "integrate_geodesic")
+        # paper-mode RK4 runs: the suite geodesic is one planned run that
+        # the flow suite's round trip reuses; the geodesic suite's
+        # determinism check integrates it once more, serially
+        calls = count_calls(monkeypatch, geodesics, "_rk4")
         report = verify.run_suites(load_model("flat_r12"), suites)
         assert report["passed"] is True
         assert len(calls) == runs

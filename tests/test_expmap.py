@@ -20,8 +20,9 @@ from supergeodesics.expmap import (
     tangent_map,
     tangent_map_matrix,
 )
-from supergeodesics import expmap
+from supergeodesics import expmap, geodesics
 from supergeodesics.errors import LeftDomain
+from supergeodesics.geodesics import integrate_geodesic
 from supergeodesics.expmap import _exp_batch, _jacobian_rows
 from supergeodesics.geometry import MetricChart, SuperPoint, metric_validate
 from supergeodesics.grassmann import GrassmannElement as G, mask_parity
@@ -360,13 +361,113 @@ class TestBatchedExp:
 
     @pytest.mark.parametrize("name", bundled_models())
     def test_suites_match_serial_reference(self, name, monkeypatch):
-        # the same suites with every exp value integrated on its own
-        model = load_model(name)
-        model = dataclasses.replace(model, defaults={**model.defaults, "dt": 1e-2})
-        batched = run_suites(model, ("exp", "isometry"))
+        # the same suites with every exp value and the suite geodesic
+        # integrated on their own
+        model = coarse(name)
+        batched = run_suites(model, ("all",))
+        calls = []
 
-        def serial(chart, vectors, dt=1e-3):
-            return [exp_at(chart, v, dt) for v in vectors]
+        def serial(chart, vectors, dt, curve=None):
+            calls.append((len(vectors), curve))
+            return ([exp_at(chart, v, dt) for v in vectors],
+                    None if curve is None else integrate_geodesic(chart, *curve))
 
-        monkeypatch.setattr(expmap, "_exp_batch", serial)
-        assert run_suites(model, ("exp", "isometry")) == batched
+        monkeypatch.setattr(expmap, "_shoot", serial)
+        assert run_suites(model, ("all",)) == batched
+        # the planner went through the serial reference, once
+        assert len(calls) == 1 and calls[0][0] > 0 and calls[0][1] is not None
+
+
+def coarse(name):
+    """A bundled model at dt = 1e-2."""
+    model = load_model(name)
+    return dataclasses.replace(model, defaults={**model.defaults, "dt": 1e-2})
+
+
+def paper_runs(monkeypatch):
+    """Record the initial state of every paper-mode RK4 run (the flow
+    steps through `_rk4` of its own module and is not recorded)."""
+    runs = []
+    inner = geodesics._rk4
+
+    def recorded(rhs, state, h, steps, chart):
+        runs.append(state)
+        return inner(rhs, state, h, steps, chart)
+
+    monkeypatch.setattr(geodesics, "_rk4", recorded)
+    return runs
+
+
+def state_keys(L, pos, vel):
+    """One key per row of a batched (or unbatched) initial state."""
+    pos, vel = pos.reshape(-1, *pos.shape[-2:]), vel.reshape(-1, *vel.shape[-2:])
+    return [(L, p.tobytes(), v.tobytes()) for p, v in zip(pos, vel)]
+
+
+def row_key(v):
+    ic = v.to_initial_condition()
+    return state_keys(v.L, ic.position.as_array(), ic.velocity_array())[0]
+
+
+class TestVerifyPlan:
+    @pytest.mark.parametrize("name, runs", [("c1x_r12", 3), ("diag_x2", 2),
+                                            ("flat_r12", 3), ("flat_r22", 3)])
+    def test_paper_runs_per_model(self, name, runs, monkeypatch):
+        # one planned run per (L, grid) plus the serial determinism re-run
+        recorded = paper_runs(monkeypatch)
+        run_suites(coarse(name), ("all",))
+        assert len(recorded) == runs
+
+    @pytest.mark.parametrize("name", bundled_models())
+    def test_every_planned_row_integrated_once(self, name, monkeypatch):
+        model = coarse(name)
+        asked = []
+        lookup = expmap.ExpTable.__call__
+
+        def asking(table, chart, vectors, dt=1e-3):
+            asked.extend(row_key(v) for v in vectors)
+            return lookup(table, chart, vectors, dt)
+
+        monkeypatch.setattr(expmap.ExpTable, "__call__", asking)
+        recorded = paper_runs(monkeypatch)
+        run_suites(model, ("all",))
+        batched = [st for st in recorded if st[0].ndim == 3]
+        assert len(batched) == len(recorded) - 1  # the determinism re-run
+        rows = [k for st in batched
+                for k in state_keys(int(np.log2(st[0].shape[-1])), *st)]
+        ic = Fixtures(model).run_ic()
+        curve = state_keys(ic.L, ic.position.as_array(), ic.velocity_array())[0]
+        assert len(rows) == len(set(rows))
+        assert sorted(rows) == sorted(set(asked) | {curve})
+
+    def test_metric_suite_integrates_nothing(self, monkeypatch):
+        recorded = paper_runs(monkeypatch)
+        for name in bundled_models():
+            run_suites(coarse(name), ("metric",))
+        assert recorded == []
+
+    @pytest.mark.parametrize("name", bundled_models())
+    def test_exp_suite_integrates_jacobian_rows_only(self, name, monkeypatch):
+        model = coarse(name)
+        recorded = paper_runs(monkeypatch)
+        run_suites(model, ("exp",))
+        rows = {k for st in recorded
+                for k in state_keys(int(np.log2(st[0].shape[-1])), *st)}
+        fx = Fixtures(model)
+        want = {row_key(v) for q in fx.exp_points
+                for v in _jacobian_rows(model.sig, q, 1e-4)}
+        assert rows == want
+        assert len(recorded) == len({k[0] for k in want})
+
+    def test_unplanned_row_raises(self):
+        model = coarse("c1x_r12")
+        fx = Fixtures(model, ("isometry",))
+        v = fx.vectors[0]
+        assert fx.exp(model.chart, [v], fx.dt) == fx.exp(model.chart, [v],
+                                                          fx.dt)
+        with pytest.raises(LookupError):
+            fx.exp(model.chart, [v.scaled(0.5)], fx.dt)
+        with pytest.raises(LookupError):
+            fx.exp(model.chart, [v], 2 * fx.dt)
+        with pytest.raises(LookupError):
+            fx.geodesic

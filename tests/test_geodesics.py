@@ -1,5 +1,7 @@
 """Geodesic integration in both modes, covariant derivatives, conservation."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -166,6 +168,34 @@ class TestStepperGuard:
         for run in runs:
             with pytest.raises(LeftDomain, match="at t=0$"):
                 run()
+
+    def test_first_row_outside_is_named(self, diag_x2):
+        # rows 1 and 2 start outside x > 0.2, row 0 inside
+        rows = [TangentFiberPoint(diag_x2.sig, 0, base, {"x": G.from_scalar(vx, 0)})
+                for base, vx in (([1.0, 0.0], 0.0), ([0.1, 0.5], 0.0),
+                                 ([0.15, 0.0], 0.0))]
+        body = np.array([0.1, 0.5])
+        with pytest.raises(LeftDomain, match=re.escape(
+                f"body {body} left the chart domain at t=0") + "$"):
+            _exp_batch(diag_x2, rows, 1e-2)
+        rows = [TangentFiberPoint(diag_x2.sig, 0, [1.0, 0.0],
+                                  {"x": G.from_scalar(vx, 0)})
+                for vx in (0.0, -85.0, -95.0)]
+        # rows 1 and 2 leave in the first step, to x = 0.15 and 0.05
+        with pytest.raises(LeftDomain, match=r"body \[0\.15\d* .*at t=0\.01$"):
+            _exp_batch(diag_x2, rows, 1e-2)
+
+    def test_box_comparison_matches_per_coordinate_rule(self, rng):
+        sig = ChartSignature(("x", "y", "z"), ("th",))
+        chart = MetricChart(sig, [["1", "0", "0", "0"], ["0", "1", "0", "0"],
+                                  ["0", "0", "1", "0"], ["0", "0", "0", "0"]],
+                            {"x": (-1.0, 1.0), "z": (0.0, 2.0)})
+        special = [-1.0, 1.0, 0.0, 2.0, np.nan, np.inf, -np.inf]
+        bodies = rng.uniform(-3.0, 3.0, (400, 3))
+        bodies[rng.random(bodies.shape) < 0.2] = rng.choice(special, 1)
+        want = [not (-1.0 < x < 1.0 and 0.0 < z < 2.0) for x, _, z in bodies]
+        assert chart.outside_domain(bodies).tolist() == want
+        assert [not chart.domain_contains(b) for b in bodies] == want
 
     @pytest.fixture(scope="class")
     def blowup(self):

@@ -21,6 +21,7 @@ from supergeodesics.superexpr import (
     SuperMorphism,
     add,
     compose,
+    eval_dense,
     evaluate,
     fun,
     mul,
@@ -235,6 +236,16 @@ class TestEvaluation:
         # log(2 + s) = log 2 + s/2 (higher soul powers vanish)
         expect = np.log(2.0) + 0.25 * G.basis(0b11, 2)
         assert v.equals(expect, 1e-15)
+
+    def test_constant_value_cached_read_only(self):
+        # one read-only array per (constant, L); -0.0 keeps its sign bit
+        for value in (2.5, -0.0):
+            c = Const(value)
+            for L in (0, 2):
+                out = eval_dense(c, {}, L)
+                assert eval_dense(c, {}, L) is out
+                assert not out.flags.writeable
+                assert out.tobytes() == np.r_[value, np.zeros(dim(L) - 1)].tobytes()
 
 
 class TestMorphisms:
