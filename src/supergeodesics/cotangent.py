@@ -100,18 +100,23 @@ def energy_at(chart: MetricChart, s: PhasePoint) -> GrassmannElement:
 
 def _xh(kern: _Kernel, pos: np.ndarray, mom: np.ndarray):
     """Component equations of the Hamiltonian field at a phase point."""
-    env = kern.env(pos)
-    ginv = kern.metric_inverse(env)
+    ginv, dG = kern.fields(kern.env(pos))
     qdot = _sharp_arrays(kern, ginv, mom)  # dq_i = sum_j p_j * g^{ji}
     if kern.is_flat:
         return qdot, np.zeros_like(mom)
-    dginv = kern.dginv(env, ginv)  # [a,k,j] = d_a g^{kj}
+    dginv = kern.dginv(ginv, dG)  # [a,k,j] = d_a g^{kj}
     # dp_i = -1/2 sum_{k,j} (-1)^{|q_i||q_k|} p_k * d_i(g^{kj}) * p_j
     u = batched_mul(mom[..., None, :, None, :], dginv, kern.L)  # p_k d_i g^{kj}
     u = batched_mul(u, mom[..., None, None, :, :], kern.L)      # [i,k,j] *= p_j
     u = kern.s1[:, :, None, None] * u                           # (-1)^{|i||k|}
     pdot = -0.5 * u.sum(axis=(-3, -2))
     return qdot, pdot
+
+
+def _flow_rhs(kern: _Kernel, st: np.ndarray) -> np.ndarray:
+    """d/dt of the flow state (pos, mom), one (..., 2n, 2^L) array."""
+    n = kern.n
+    return np.concatenate(_xh(kern, st[..., :n, :], st[..., n:, :]), axis=-2)
 
 
 def xh_at(chart: MetricChart, s: PhasePoint):
@@ -133,16 +138,15 @@ def integrate_flow(chart: MetricChart, I: PhasePoint,
         raise SignatureMismatch("initial condition lives on a different chart")
     steps, h = _grid(t_end, dt)
     kern = chart.kernel(I.L)
-    n, D = kern.n, kern.D
-    pos = I.position.as_array().astype(float)
-    mom = I.momentum_array().astype(float)
-
+    n = kern.n
+    state = np.concatenate((I.position.as_array(), I.momentum_array()),
+                           axis=-2).astype(float)
+    samples = np.empty((steps + 1, 2 * n, kern.D))
+    run = _rk4(lambda st: _flow_rhs(kern, st), state, h, steps, chart)
+    for s, (st, _) in enumerate(run):
+        samples[s] = st
     ts = np.arange(steps + 1) * h
-    positions = np.empty((steps + 1, n, D))
-    momenta = np.empty((steps + 1, n, D))
-    run = _rk4(lambda st: _xh(kern, *st), (pos, mom), h, steps, chart)
-    for s, ((pos, mom), _) in enumerate(run):
-        positions[s], momenta[s] = pos, mom
+    positions, momenta = samples[:, :n].copy(), samples[:, n:].copy()
 
     return FlowState(chart.sig, I.L, ts, positions, momenta,
                      metadata={"dt": h, "requested_dt": dt, "t_end": t_end,

@@ -19,6 +19,18 @@ state into a typed error that names t.  Every paper-mode run, a serial
 `integrate_geodesic` or a batch of exp rows with one recorded curve among
 them, is one `_paper_run`.
 
+State layout: `_rk4` advances one array of shape (..., k, 2^L), so a stage
+and the step's combination are one numpy expression each.  Along the
+coordinate axis its first n rows are the positions, followed by
+
+* paper mode: the n velocities (k = 2n);
+* Goertsches mode: the m velocities of the even coordinates (k = n + m);
+* the cotangent flow: the n momenta (k = 2n).
+
+A right-hand side returns the derivative in the same layout.  Elementwise
+IEEE arithmetic does not depend on how the rows are laid out, so no
+coefficient's bits depend on the layout either.
+
 The diagnostics along a curve (covariant derivatives, `metric_speed`) run
 batched, one kernel call per chunk of samples (`geometry._chunks`).
 """
@@ -152,11 +164,16 @@ def _grid(t_end: float, dt: float) -> tuple[int, float]:
     return steps, t_end / steps
 
 
-def _check_domain(chart: MetricChart, pos: np.ndarray, t: float) -> None:
-    """Every batch row of `pos` (..., n, 2^L) has its body in the chart box;
-    the error names the first row that has not."""
+def _check_domain(chart: MetricChart, state: np.ndarray, t: float) -> None:
+    """Every batch row of `state` (..., k, 2^L), whose first rows along the
+    coordinate axis are positions, has its body in the chart box; the error
+    names the first row that has not."""
+    idx, lo, hi = chart._box
+    b = state[..., idx, 0]
+    if ((lo < b) & (b < hi)).all():
+        return
     m = chart.sig.n_even
-    bodies = pos[..., :m, 0].reshape(-1, m)
+    bodies = state[..., :m, 0].reshape(-1, m)
     outside = chart.outside_domain(bodies)
     if outside.any():
         raise LeftDomain(f"body {bodies[outside.argmax()]} left the chart "
@@ -176,14 +193,14 @@ def _stage_error(exc: Exception, t: float) -> SuperGeometryError:
                               f"{type(exc).__name__}: {exc}")
 
 
-def _rk4(rhs, state: tuple[np.ndarray, ...], h: float, steps: int,
-         chart: MetricChart):
+def _rk4(rhs, state: np.ndarray, h: float, steps: int, chart: MetricChart):
     """Classical fixed-step RK4, the one stepper behind every integrator.
 
-    `state` is a tuple of arrays whose first entry holds the positions on
-    `chart`, and `rhs(state)` returns their derivatives as a tuple of arrays.
-    Arrays may carry leading batch axes: each row then gets exactly the
-    arithmetic of its own serial run.  Yields (state, k1) at t = s * h for
+    `state` is one array (..., k, 2^L) whose first n rows along the
+    coordinate axis are the positions on `chart` (module docstring), and
+    `rhs(state)` returns its derivative as an array of the same shape.
+    Leading axes are a batch: each row then gets exactly the arithmetic of
+    its own serial run.  Yields (state, k1) at t = s * h for
     s = 0 .. steps - 1, where k1 = rhs(state) is the first stage of the step
     from there, and finally (state, None) at t = steps * h; the caller may
     use each k1, so nothing is evaluated twice.
@@ -194,22 +211,21 @@ def _rk4(rhs, state: tuple[np.ndarray, ...], h: float, steps: int,
     one that overflows raises `IntegrationFailure`, and so does a step whose
     new state is not finite; each names the t the step started from.
     """
-    _check_domain(chart, state[0], 0.0)
+    _check_domain(chart, state, 0.0)
     half, sixth = 0.5 * h, h / 6.0
     s = 0
     try:
         for s in range(steps):
             k1 = rhs(state)
             yield state, k1
-            k2 = rhs(tuple(x + half * k for x, k in zip(state, k1)))
-            k3 = rhs(tuple(x + half * k for x, k in zip(state, k2)))
-            k4 = rhs(tuple(x + h * k for x, k in zip(state, k3)))
-            state = tuple(x + sixth * (a + 2.0 * b + 2.0 * c + d)
-                          for x, a, b, c, d in zip(state, k1, k2, k3, k4))
-            if not all(np.isfinite(x).all() for x in state):
+            k2 = rhs(state + half * k1)
+            k3 = rhs(state + half * k2)
+            k4 = rhs(state + h * k3)
+            state = state + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if not np.isfinite(state).all():
                 raise IntegrationFailure(
                     f"the step from t={s * h:g} produced a non-finite state")
-            _check_domain(chart, state[0], (s + 1) * h)
+            _check_domain(chart, state, (s + 1) * h)
     except _STAGE_ERRORS as exc:
         raise _stage_error(exc, s * h) from exc
     yield state, None
@@ -224,17 +240,22 @@ def _paper_run(chart: MetricChart, L: int, pos: np.ndarray, vel: np.ndarray,
     of that state at every sample; no other state is recorded.
     """
     kern = chart.kernel(L)
-    run = _rk4(lambda st: (st[1], _acceleration(kern, *st)), (pos, vel), h,
-               steps, chart)
+    n = kern.n
+
+    def rhs(st):
+        vel = st[..., n:, :]
+        return np.concatenate((vel, _acceleration(kern, st[..., :n, :], vel)),
+                              axis=-2)
+
+    run = _rk4(rhs, np.concatenate((pos, vel), axis=-2), h, steps, chart)
     if record is None:
-        for (pos, _), _ in run:
+        for st, _ in run:
             pass
-        return pos, None
-    positions = np.empty((steps + 1,) + pos[record].shape)
-    velocities = np.empty(positions.shape)
-    for s, ((pos, vel), _) in enumerate(run):
-        positions[s], velocities[s] = pos[record], vel[record]
-    return pos, (positions, velocities)
+        return st[..., :n, :], None
+    samples = np.empty((steps + 1, 2 * n, kern.D))
+    for s, (st, _) in enumerate(run):
+        samples[s] = st[record]
+    return st[..., :n, :], (samples[:, :n].copy(), samples[:, n:].copy())
 
 
 def _paper_trajectory(chart: MetricChart, L: int, t_end: float, dt: float,
@@ -259,25 +280,26 @@ def integrate_geodesic(chart: MetricChart, ic: InitialCondition,
     return _paper_trajectory(chart, ic.L, t_end, dt, samples)
 
 
-def _goertsches_rhs(kern: _Kernel, even_idx, odd_idx, pos, vel_even):
-    """(d pos, d vel_even): mixed 2nd/1st-order right-hand side."""
-    dpos = np.zeros(pos.shape)
-    dpos[..., even_idx, :] = vel_even
+def _goertsches_rhs(kern: _Kernel, m: int, st: np.ndarray) -> np.ndarray:
+    """d/dt of the Goertsches state (pos, vel_even): mixed 2nd/1st order."""
+    n = kern.n
+    pos, vel_even = st[..., :n, :], st[..., n:, :]
+    out = np.zeros(st.shape)
+    out[..., :m, :] = vel_even
     if kern.is_flat:
-        return dpos, np.zeros_like(vel_even)
+        return out
     gamma = kern.christoffel(kern.env(pos))
     # even: f_k'' = -sum_{i,j even} f_i' * f_j' * Gamma^k_ji
-    gee = gamma[(...,) + np.ix_(even_idx, even_idx, even_idx) + (slice(None),)]
-    dvel = -_connection(kern, gee, vel_even, vel_even)
+    out[..., n:, :] = -_connection(kern, gamma[..., :m, :m, :m, :],
+                                   vel_even, vel_even)
     # odd: o_d' = -sum_{i even, b odd} o_b * f_i' * Gamma^d_ib
-    if len(odd_idx):
-        o = pos[..., odd_idx, :]
+    if m < n:
         # fo[b,i] = o_b f_i', gob[d,i,b] = Gamma^d_ib
-        fo = batched_mul(o[..., :, None, :], vel_even[..., None, :, :], kern.L)
-        gob = gamma[(...,) + np.ix_(odd_idx, even_idx, odd_idx) + (slice(None),)]
+        fo = batched_mul(pos[..., m:, None, :], vel_even[..., None, :, :], kern.L)
+        gob = gamma[..., m:, :m, m:, :]
         tmp = batched_mul(fo.swapaxes(-3, -2)[..., None, :, :, :], gob, kern.L)
-        dpos[..., odd_idx, :] = -tmp.sum(axis=(-3, -2))
-    return dpos, dvel
+        out[..., m:n, :] = -tmp.sum(axis=(-3, -2))
+    return out
 
 
 def integrate_goertsches(chart: MetricChart, ic: InitialCondition,
@@ -294,30 +316,26 @@ def integrate_goertsches(chart: MetricChart, ic: InitialCondition,
         raise SignatureMismatch("initial condition lives on a different chart")
     steps, h = _grid(t_end, dt)
     kern = chart.kernel(ic.L)
-    sig = chart.sig
-    n, D = kern.n, kern.D
-    even_idx = np.arange(sig.n_even)
-    odd_idx = np.arange(sig.n_even, n)
-    pos = ic.position.as_array().astype(float)
-    vel_even = ic.velocity_array()[even_idx].astype(float)
+    n, D, m = kern.n, kern.D, chart.sig.n_even
+    state = np.concatenate((ic.position.as_array(),
+                            ic.velocity_array()[:m]), axis=-2).astype(float)
 
     ts = np.arange(steps + 1) * h
     positions = np.empty((steps + 1, n, D))
     velocities = np.empty((steps + 1, n, D))
 
     def rhs(st):
-        return _goertsches_rhs(kern, even_idx, odd_idx, *st)
+        return _goertsches_rhs(kern, m, st)
 
-    run = _rk4(rhs, (pos, vel_even), h, steps, chart)
-    for s, ((pos, vel_even), k1) in enumerate(run):
+    for s, (st, k1) in enumerate(_rk4(rhs, state, h, steps, chart)):
         if k1 is None:
             try:
-                k1 = rhs((pos, vel_even))
+                k1 = rhs(st)
             except _STAGE_ERRORS as exc:
                 raise _stage_error(exc, ts[s - 1]) from exc
-        positions[s] = pos
-        velocities[s, even_idx] = vel_even
-        velocities[s, odd_idx] = k1[0][odd_idx]
+        positions[s] = st[:n]
+        velocities[s, :m] = st[n:]
+        velocities[s, m:] = k1[m:n]
 
     return Trajectory(chart.sig, ic.L, ts, positions, velocities,
                       metadata={"dt": h, "requested_dt": dt, "t_end": t_end,

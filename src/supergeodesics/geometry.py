@@ -33,11 +33,12 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from .errors import InvalidPoint, SingularBody
-from .grassmann import GrassmannElement, Parity, batched_mul, dim
+from .grassmann import _TENSOR_MAX, GrassmannElement, Parity, batched_mul, dim
 from .superexpr import (
     ChartSignature,
     Const,
     Expr,
+    Program,
     as_expr,
     eval_dense,
     parse_expression,
@@ -191,9 +192,13 @@ def _last_axes(ndim: int, order: tuple[int, ...]) -> tuple[int, ...]:
 def _chunks(total: int, n: int, D: int) -> Iterator[slice]:
     """Slices of `total` points for batched kernel calls over n coordinates
     and D = 2^L coefficients, sized so that a call's largest temporary, the
-    (rows, n, n, n, n, D, D) outer product of a Christoffel contraction,
-    stays near 256 KB.  Slicing changes no bits (module docstring)."""
-    step = max(1, (1 << 18) // (8 * n ** 4 * D * D))
+    products of the (rows, n, n, n, n) outer product of a Christoffel
+    contraction, stays near 256 KB.  A product's temporary is the dense
+    (2^L)^2 outer product up to `grassmann._TENSOR_MAX` and the 3^L gathered
+    mask pairs above it.  Slicing changes no bits (module docstring)."""
+    L = D.bit_length() - 1
+    per_product = D * D if L <= _TENSOR_MAX else 3 ** L
+    step = max(1, (1 << 18) // (8 * n ** 4 * per_product))
     for start in range(0, total, step):
         yield slice(start, start + step)
 
@@ -204,7 +209,11 @@ class _Kernel:
     Positions/velocities are (..., n, 2^L) arrays in signature order; leading
     axes are a batch of independent states (see the module docstring).
     Constant metric entries and constant partials are prebaked, unbatched;
-    only the non-constant expressions are re-evaluated per point.
+    the non-constant ones, metric entries first, are compiled into one
+    `superexpr.Program`, and `fields` fills G and dG from one run of it per
+    right-hand side.  What never changes is built here once: the identity
+    of the Neumann series, and the inverse metric or the Christoffel bracket
+    when they are constant.
     """
 
     def __init__(self, chart: MetricChart, L: int):
@@ -222,85 +231,91 @@ class _Kernel:
         e3 = par[:, None, None] * (par[None, :, None] + par[None, None, :])
         self.s3 = np.where(e3 % 2, -1.0, 1.0)
 
-        # live entries as (index behind any batch axes, expression)
+        # live entries: their index behind any batch axes, and one program
+        # for all of their expressions, the metric's first
+        live: list[Expr] = []
         self._g_const = np.zeros((n, n, self.D))
-        self._g_live: list[tuple[tuple, Expr]] = []
+        self._g_live: list[tuple] = []
         for i in range(n):
             for j in range(n):
                 e = chart.entries[i][j]
                 if e.free_vars():
-                    self._g_live.append(((..., i, j, slice(None)), e))
+                    self._g_live.append((..., i, j, slice(None)))
+                    live.append(e)
                 else:
                     self._g_const[i, j] = eval_dense(e, {}, L)
         dg = chart.dg()
         self._dg_const = np.zeros((n, n, n, self.D))
-        self._dg_live: list[tuple[tuple, Expr]] = []
+        self._dg_live: list[tuple] = []
         for a in range(n):
             for i in range(n):
                 for j in range(n):
                     e = dg[a][i][j]
                     if e.free_vars():
-                        self._dg_live.append(((..., a, i, j, slice(None)), e))
+                        self._dg_live.append((..., a, i, j, slice(None)))
+                        live.append(e)
                     else:
                         self._dg_const[a, i, j] = eval_dense(e, {}, L)
+        self._program = Program(live)
         self.is_flat = not self._dg_live and not self._dg_const.any()
-        self._diag = (Ellipsis, np.arange(n), np.arange(n), 0)
+        self._eye = np.zeros((n, n, self.D))  # the identity matrix
+        self._eye[np.arange(n), np.arange(n), 0] = 1.0
         self._ginv_const = self.inverse(self._g_const) if not self._g_live else None
         self._bracket_const = (self._make_bracket(self._dg_const)
                                if not self._dg_live else None)
-        for arr in (self._g_const, self._dg_const):
+        for arr in (self._g_const, self._dg_const, self._eye):
             arr.flags.writeable = False
 
     def env(self, pos: np.ndarray) -> dict[str, np.ndarray]:
         return dict(zip(self.sig.names, pos.swapaxes(0, -2)))
 
-    def _eval_live(self, const: np.ndarray, live, env) -> np.ndarray:
-        """`const` with the live entries filled in, batched like the env."""
-        vals = [eval_dense(e, env, self.L) for _, e in live]
-        rows = ()
-        for v in vals:
-            if v.ndim > len(rows) + 1:
-                rows = v.shape[:-1]
-        if rows:
-            out = np.empty(rows + const.shape)
-            out[...] = const
-        else:
-            out = const.copy()
-        for (idx, _), v in zip(live, vals):
-            out[idx] = v
-        return out
+    def _eval_live(self, env: Mapping[str, np.ndarray], count: int | None = None):
+        """(G, dG) with the live entries filled in from one program run over
+        the first `count` live expressions (all by default); an array with
+        none of its entries run is its read-only constant."""
+        ng = len(self._g_live)
+        vals = self._program.run(env, self.L, count) if self._program.code else []
+        return (_filled(self._g_const, self._g_live, vals[:ng]),
+                _filled(self._dg_const, self._dg_live, vals[ng:]))
 
     def eval_metric(self, env: Mapping[str, np.ndarray]) -> np.ndarray:
-        if not self._g_live:
-            return self._g_const
-        return self._eval_live(self._g_const, self._g_live, env)
+        return self._eval_live(env, len(self._g_live))[0]
 
     def eval_dmetric(self, env: Mapping[str, np.ndarray]) -> np.ndarray:
-        if not self._dg_live:
-            return self._dg_const
-        return self._eval_live(self._dg_const, self._dg_live, env)
+        return self._eval_live(env)[1]
+
+    def fields(self, env: Mapping[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+        """(g^{-1}, dG) at the env's points, from one program run."""
+        G, dG = self._eval_live(env)
+        if self._ginv_const is not None:
+            return self._ginv_const, dG
+        return self.inverse(G), dG
 
     def inverse(self, G: np.ndarray) -> np.ndarray:
-        """Pointwise inverse metric: body inverse plus Neumann series."""
+        """Pointwise inverse metric: body inverse plus Neumann series.
+
+        The series is 1 + sum_{k=1..L} (-N)^k for N = body^-1 G - 1 and
+        stops early once a term vanishes; at L = 0 it is 1 even if N keeps a
+        rounding residue of the body.  The first term is -N itself: the
+        product by the identity is exact and could only flip signed zeros,
+        which never reach the sum."""
         body = G[..., 0]
         try:
             body_inv = np.linalg.inv(body)
         except np.linalg.LinAlgError as exc:
             raise SingularBody(f"metric body is singular: {exc}") from exc
-        n, D = self.n, self.D
-        rows = G.shape[:-3]
-        diag = self._diag
-        N = (body_inv @ G.reshape(rows + (n, n * D))).reshape(G.shape)
-        N[diag] -= 1.0
-        X = np.zeros(G.shape)
-        X[diag] = 1.0
-        if N.any():
-            term = X
-            for _ in range(self.L):
+        # N = body^-1 G - 1; subtracting the identity's zeros changes no bit
+        flat = G.reshape(G.shape[:-2] + (self.n * self.D,))
+        N = (body_inv @ flat).reshape(G.shape) - self._eye
+        X = self._eye
+        if self.L and np.count_nonzero(N):
+            term = -N
+            X = X + term
+            for _ in range(self.L - 1):
                 tmp = batched_mul(term[..., :, :, None, :], N[..., None, :, :, :],
                                   self.L)
                 term = -tmp.sum(axis=-3)
-                if not term.any():
+                if not np.count_nonzero(term):
                     break
                 X = X + term
         # right-multiply by the real body inverse
@@ -319,39 +334,53 @@ class _Kernel:
         t3 = dG.transpose(_last_axes(dG.ndim, (1, 2, 0, 3)))  # [i,j,l] <- d_l g_ij
         return dG + self.s1[:, :, None, None] * t2 - self.s2[:, :, :, None] * t3
 
-    def christoffel(self, env: Mapping[str, np.ndarray],
-                    ginv: np.ndarray | None = None) -> np.ndarray:
+    def christoffel(self, env: Mapping[str, np.ndarray]) -> np.ndarray:
         """Christoffel table as a (..., n, n, n, 2^L) array indexed [k, i, j]."""
         if self.is_flat:
             return np.zeros((self.n, self.n, self.n, self.D))
-        if ginv is None:
-            ginv = self.metric_inverse(env)
+        ginv, dG = self.fields(env)
         bracket = self._bracket_const
         if bracket is None:
-            bracket = self._make_bracket(self.eval_dmetric(env))
+            bracket = self._make_bracket(dG)
         tmp = batched_mul(bracket[..., None, :], ginv[..., None, None, :, :, :],
                           self.L)
         gamma = 0.5 * tmp.sum(axis=-3)  # [i,j,k,D]
         return gamma.transpose(_last_axes(gamma.ndim, (2, 0, 1, 3)))
 
-    def dginv(self, env: Mapping[str, np.ndarray],
-              ginv: np.ndarray | None = None) -> np.ndarray:
-        """Partials of the inverse metric, [a,i,j] = d_a g^{ij}.
+    def dginv(self, ginv: np.ndarray, dG: np.ndarray) -> np.ndarray:
+        """Partials of the inverse metric, [a,i,j] = d_a g^{ij}, from the
+        inverse metric and dG at the same points (`fields`).
 
         Obtained by differentiating sum_k g^{ik} g_{kj} = delta_ij:
         d_a g^{ij} = -sum_{k,b} (-1)^{|a|(|i|+|k|)} g^{ik} * d_a(g_kb) * g^{bj}.
         """
         if self.is_flat:
             return np.zeros((self.n, self.n, self.n, self.D))
-        if ginv is None:
-            ginv = self.metric_inverse(env)
-        dG = self.eval_dmetric(env)
         tmp = batched_mul(ginv[..., None, :, :, None, :],
                           dG[..., :, None, :, :, :], self.L)
         step1 = (self.s3[:, :, :, None, None] * tmp).sum(axis=-3)  # [a,i,b,D]
         tmp2 = batched_mul(step1[..., :, :, :, None, :],
                            ginv[..., None, None, :, :, :], self.L)
         return -tmp2.sum(axis=-3)
+
+
+def _filled(const: np.ndarray, live: list[tuple], vals: list) -> np.ndarray:
+    """`const` with the value of each live index filled in, batched like
+    the values; `const` itself if no value is given."""
+    if not vals:
+        return const
+    rows = ()
+    for v in vals:
+        if v.ndim > len(rows) + 1:
+            rows = v.shape[:-1]
+    if rows:
+        out = np.empty(rows + const.shape)
+        out[...] = const
+    else:
+        out = const.copy()
+    for idx, v in zip(live, vals):
+        out[idx] = v
+    return out
 
 
 # ---------------------------------------------------------------------------

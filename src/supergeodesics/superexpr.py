@@ -12,9 +12,14 @@ Conventions fixed here and used everywhere downstream:
 * Odd partial derivatives are LEFT derivatives: d/dth (th*f) = f for th-free
   f, extended as an odd derivation d(a*b) = d(a)*b + (-1)^|a| a*d(b) on
   homogeneous a.
-* Evaluation at a Grassmann-valued point is structural recursion; an
-  elementary function of an even value b+s is the finite Taylor sum
-  sum_k f^(k)(b) s^k / k!, exact because the soul s is nilpotent.
+* Evaluation at a Grassmann-valued point runs a `Program`: the expression
+  compiled once into a straight-line list of instructions, one per
+  distinct node, with shared subtrees evaluated once.  Each node keeps its
+  op and operand order, so the values are those of evaluating the tree
+  node by node.  An elementary function of an even value b+s is the finite
+  Taylor sum sum_k f^(k)(b) s^k / k!, exact because the soul s is
+  nilpotent.  The metric kernel compiles all live metric entries and their
+  partials of one chart into one program.
 
 Grammar accepted by the parser::
 
@@ -163,7 +168,10 @@ class ChartSignature:
 
 
 class Expr:
-    """Base class for expression nodes.  Nodes are immutable."""
+    """Base class for expression nodes.  Nodes are immutable; `_program`
+    caches the node's compiled `Program` (see `eval_dense`)."""
+
+    _program: "Program | None" = None
 
     def parity(self) -> Parity:
         raise NotImplementedError
@@ -174,14 +182,8 @@ class Expr:
     def diff(self, coord: str, odd: bool) -> "Expr":
         raise NotImplementedError
 
-    def _eval(self, env: Mapping[str, np.ndarray], L: int) -> np.ndarray:
-        raise NotImplementedError
-
     def subst(self, mapping: Mapping[str, "Expr"]) -> "Expr":
         raise NotImplementedError
-
-    def _vars(self, out: list["Var"]) -> None:
-        pass
 
     # operator sugar
     def __add__(self, other):
@@ -218,7 +220,6 @@ class Expr:
 class Const(Expr):
     def __init__(self, value: float):
         self.value = float(value)
-        self._dense: dict[int, np.ndarray] = {}  # L -> read-only value
 
     def parity(self):
         return Parity.EVEN
@@ -228,15 +229,6 @@ class Const(Expr):
 
     def diff(self, coord, odd):
         return Const(0.0)
-
-    def _eval(self, env, L):
-        out = self._dense.get(L)
-        if out is None:
-            out = np.zeros(dim(L))
-            out[0] = self.value
-            out.flags.writeable = False
-            self._dense[L] = out
-        return out
 
     def subst(self, mapping):
         return self
@@ -258,17 +250,8 @@ class Var(Expr):
     def free_vars(self):
         return frozenset((self.name,))
 
-    def _eval(self, env, L):
-        try:
-            return env[self.name]
-        except KeyError:
-            raise UnknownCoordinate(f"no value supplied for {self.name!r}") from None
-
     def subst(self, mapping):
         return mapping.get(self.name, self)
-
-    def _vars(self, out):
-        out.append(self)
 
     def __eq__(self, other):
         return type(other) is type(self) and other.name == self.name
@@ -312,19 +295,8 @@ class Sum(Expr):
     def diff(self, coord, odd):
         return add(*(t.diff(coord, odd) for t in self.terms))
 
-    def _eval(self, env, L):
-        # not in place: a later term may carry batch rows the first lacks
-        out = self.terms[0]._eval(env, L)
-        for t in self.terms[1:]:
-            out = out + t._eval(env, L)
-        return out
-
     def subst(self, mapping):
         return add(*(t.subst(mapping) for t in self.terms))
-
-    def _vars(self, out):
-        for t in self.terms:
-            t._vars(out)
 
     def __eq__(self, other):
         return isinstance(other, Sum) and other.terms == self.terms
@@ -371,18 +343,8 @@ class Product(Expr):
                     prefix_parity = (prefix_parity + p.value) % 2
         return add(*terms)
 
-    def _eval(self, env, L):
-        out = self.factors[0]._eval(env, L)
-        for f in self.factors[1:]:
-            out = mul_dense(out, f._eval(env, L), L)
-        return out
-
     def subst(self, mapping):
         return mul(*(f.subst(mapping) for f in self.factors))
-
-    def _vars(self, out):
-        for f in self.factors:
-            f._vars(out)
 
     def __eq__(self, other):
         return isinstance(other, Product) and other.factors == self.factors
@@ -412,18 +374,8 @@ class IntPow(Expr):
                    pow_int(self.base, self.exponent - 1),
                    self.base.diff(coord, odd))
 
-    def _eval(self, env, L):
-        v = self.base._eval(env, L)
-        out = v
-        for _ in range(self.exponent - 1):
-            out = mul_dense(out, v, L)
-        return out
-
     def subst(self, mapping):
         return pow_int(self.base.subst(mapping), self.exponent)
-
-    def _vars(self, out):
-        self.base._vars(out)
 
     def __eq__(self, other):
         return (isinstance(other, IntPow) and other.base == self.base
@@ -452,18 +404,8 @@ class Recip(Expr):
         return mul(Const(-1.0), self.base.diff(coord, odd),
                    recip(pow_int(self.base, 2)))
 
-    def _eval(self, env, L):
-        v = self.base._eval(env, L)
-        try:
-            return invert_dense(v, L, check_even=False)
-        except ZeroBody as exc:
-            raise DomainError(f"reciprocal undefined: {exc}") from exc
-
     def subst(self, mapping):
         return recip(self.base.subst(mapping))
-
-    def _vars(self, out):
-        self.base._vars(out)
 
     def __eq__(self, other):
         return isinstance(other, Recip) and other.base == self.base
@@ -491,39 +433,8 @@ class Fun(Expr):
     def diff(self, coord, odd):
         return mul(FUNCTIONS[self.name].diff(self.arg), self.arg.diff(coord, odd))
 
-    def _eval(self, env, L):
-        # Each row's body goes through the scalar math.* call, so a batch row
-        # has the bits of the same value evaluated alone.
-        v = self.arg._eval(env, L)
-        spec = FUNCTIONS[self.name]
-        rows = v.shape[:-1]
-        bodies = [float(b) for b in v[..., 0].flat]
-        for body in bodies:
-            if not spec.domain(body):
-                raise DomainError(f"{self.name} undefined at body {body}")
-        out = np.zeros(v.shape)
-        out[..., 0] = np.reshape([spec.derivative_at(0, b) for b in bodies], rows)
-        soul = v.copy()
-        soul[..., 0] = 0.0
-        power = np.zeros(v.shape)
-        power[..., 0] = 1.0
-        fact = 1.0
-        for k in range(1, L + 1):
-            power = mul_dense(power, soul, L)
-            live = np.ravel(power.any(axis=-1)).tolist()
-            if not any(live):
-                break
-            fact *= k
-            coef = [spec.derivative_at(k, b) / fact if on else 0.0
-                    for b, on in zip(bodies, live)]
-            out += np.reshape(coef, rows + (1,)) * power
-        return out
-
     def subst(self, mapping):
         return fun(self.name, self.arg.subst(mapping))
-
-    def _vars(self, out):
-        self.arg._vars(out)
 
     def __eq__(self, other):
         return isinstance(other, Fun) and other.name == self.name and other.arg == self.arg
@@ -719,6 +630,173 @@ def partial_derivative(expr: Expr, coord: str, sig: ChartSignature) -> Expr:
     return expr.diff(coord, odd)
 
 
+# ---------------------------------------------------------------------------
+# the expression program
+
+# instruction opcodes; a constant is not an instruction, its value sits in
+# the slot template of each L
+_MUL, _ADD, _VAR, _RECIP, _FUN = range(5)
+
+
+class Program:
+    """One straight-line program that evaluates a list of expressions.
+
+    An evaluation trace in the sense of Griewank & Walther, *Evaluating
+    Derivatives* (2nd ed., 2008), ch. 2: every distinct node gets one slot,
+    and one instruction computes it from earlier slots.  Compilation
+    hash-conses nodes by op and operand slots (a constant by the bits of its
+    value), so a subtree shared within or between the expressions, such as
+    `x + 1` inside `-(x + 1)`, is evaluated once per run.
+
+    Every node keeps its op and operand order, so a value has the bits of
+    the same expression evaluated node by node: a sum adds its terms left to
+    right, out of place (a later term may carry batch rows the first lacks);
+    a product or integer power multiplies left to right with `mul_dense`,
+    one instruction per partial product; a reciprocal is `invert_dense`; an
+    elementary function goes through `_fun_value`.  Instructions come in the
+    order a left-to-right recursive evaluation first reaches each node, so
+    the first error raised is the same as well.
+
+    `variables` lists the (name, parity) of every variable node in that
+    order; `evaluate` checks them against the supplied values.
+    """
+
+    __slots__ = ("code", "outputs", "variables", "_ends", "_consts",
+                 "_keys", "_templates")
+
+    def __init__(self, exprs: Iterable[Expr]):
+        self.code: list[tuple] = []  # (slot, op, operand slot, operand)
+        self.variables: list[tuple[str, Parity]] = []
+        self._consts: dict[int, float] = {}
+        self._keys: dict[tuple, int] = {}
+        self._templates: dict[int, list] = {}
+        self.outputs: list[int] = []
+        self._ends: list[int] = []  # instructions needed by outputs[:k + 1]
+        for e in exprs:
+            self.outputs.append(self._compile(e))
+            self._ends.append(len(self.code))
+
+    def _slot(self, key: tuple, op: int | None = None, a=None, b=None) -> int:
+        s = self._keys.get(key)
+        if s is None:
+            s = self._keys[key] = len(self._keys)
+            if op is not None:
+                self.code.append((s, op, a, b))
+        return s
+
+    def _binary(self, op: int, a: int, b: int) -> int:
+        return self._slot((op, a, b), op, a, b)
+
+    def _compile(self, e: Expr) -> int:
+        if isinstance(e, Const):
+            s = self._slot(("const", e.value.hex()))
+            self._consts[s] = e.value
+            return s
+        if isinstance(e, Var):
+            key = (_VAR, e.name, e.parity())
+            if key not in self._keys:
+                self.variables.append(key[1:])
+            return self._slot(key, _VAR, e.name)
+        if isinstance(e, (Sum, Product)):
+            op, parts = (_ADD, e.terms) if isinstance(e, Sum) else (_MUL, e.factors)
+            out = self._compile(parts[0])
+            for part in parts[1:]:
+                # each operand is compiled just before the op that uses it
+                out = self._binary(op, out, self._compile(part))
+            return out
+        if isinstance(e, IntPow):
+            base = out = self._compile(e.base)
+            for _ in range(e.exponent - 1):
+                out = self._binary(_MUL, out, base)
+            return out
+        if isinstance(e, Recip):
+            a = self._compile(e.base)
+            return self._slot((_RECIP, a), _RECIP, a)
+        if isinstance(e, Fun):
+            a = self._compile(e.arg)
+            return self._slot((_FUN, e.name, a), _FUN, a, e.name)
+        raise TypeError(f"cannot compile {type(e).__name__}")
+
+    def _template(self, L: int) -> list:
+        """The slots before a run: a read-only dense value per constant."""
+        out = self._templates.get(L)
+        if out is None:
+            out = [None] * len(self._keys)
+            for s, value in self._consts.items():
+                arr = np.zeros(dim(L))
+                arr[0] = value
+                arr.flags.writeable = False
+                out[s] = arr
+            self._templates[L] = out
+        return out
+
+    def run(self, env: Mapping[str, np.ndarray], L: int,
+            count: int | None = None) -> list[np.ndarray]:
+        """The values of the first `count` expressions (all by default),
+        running only the instructions they need; batched like `eval_dense`."""
+        vals = self._template(L).copy()
+        code = self.code
+        if count is not None:
+            code = code[:self._ends[count - 1]] if count else ()
+        for s, op, a, b in code:
+            if op == _MUL:
+                v = mul_dense(vals[a], vals[b], L)
+            elif op == _ADD:
+                v = vals[a] + vals[b]
+            elif op == _VAR:
+                try:
+                    v = env[a]
+                except KeyError:
+                    raise UnknownCoordinate(
+                        f"no value supplied for {a!r}") from None
+            elif op == _RECIP:
+                try:
+                    v = invert_dense(vals[a], L, check_even=False)
+                except ZeroBody as exc:
+                    raise DomainError(f"reciprocal undefined: {exc}") from exc
+            else:
+                v = _fun_value(b, vals[a], L)
+            vals[s] = v
+        return [vals[s] for s in self.outputs[:count]]
+
+
+def _fun_value(name: str, v: np.ndarray, L: int) -> np.ndarray:
+    """The elementary function `name` of an even value (..., 2^L) as its
+    finite Taylor sum.  Each row's body goes through the scalar math.* call,
+    so a batch row has the bits of the same value evaluated alone."""
+    spec = FUNCTIONS[name]
+    rows = v.shape[:-1]
+    bodies = [float(b) for b in v[..., 0].flat]
+    for body in bodies:
+        if not spec.domain(body):
+            raise DomainError(f"{name} undefined at body {body}")
+    out = np.zeros(v.shape)
+    out[..., 0] = np.reshape([spec.derivative_at(0, b) for b in bodies], rows)
+    soul = v.copy()
+    soul[..., 0] = 0.0
+    power = np.zeros(v.shape)
+    power[..., 0] = 1.0
+    fact = 1.0
+    for k in range(1, L + 1):
+        power = mul_dense(power, soul, L)
+        live = np.ravel(power.any(axis=-1)).tolist()
+        if not any(live):
+            break
+        fact *= k
+        coef = [spec.derivative_at(k, b) / fact if on else 0.0
+                for b, on in zip(bodies, live)]
+        out += np.reshape(coef, rows + (1,)) * power
+    return out
+
+
+def _program(expr: Expr) -> Program:
+    """The program of one expression, compiled once and kept on the node."""
+    prog = expr._program
+    if prog is None:
+        prog = expr._program = Program((expr,))
+    return prog
+
+
 def evaluate(expr: Expr, values, L: int | None = None) -> GrassmannElement:
     """Evaluate at a Grassmann-valued point.
 
@@ -741,18 +819,16 @@ def evaluate(expr: Expr, values, L: int | None = None) -> GrassmannElement:
         if v.L != L:
             raise MismatchedGeneratorCount(f"{name}: L={v.L}, expected {L}")
         env[name] = v.coeffs
-    nodes: list[Var] = []
-    expr._vars(nodes)
-    for node in nodes:
-        v = mapping.get(node.name)
+    prog = _program(expr)
+    for name, want in prog.variables:
+        v = mapping.get(name)
         if v is None:
-            raise UnknownCoordinate(f"no value supplied for {node.name!r}")
-        want = Parity.EVEN if isinstance(node, EvenVar) else Parity.ODD
+            raise UnknownCoordinate(f"no value supplied for {name!r}")
         if not v.has_parity(want):
             raise ParityViolation(
-                f"{node.name} is {'even' if want is Parity.EVEN else 'odd'} "
+                f"{name} is {'even' if want is Parity.EVEN else 'odd'} "
                 f"but its value has parity {v.parity.name}")
-    return GrassmannElement(L, expr._eval(env, L))
+    return GrassmannElement(L, prog.run(env, L)[0])
 
 
 def eval_dense(expr: Expr, env: Mapping[str, np.ndarray], L: int) -> np.ndarray:
@@ -760,8 +836,9 @@ def eval_dense(expr: Expr, env: Mapping[str, np.ndarray], L: int) -> np.ndarray:
 
     Env arrays have shape (..., 2^L); leading axes are independent rows that
     broadcast, and every row has the bits it would have evaluated alone.
+    A constant's value is one read-only array per (node, L).
     """
-    return expr._eval(env, L)
+    return _program(expr).run(env, L)[0]
 
 
 def substitute(expr: Expr, mapping: Mapping[str, Expr]) -> Expr:

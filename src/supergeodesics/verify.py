@@ -484,7 +484,8 @@ def run_isometry_suite(fx: Fixtures,
         iso = isometry_check(chart, chart, phi, samples, tolerance=iso_tol)
         checks.append(Check(f"isometry_condition[{name}]", iso.passed,
                             iso.max_dev, iso_tol))
-        if vectors:
+        # naturality presumes the isometry: a failed condition is the report
+        if vectors and iso.passed:
             nat = naturality_check(chart, phi, base, vectors, dt=dt,
                                    tolerance=nat_tol,
                                    isometry_samples=samples, exp=fx.exp)

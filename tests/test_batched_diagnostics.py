@@ -54,8 +54,20 @@ def reference_connection(kern, positions, X, Y, out):
     return out
 
 
+# L = 4 on a 1|2 chart: chunks sized by the gathered pairs of `_chunks`
 CASES = [(chart, L, size) for chart in ("c1x_r12", "curved_r22")
-         for L in range(4) for size in ("small", "ragged")]
+         for L in range(4) for size in ("small", "ragged")] + [
+    ("c1x_r12", 4, size) for size in ("small", "ragged")]
+
+
+@pytest.mark.parametrize("n, L, rows", [
+    (3, 3, 6),   # 8 B * 3^4 * (2^3)^2 dense outer products: 41 KB per row
+    (3, 4, 4),   # 8 B * 3^4 * 3^4 gathered pairs: 52 KB per row
+    (2, 5, 8),   # 8 B * 2^4 * 3^5: 31 KB per row
+    (4, 6, 1),   # 8 B * 4^4 * 3^6: 1.5 MB, already one row over the target
+])
+def test_chunk_rows_from_product_temporary(n, L, rows):
+    assert next(_chunks(1 << 30, n, dim(L))).stop == rows
 
 
 @pytest.fixture(params=CASES, ids=lambda c: f"{c[0]}-L{c[1]}-{c[2]}")

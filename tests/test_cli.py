@@ -330,6 +330,19 @@ class TestVerifyCommand:
         assert report["passed"] is True
         assert len(calls) == runs
 
+    def test_failed_isometry_reported_exit_1(self, capsys, tmp_path):
+        # naturality presumes the isometry; its failed condition is the report
+        doc = bundled_doc("c1x_r12")
+        doc["verify"]["isometries"] = ["odd_scaling_bad"]
+        model = write_model(tmp_path, "bad_isometry", doc)
+        code, out, err = run(capsys, "verify", "--model", model,
+                             "--suite", "isometry")
+        assert code == 1 and "Traceback" not in err
+        checks = {c["name"]: c for c in json.loads(out)["suites"]["isometry"]}
+        assert checks["isometry_condition[odd_scaling_bad]"]["passed"] is False
+        assert "naturality[odd_scaling_bad]" not in checks
+        assert checks["identity_linearization"]["passed"] is True
+
     def test_report_written_to_file(self, capsys, tmp_path):
         out = tmp_path / "report.json"
         code, _, _ = run(capsys, "verify", "--model", "flat_r12",

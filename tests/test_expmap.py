@@ -385,13 +385,15 @@ def coarse(name):
 
 
 def paper_runs(monkeypatch):
-    """Record the initial state of every paper-mode RK4 run (the flow
-    steps through `_rk4` of its own module and is not recorded)."""
+    """Record the initial state of every paper-mode RK4 run as (pos, vel),
+    split off the one state array (the flow steps through `_rk4` of its own
+    module and is not recorded)."""
     runs = []
     inner = geodesics._rk4
 
     def recorded(rhs, state, h, steps, chart):
-        runs.append(state)
+        n = state.shape[-2] // 2
+        runs.append((state[..., :n, :], state[..., n:, :]))
         return inner(rhs, state, h, steps, chart)
 
     monkeypatch.setattr(geodesics, "_rk4", recorded)

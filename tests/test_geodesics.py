@@ -146,11 +146,11 @@ class TestGoertsches:
         assert len(traj) - 1 == 10
         assert len(calls) == 4 * 10 + 1
         # the stored odd velocities are the right-hand side at each sample
-        kern, even, odd = calls[0][:3]
+        kern, m = calls[0][:2]
         for s in range(len(traj)):
-            dpos, _ = rhs(kern, even, odd, traj.positions[s],
-                          traj.velocities[s, even])
-            assert np.array_equal(traj.velocities[s, odd], dpos[odd])
+            d = rhs(kern, m, np.concatenate((traj.positions[s],
+                                             traj.velocities[s, :m])))
+            assert np.array_equal(traj.velocities[s, m:], d[m:kern.n])
 
 
 class TestStepperGuard:

@@ -284,8 +284,9 @@ class TestBatchAxis:
     def kernel_values(kern, pos, vel):
         env = kern.env(pos)
         ginv = kern.metric_inverse(env)
-        return (kern.eval_metric(env), kern.eval_dmetric(env), ginv,
-                kern.christoffel(env), kern.dginv(env, ginv),
+        dG = kern.eval_dmetric(env)
+        return (kern.eval_metric(env), dG, ginv,
+                kern.christoffel(env), kern.dginv(ginv, dG),
                 _acceleration(kern, pos, vel), *_xh(kern, pos, vel))
 
     @pytest.mark.parametrize("L", [0, 1, 2, 3, 4])

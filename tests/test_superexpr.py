@@ -12,12 +12,15 @@ from supergeodesics.errors import (
     UnknownCoordinate,
     UnknownIdentifier,
 )
-from supergeodesics.grassmann import GrassmannElement as G, Parity, dim, mask_parity
+from supergeodesics import superexpr
+from supergeodesics.grassmann import GrassmannElement as G, Parity, dim, mask_parity, \
+    mul_dense
 from supergeodesics.superexpr import (
     ChartSignature,
     Const,
     EvenVar,
     OddVar,
+    Program,
     SuperMorphism,
     add,
     compose,
@@ -246,6 +249,47 @@ class TestEvaluation:
                 assert eval_dense(c, {}, L) is out
                 assert not out.flags.writeable
                 assert out.tobytes() == np.r_[value, np.zeros(dim(L) - 1)].tobytes()
+
+
+class TestProgram:
+    def test_shared_subtree_evaluated_once(self, sig, monkeypatch):
+        # x + 1 inside -(x + 1) is one instruction; the product by -1 is
+        # the only Grassmann product of a run
+        prog = Program([parse_expression(t, sig) for t in ("1 + x", "-(1 + x)")])
+        ops = [op for _, op, _, _ in prog.code]
+        assert len(ops) == 3 and len(set(ops)) == 3
+        calls = []
+        inner = superexpr.mul_dense
+        monkeypatch.setattr(superexpr, "mul_dense",
+                            lambda *a: calls.append(a) or inner(*a))
+        x = np.array([[0.5, 0.1, 0.0, 0.2]])
+        plus, minus = prog.run({"x": x}, 2)
+        assert len(calls) == 1
+        assert np.array_equal(minus, mul_dense(np.r_[-1.0, 0, 0, 0], plus, 2))
+
+    def test_prefix_runs_only_what_it_needs(self, sig):
+        prog = Program([parse_expression("x + 1", sig),
+                        parse_expression("1/(y + 2)", sig)])
+        # no value for y: the first expression alone does not read it
+        (first,) = prog.run({"x": np.r_[0.5, 0.0]}, 1, 1)
+        assert np.array_equal(first, np.r_[1.5, 0.0])
+        with pytest.raises(UnknownCoordinate):
+            prog.run({"x": np.r_[0.5, 0.0]}, 1)
+
+    def test_first_error_in_evaluation_order(self, sig):
+        # both terms leave their domain; the left one is reported
+        point = {"x": G.from_scalar(-1.0, 0), "y": G.from_scalar(-2.0, 0),
+                 "th1": G.zero(0), "th2": G.zero(0)}
+        with pytest.raises(DomainError, match="log undefined at body -1.0"):
+            evaluate(parse_expression("log(x) + 1/(y + 2)", sig), point)
+        with pytest.raises(DomainError, match="reciprocal"):
+            evaluate(parse_expression("1/(y + 2) + log(x)", sig), point)
+
+    def test_constants_keyed_by_bits(self):
+        # 0.0 == -0.0, but each keeps its own slot and sign bit
+        prog = Program([Const(0.0), Const(-0.0)])
+        plus, minus = prog.run({}, 0)
+        assert plus.tobytes() != minus.tobytes()
 
 
 class TestMorphisms:
