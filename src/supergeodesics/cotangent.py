@@ -138,17 +138,12 @@ def integrate_flow(chart: MetricChart, I: PhasePoint,
         raise SignatureMismatch("initial condition lives on a different chart")
     steps, h = _grid(t_end, dt)
     kern = chart.kernel(I.L)
-    n = kern.n
     state = np.concatenate((I.position.as_array(), I.momentum_array()),
-                           axis=-2).astype(float)
-    samples = np.empty((steps + 1, 2 * n, kern.D))
-    run = _rk4(lambda st: _flow_rhs(kern, st), state, h, steps, chart)
-    for s, (st, _) in enumerate(run):
-        samples[s] = st
-    ts = np.arange(steps + 1) * h
-    positions, momenta = samples[:, :n].copy(), samples[:, n:].copy()
-
-    return FlowState(chart.sig, I.L, ts, positions, momenta,
+                           axis=-2)
+    _, samples, _ = _rk4(lambda st: _flow_rhs(kern, st), state, h, steps,
+                         chart, record=())
+    return FlowState(chart.sig, I.L, np.arange(steps + 1) * h,
+                     samples[:, :kern.n].copy(), samples[:, kern.n:].copy(),
                      metadata={"dt": h, "requested_dt": dt, "t_end": t_end,
                                "metric": chart.name})
 

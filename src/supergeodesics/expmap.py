@@ -32,8 +32,8 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .errors import SignatureMismatch
-from .geodesics import InitialCondition, Trajectory, _grid, _paper_run, \
-    _paper_trajectory, integrate_geodesic
+from .geodesics import InitialCondition, Trajectory, _grid, _paper_rhs, \
+    _paper_trajectory, _rk4, integrate_geodesic
 from .geometry import MetricChart, SuperPoint, _chunks
 from .grassmann import GrassmannElement, dim
 from .superexpr import (
@@ -164,11 +164,14 @@ def _shoot(chart: MetricChart, vectors: Sequence[TangentFiberPoint],
     for grid in sorted(set(grids)):
         L, steps, h = grid
         rows = [r for r, g in enumerate(grids) if g == grid]
-        pos = np.stack([ics[r].position.as_array() for r in rows])
-        vel = np.stack([ics[r].velocity_array() for r in rows])
+        kern = chart.kernel(L)
+        state = np.stack([np.concatenate((ics[r].position.as_array(),
+                                          ics[r].velocity_array()))
+                          for r in rows])
         record = rows.index(curve_row) if curve_row in rows else None
-        pos, samples = _paper_run(chart, L, pos, vel, h, steps, record)
-        for r, p in zip(rows, pos):
+        final, samples, _ = _rk4(lambda st: _paper_rhs(kern, st), state, h,
+                                 steps, chart, record)
+        for r, p in zip(rows, final[:, :kern.n]):
             if r != curve_row:
                 outs[r] = SuperPoint.from_array(chart.sig, L, p)
         if samples is not None:
@@ -555,6 +558,26 @@ def _linearization_rows(vectors: Sequence[TangentFiberPoint],
     return [*vectors, *(v.scaled(tangent_sign) for v in vectors)]
 
 
+def _linearization_gate(chart: MetricChart, phi: SuperMorphism, q,
+                        vectors: Sequence[TangentFiberPoint],
+                        tangent_sign: float) -> str:
+    """Why the hypotheses of `linearization_test` fail, or "" if they hold.
+    Gates, in order: the isometry condition, the fixed body point, and
+    T_q Phi = tangent_sign * id."""
+    L = vectors[0].L if vectors else 0
+    samples = probe_points(chart, q, max(L, min(chart.sig.n_odd, 2)))
+    iso = isometry_check(chart, chart, phi, samples)
+    if not iso.passed:
+        return f"isometry condition fails (dev {iso.max_dev:.3g})"
+    q_arr = np.asarray(q, dtype=float).reshape(-1)
+    if np.max(np.abs(body_image(phi, q_arr) - q_arr)) > 1e-10:
+        return "base point is not fixed"
+    t_dev = numerical_tangent_map(phi, q_arr).deviation_from_identity(tangent_sign)
+    if t_dev > 1e-9:
+        return f"tangent map differs from {tangent_sign:+g}*id (dev {t_dev:.3g})"
+    return ""
+
+
 def linearization_test(chart: MetricChart, phi: SuperMorphism, q,
                        vectors: Sequence[TangentFiberPoint], dt: float = 1e-3,
                        tangent_sign: float = 1.0,
@@ -562,29 +585,14 @@ def linearization_test(chart: MetricChart, phi: SuperMorphism, q,
                        exp: ExpFn | None = None) -> LinearizationReport:
     """Computable content of faithful linearization on a single chart.
 
-    Gates, in order: the isometry condition, the fixed body point, and
-    T_q Phi = tangent_sign * id.  With sign +1 the check is
+    Gates first (`_linearization_gate`).  With sign +1 the check is
     Phi(exp_q(v)) = exp_q(v); with sign -1 (a candidate geodesic symmetry)
     it is Phi(exp_q(v)) = exp_q(-v).  The exp values come from `exp`
     (default `_exp_batch`).
     """
-    L = vectors[0].L if vectors else 0
-    samples = probe_points(chart, q, max(L, min(chart.sig.n_odd, 2)))
-    iso = isometry_check(chart, chart, phi, samples)
-    if not iso.passed:
-        return LinearizationReport(False, f"isometry condition fails "
-                                   f"(dev {iso.max_dev:.3g})", np.inf, tolerance)
-    q_arr = np.asarray(q, dtype=float).reshape(-1)
-    q_img = body_image(phi, q_arr)
-    if np.max(np.abs(q_img - q_arr)) > 1e-10:
-        return LinearizationReport(False, "base point is not fixed",
-                                   np.inf, tolerance)
-    T = numerical_tangent_map(phi, q_arr)
-    t_dev = T.deviation_from_identity(tangent_sign)
-    if t_dev > 1e-9:
-        return LinearizationReport(
-            False, f"tangent map differs from {tangent_sign:+g}*id "
-            f"(dev {t_dev:.3g})", np.inf, tolerance)
+    reason = _linearization_gate(chart, phi, q, vectors, tangent_sign)
+    if reason:
+        return LinearizationReport(False, reason, np.inf, tolerance)
     outs = (exp or _exp_batch)(chart, _linearization_rows(vectors, tangent_sign),
                                dt)
     dev = max((_max_dev(chart.sig, apply_morphism(phi, out), rhs)

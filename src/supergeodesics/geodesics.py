@@ -15,9 +15,9 @@ expanded system is a smooth real ODE, so the integration is deterministic):
 
 Both modes, the cotangent flow and the batched exponential map step through
 the one RK4 loop `_rk4`, which also turns a failing stage or a non-finite
-state into a typed error that names t.  Every paper-mode run, a serial
-`integrate_geodesic` or a batch of exp rows with one recorded curve among
-them, is one `_paper_run`.
+state into a typed error that names t.  It also records the samples of
+the one batch row a caller asks for, and that row's first stage k1 of
+every step (the Goertsches odd velocities), so no caller loops.
 
 State layout: `_rk4` advances one array of shape (..., k, 2^L), so a stage
 and the step's combination are one numpy expression each.  Along the
@@ -170,14 +170,12 @@ def _check_domain(chart: MetricChart, state: np.ndarray, t: float) -> None:
     names the first row that has not."""
     idx, lo, hi = chart._box
     b = state[..., idx, 0]
-    if ((lo < b) & (b < hi)).all():
-        return
-    m = chart.sig.n_even
-    bodies = state[..., :m, 0].reshape(-1, m)
-    outside = chart.outside_domain(bodies)
-    if outside.any():
-        raise LeftDomain(f"body {bodies[outside.argmax()]} left the chart "
-                         f"domain at t={t:g}")
+    inside = (lo < b) & (b < hi)
+    if not inside.all():
+        m = chart.sig.n_even
+        first = inside.reshape(-1, len(idx)).all(axis=1).argmin()
+        raise LeftDomain(f"body {state[..., :m, 0].reshape(-1, m)[first]} left "
+                         f"the chart domain at t={t:g}")
 
 
 # what a stage may raise: a function evaluated outside its domain, or a
@@ -193,17 +191,19 @@ def _stage_error(exc: Exception, t: float) -> SuperGeometryError:
                               f"{type(exc).__name__}: {exc}")
 
 
-def _rk4(rhs, state: np.ndarray, h: float, steps: int, chart: MetricChart):
+def _rk4(rhs, state: np.ndarray, h: float, steps: int, chart: MetricChart,
+         record=None):
     """Classical fixed-step RK4, the one stepper behind every integrator.
 
     `state` is one array (..., k, 2^L) whose first n rows along the
     coordinate axis are the positions on `chart` (module docstring), and
     `rhs(state)` returns its derivative as an array of the same shape.
     Leading axes are a batch: each row then gets exactly the arithmetic of
-    its own serial run.  Yields (state, k1) at t = s * h for
-    s = 0 .. steps - 1, where k1 = rhs(state) is the first stage of the step
-    from there, and finally (state, None) at t = steps * h; the caller may
-    use each k1, so nothing is evaluated twice.
+    its own serial run.  Returns (state, samples, k1s): the state at
+    t = steps * h and, if `record` indexes one row of the leading axes (`()`
+    for an unbatched state), that row at t = s * h for s = 0 .. steps and
+    its first stage k1 = rhs(state) of the step from each s < steps (None
+    without `record`).
 
     Guard, owned here for every caller: the initial state and every new
     state must have their bodies in the chart's coordinate box (`LeftDomain`
@@ -212,12 +212,16 @@ def _rk4(rhs, state: np.ndarray, h: float, steps: int, chart: MetricChart):
     new state is not finite; each names the t the step started from.
     """
     _check_domain(chart, state, 0.0)
+    samples = k1s = None
+    if record is not None:
+        samples = np.empty((steps + 1,) + state[record].shape)
+        k1s = np.empty((steps,) + state[record].shape)
+        samples[0] = state[record]
     half, sixth = 0.5 * h, h / 6.0
     s = 0
     try:
         for s in range(steps):
             k1 = rhs(state)
-            yield state, k1
             k2 = rhs(state + half * k1)
             k3 = rhs(state + half * k2)
             k4 = rhs(state + h * k3)
@@ -226,44 +230,28 @@ def _rk4(rhs, state: np.ndarray, h: float, steps: int, chart: MetricChart):
                 raise IntegrationFailure(
                     f"the step from t={s * h:g} produced a non-finite state")
             _check_domain(chart, state, (s + 1) * h)
+            if record is not None:
+                samples[s + 1], k1s[s] = state[record], k1[record]
     except _STAGE_ERRORS as exc:
         raise _stage_error(exc, s * h) from exc
-    yield state, None
+    return state, samples, k1s
 
 
-def _paper_run(chart: MetricChart, L: int, pos: np.ndarray, vel: np.ndarray,
-               h: float, steps: int, record=None):
-    """One paper-mode RK4 run from positions and velocities (..., n, 2^L).
-
-    Returns the final positions and, if `record` indexes one state of the
-    leading axes (`()` for an unbatched state), the (positions, velocities)
-    of that state at every sample; no other state is recorded.
-    """
-    kern = chart.kernel(L)
-    n = kern.n
-
-    def rhs(st):
-        vel = st[..., n:, :]
-        return np.concatenate((vel, _acceleration(kern, st[..., :n, :], vel)),
-                              axis=-2)
-
-    run = _rk4(rhs, np.concatenate((pos, vel), axis=-2), h, steps, chart)
-    if record is None:
-        for st, _ in run:
-            pass
-        return st[..., :n, :], None
-    samples = np.empty((steps + 1, 2 * n, kern.D))
-    for s, (st, _) in enumerate(run):
-        samples[s] = st[record]
-    return st[..., :n, :], (samples[:, :n].copy(), samples[:, n:].copy())
+def _paper_rhs(kern: _Kernel, st: np.ndarray) -> np.ndarray:
+    """d/dt of the paper-mode state (pos, vel), one (..., 2n, 2^L) array."""
+    vel = st[..., kern.n:, :]
+    return np.concatenate((vel, _acceleration(kern, st[..., :kern.n, :], vel)),
+                          axis=-2)
 
 
 def _paper_trajectory(chart: MetricChart, L: int, t_end: float, dt: float,
-                      samples: tuple[np.ndarray, np.ndarray]) -> Trajectory:
-    """The `Trajectory` of a recorded paper-mode run on the grid of
+                      samples: np.ndarray) -> Trajectory:
+    """The `Trajectory` of the samples of a paper-mode run on the grid of
     (t_end, dt)."""
     steps, h = _grid(t_end, dt)
-    return Trajectory(chart.sig, L, np.arange(steps + 1) * h, *samples,
+    n = chart.sig.dimension
+    return Trajectory(chart.sig, L, np.arange(steps + 1) * h,
+                      samples[:, :n].copy(), samples[:, n:].copy(),
                       metadata={"dt": h, "requested_dt": dt, "t_end": t_end,
                                 "mode": "paper", "metric": chart.name})
 
@@ -274,9 +262,11 @@ def integrate_geodesic(chart: MetricChart, ic: InitialCondition,
     if ic.position.sig != chart.sig:
         raise SignatureMismatch("initial condition lives on a different chart")
     steps, h = _grid(t_end, dt)
-    pos = ic.position.as_array().astype(float)
-    vel = ic.velocity_array().astype(float)
-    _, samples = _paper_run(chart, ic.L, pos, vel, h, steps, record=())
+    kern = chart.kernel(ic.L)
+    state = np.concatenate((ic.position.as_array(), ic.velocity_array()),
+                           axis=-2)
+    _, samples, _ = _rk4(lambda st: _paper_rhs(kern, st), state, h, steps,
+                         chart, record=())
     return _paper_trajectory(chart, ic.L, t_end, dt, samples)
 
 
@@ -316,28 +306,25 @@ def integrate_goertsches(chart: MetricChart, ic: InitialCondition,
         raise SignatureMismatch("initial condition lives on a different chart")
     steps, h = _grid(t_end, dt)
     kern = chart.kernel(ic.L)
-    n, D, m = kern.n, kern.D, chart.sig.n_even
-    state = np.concatenate((ic.position.as_array(),
-                            ic.velocity_array()[:m]), axis=-2).astype(float)
-
-    ts = np.arange(steps + 1) * h
-    positions = np.empty((steps + 1, n, D))
-    velocities = np.empty((steps + 1, n, D))
+    n, m = kern.n, chart.sig.n_even
+    state = np.concatenate((ic.position.as_array(), ic.velocity_array()[:m]),
+                           axis=-2)
 
     def rhs(st):
         return _goertsches_rhs(kern, m, st)
 
-    for s, (st, k1) in enumerate(_rk4(rhs, state, h, steps, chart)):
-        if k1 is None:
-            try:
-                k1 = rhs(st)
-            except _STAGE_ERRORS as exc:
-                raise _stage_error(exc, ts[s - 1]) from exc
-        positions[s] = st[:n]
-        velocities[s, :m] = st[n:]
-        velocities[s, m:] = k1[m:n]
-
-    return Trajectory(chart.sig, ic.L, ts, positions, velocities,
+    final, samples, k1s = _rk4(rhs, state, h, steps, chart, record=())
+    try:
+        k1_end = rhs(final)
+    except _STAGE_ERRORS as exc:
+        raise _stage_error(exc, (steps - 1) * h) from exc
+    positions = samples[:, :n].copy()
+    velocities = np.empty(positions.shape)
+    velocities[:, :m] = samples[:, n:]
+    velocities[:-1, m:] = k1s[:, m:n]
+    velocities[-1, m:] = k1_end[m:n]
+    return Trajectory(chart.sig, ic.L, np.arange(steps + 1) * h,
+                      positions, velocities,
                       metadata={"dt": h, "requested_dt": dt, "t_end": t_end,
                                 "mode": "goertsches", "metric": chart.name})
 

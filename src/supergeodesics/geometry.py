@@ -503,7 +503,9 @@ def christoffel_at(chart: MetricChart, p: SuperPoint) -> ChristoffelTable:
 class BodyGeometry:
     """The classical geometry underlying a chart: the even-even metric block
     with all odd coordinates and souls set to zero, plus its classical
-    Christoffel symbols (computed with the ungraded formula)."""
+    Christoffel symbols (computed with the ungraded formula).  One
+    `superexpr.Program` holds the m^2 entries, then the m^3 partials; `metric`
+    runs its prefix and `fields` all of it."""
 
     def __init__(self, chart: MetricChart):
         sig = chart.sig
@@ -516,34 +518,29 @@ class BodyGeometry:
             tuple(substitute(chart.entries[i][j], kill_odd) for j in range(m))
             for i in range(m))
         body_sig = ChartSignature(sig.even_names, ())
-        self._sig = body_sig
-        self._d_entries = tuple(
-            tuple(tuple(partial_derivative(self.entries[i][j], a, body_sig)
-                        for j in range(m)) for i in range(m))
-            for a in sig.even_names)
+        entries = [e for row in self.entries for e in row]
+        self._program = Program(entries + [partial_derivative(e, a, body_sig)
+                                           for a in sig.even_names
+                                           for e in entries])
 
-    def _env(self, x) -> dict[str, np.ndarray]:
-        return {name: np.array([float(x[i])])
-                for i, name in enumerate(self.even_names)}
+    def _run(self, x, count: int | None = None) -> np.ndarray:
+        env = {name: np.array([float(x[i])])
+               for i, name in enumerate(self.even_names)}
+        return np.array([v[0] for v in self._program.run(env, 0, count)])
 
     def metric(self, x) -> np.ndarray:
-        env = self._env(x)
-        return np.array([[eval_dense(self.entries[i][j], env, 0)[0]
-                          for j in range(self.m)] for i in range(self.m)])
+        return self._run(x, self.m ** 2).reshape(self.m, self.m)
 
-    def metric_inverse(self, x) -> np.ndarray:
-        return np.linalg.inv(self.metric(x))
-
-    def dmetric(self, x) -> np.ndarray:
-        env = self._env(x)
-        return np.array([[[eval_dense(self._d_entries[a][i][j], env, 0)[0]
-                           for j in range(self.m)] for i in range(self.m)]
-                         for a in range(self.m)])
+    def fields(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """(g^{-1}, dG) at x from one program run; dG[a,i,j] = d_a g_ij."""
+        m = self.m
+        vals = self._run(x)
+        return (np.linalg.inv(vals[:m * m].reshape(m, m)),
+                vals[m * m:].reshape(m, m, m))
 
     def christoffel(self, x) -> np.ndarray:
         """Classical symbols [k,i,j] from the ungraded coordinate formula."""
-        ginv = self.metric_inverse(x)
-        dG = self.dmetric(x)  # [a,i,j] = d_a g_ij
+        ginv, dG = self.fields(x)
         bracket = dG + dG.transpose(1, 0, 2) - dG.transpose(1, 2, 0)
         # bracket[i,j,l] = d_i g_jl + d_j g_il - d_l g_ij
         return 0.5 * np.einsum("ijl,lk->kij", bracket, ginv)

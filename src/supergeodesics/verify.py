@@ -1,10 +1,11 @@
 """Verification suites: machine-checkable invariants of a loaded model.
 
 Each suite returns a list of named checks with a measured deviation and a
-tolerance; `cmd_verify` serializes them as JSON.  The classical oracles used
-for body-reduction checks (plain real RK4 on the reduced metric and on the
-classical cotangent system) are independent code paths from the graded
-integrators they certify.
+tolerance; `cmd_verify` serializes them as JSON.  The classical oracles of
+the body-reduction checks, the geodesic equation of the reduced metric and
+the classical cotangent system, step through one plain real RK4 loop
+(`_real_rk4`) and read `BodyGeometry`: no graded kernel, product or stepper,
+so they stay independent of the integrators they certify.
 
 Metric-compatibility oracle
 ---------------------------
@@ -21,10 +22,10 @@ This signed expansion is fixed here once and checked at random points.
 Verify as one plan
 ------------------
 `Fixtures` decodes a model's verify data before any suite runs.  On first
-use, `Fixtures.exp` lists every exp row the requested suites need (the
+use, `Fixtures.exp` lists every exp row the requested suites will read (the
 Jacobian rows of the exp suite; the naturality and linearization rows of
-the isometry suite) and, for the geodesic and flow suites, the suite
-geodesic.  It integrates each distinct row once, in one batched paper-mode
+the isometry suite whose gates pass, each gate shared with its check) and,
+for the geodesic and flow suites, the suite geodesic.  It integrates each distinct row once, in one batched paper-mode
 run per (L, h, steps), with the suite geodesic as the one recorded row of
 the run whose grid it shares (`expmap.ExpTable`).  The checks read their
 exp values from that table.  Only the determinism re-runs, the flow and the
@@ -49,8 +50,10 @@ from .cotangent import (
 from .errors import ModelError
 from .expmap import (
     ExpTable,
+    IsometryReport,
     TangentFiberPoint,
     _jacobian_rows,
+    _linearization_gate,
     _linearization_rows,
     _naturality_rows,
     exp_jacobian_checks,
@@ -118,19 +121,13 @@ class Check:
                 "tolerance": float(self.tolerance), "details": self.details}
 
 
-def _tol(model: ModelFile, overrides: dict | None, key: str) -> float:
-    if overrides and key in overrides:
-        return overrides[key]
-    if key in model.tolerances:
-        return model.tolerances[key]
-    return TOLERANCES[key]
-
-
-def _bounded(model: ModelFile, overrides: dict | None, name: str, dev: float,
-             details: str = "") -> Check:
-    """The check `name`: it passes when `dev` is within its tolerance."""
-    tol = _tol(model, overrides, name)
-    return Check(name, dev <= tol, dev, tol, details)
+def _determinism(fx: Fixtures, *pairs: tuple[np.ndarray, np.ndarray]) -> Check:
+    """The determinism check of a re-run: it passes when every (run, re-run)
+    pair of arrays is bitwise identical, and its deviation is the largest
+    absolute difference over all of them."""
+    return Check("determinism", all(np.array_equal(a, b) for a, b in pairs),
+                 max(float(np.max(np.abs(a - b))) for a, b in pairs),
+                 fx.tol("determinism"), "bitwise-identical re-run")
 
 
 def _seed(model: ModelFile, salt: str = "") -> int:
@@ -162,31 +159,63 @@ def random_superpoint(chart: MetricChart, L: int, rng: np.random.Generator,
     return SuperPoint(sig, L, values)
 
 
-class Fixtures:
-    """A model's verify fixtures for the `suites` that will run, decoded
-    before any suite runs (a bad one raises `ModelError`); the body geometry
-    and the planned integrations (`exp`, `geodesic`) are built on first use
-    and shared by every suite."""
+def _body_point(chart: MetricChart, value, key: str) -> np.ndarray:
+    """`value` as a body point of `chart`, or a `ModelError` naming `key`."""
+    try:
+        q = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        q = np.empty(0)
+    if (q.shape != (chart.sig.n_even,) or not np.isfinite(q).all()
+            or not chart.domain_contains(q)):
+        raise ModelError(f"{key} {value!r} is not a body point: it needs "
+                         f"{chart.sig.n_even} finite coordinates strictly "
+                         "inside the chart domain")
+    return q
 
-    def __init__(self, model: ModelFile, suites=SUITES):
-        cfg, sig = model.verify_config, model.sig
-        self.model, self.chart = model, model.chart
+
+class Fixtures:
+    """A model's verify fixtures for the `suites` that will run under the
+    tolerance `overrides`, decoded before any suite runs (a bad one raises
+    `ModelError`); the body geometry, the isometry conditions and the
+    planned integrations (`exp`, `geodesic`) are built on first use and
+    shared by every suite."""
+
+    def __init__(self, model: ModelFile, suites=SUITES,
+                 overrides: dict | None = None):
+        cfg, sig, chart = model.verify_config, model.sig, model.chart
+        self.model, self.chart = model, chart
         self.suites = frozenset(suites)
+        self.overrides = overrides or {}
         name = cfg.get("ic")
         self.ic: InitialCondition | None = (
             model.initial_condition(name) if name
             else next(iter(model.initial_conditions.values()), None))
         self.dt, self.t_end = model.defaults["dt"], model.defaults["t_end"]
-        boxes = [model.chart.domain.get(n, (-1.0, 1.0)) for n in sig.even_names]
-        self.base = np.asarray(cfg.get("base_point", [
-            (max(lo, -1.0) + min(hi, 1.0)) / 2.0 for lo, hi in boxes]), dtype=float)
-        self.exp_points = ([np.asarray(p, dtype=float) for p in cfg["exp_points"]]
-                           if "exp_points" in cfg else
-                           [self.base + off for off in (-0.2, -0.1, 0.0, 0.1, 0.2)])
+        # a point the model leaves out has a default, named as such
+        key = {k: f"verify.{k}" if k in cfg else f"the default verify.{k}"
+               for k in ("base_point", "exp_points")}
+        boxes = [chart.domain.get(n, (-1.0, 1.0)) for n in sig.even_names]
+        self.base = _body_point(chart, cfg.get("base_point", [
+            (max(lo, -1.0) + min(hi, 1.0)) / 2.0 for lo, hi in boxes]),
+            key["base_point"])
+        offsets = (-0.2, -0.1, 0.0, 0.1, 0.2)
+        self.exp_points = [
+            _body_point(chart, p, f"{key['exp_points']}[{i}]")
+            for i, p in enumerate(cfg.get("exp_points", [
+                (self.base + off).tolist() for off in offsets]))]
         L = max(model.L, 1) if sig.n_odd else model.L
         self.vectors = [vector_from_spec(v, sig, L, self.base,
                                          f"verify.vectors[{i}]")
                         for i, v in enumerate(cfg.get("vectors", []))]
+
+    def tol(self, key: str) -> float:
+        return self.overrides.get(key, self.model.tolerances.get(
+            key, TOLERANCES[key]))
+
+    def bounded(self, name: str, dev: float, details: str = "") -> Check:
+        """The check `name`: it passes when `dev` is within its tolerance."""
+        tol = self.tol(name)
+        return Check(name, dev <= tol, dev, tol, details)
 
     def run_ic(self) -> InitialCondition:
         if self.ic is None:
@@ -199,10 +228,24 @@ class Fixtures:
         return reduce_body(self.chart)
 
     @cached_property
+    def isometry(self) -> dict[str, IsometryReport]:
+        """The isometry condition of every morphism listed under
+        `isometries` or `negative_controls`, at probe points around the base
+        point; the gate of its naturality check."""
+        cfg = self.model.verify_config
+        L = self.vectors[0].L if self.vectors else max(self.model.L, 1)
+        probes = probe_points(self.chart, self.base, L)
+        return {name: isometry_check(self.chart, self.chart,
+                                     self.model.morphism(name), probes,
+                                     tolerance=self.tol("isometry_condition"))
+                for name in (*cfg.get("isometries", []),
+                             *cfg.get("negative_controls", []))}
+
+    @cached_property
     def exp(self) -> ExpTable:
-        """Every exp row of the planned suites, and the suite geodesic if the
-        geodesic or flow suite is planned, integrated once (module
-        docstring)."""
+        """Every exp row the planned suites will read, and the suite
+        geodesic if the geodesic or flow suite is planned, integrated once
+        (module docstring)."""
         rows: list[TangentFiberPoint] = []
         if "exp" in self.suites:
             for q in self.exp_points:
@@ -220,100 +263,107 @@ class Fixtures:
         return self.exp.curve
 
 
-def _isometry_rows(fx: Fixtures) -> list[TangentFiberPoint]:
-    """The exp rows of `run_isometry_suite`, from the row helpers of the
-    checks it runs."""
+def _naturality_names(fx: Fixtures) -> tuple[list[str], list[str]]:
+    """(isometries, negative controls) whose naturality `run_isometry_suite`
+    measures: none without vectors to shoot, and an isometry only if it
+    passes its condition, which naturality presumes."""
     cfg = fx.model.verify_config
+    if not fx.vectors:
+        return [], []
+    return ([name for name in cfg.get("isometries", [])
+             if fx.isometry[name].passed], cfg.get("negative_controls", []))
+
+
+def _linearizations(fx: Fixtures):
+    """(check, tolerance key, morphism, sign) of each linearization test."""
+    for name in fx.model.verify_config.get("point_symmetries", []):
+        yield (f"geodesic_symmetry[{name}]", "geodesic_symmetry",
+               fx.model.morphism(name), -1.0)
+    yield ("identity_linearization", "identity_linearization",
+           SuperMorphism.identity(fx.chart.sig), 1.0)
+
+
+def _isometry_rows(fx: Fixtures) -> list[TangentFiberPoint]:
+    """The exp rows `run_isometry_suite` reads: those of each check whose
+    gates, shared with the check, pass."""
     rows: list[TangentFiberPoint] = []
-    if fx.vectors:
-        for name in (*cfg.get("isometries", []),
-                     *cfg.get("negative_controls", [])):
-            rows += _naturality_rows(fx.chart, fx.model.morphism(name),
-                                     fx.base, fx.vectors)
-    if cfg.get("point_symmetries"):
-        rows += _linearization_rows(fx.vectors, -1.0)
-    return rows + _linearization_rows(fx.vectors, 1.0)
+    natural, controls = _naturality_names(fx)
+    for name in [*natural, *controls]:
+        rows += _naturality_rows(fx.chart, fx.model.morphism(name), fx.base,
+                                 fx.vectors)
+    for _, _, phi, sign in _linearizations(fx):
+        if not _linearization_gate(fx.chart, phi, fx.base, fx.vectors, sign):
+            rows += _linearization_rows(fx.vectors, sign)
+    return rows
 
 
 # ---------------------------------------------------------------------------
 # classical oracles (independent code paths on the reduced geometry)
 
 
+def _real_rk4(rhs, y0: np.ndarray, t_end: float,
+              dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """Plain real RK4 for y' = rhs(y) on the grid of (t_end, dt): the
+    sample times and the state at each of them."""
+    steps = max(1, round(t_end / dt))
+    h = t_end / steps
+    ys = np.empty((steps + 1, len(y0)))
+    ys[0] = y = y0
+    for s in range(steps):
+        k1 = rhs(y)
+        k2 = rhs(y + 0.5 * h * k1)
+        k3 = rhs(y + 0.5 * h * k2)
+        k4 = rhs(y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        ys[s + 1] = y
+    return np.arange(steps + 1) * h, ys
+
+
 def classical_geodesic(body: BodyGeometry, x0, v0, t_end: float,
                        dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Plain real RK4 for the classical geodesic equation on the body."""
-    steps = max(1, round(t_end / dt))
-    h = t_end / steps
-    x = np.asarray(x0, dtype=float).copy()
-    v = np.asarray(v0, dtype=float).copy()
-    ts = np.arange(steps + 1) * h
-    xs = np.empty((steps + 1, body.m))
-    vs = np.empty((steps + 1, body.m))
-    xs[0], vs[0] = x, v
+    m = body.m
 
-    def acc(x, v):
-        gamma = body.christoffel(x)
-        return -np.einsum("kij,i,j->k", gamma, v, v)
+    def rhs(y):
+        x, v = y[:m], y[m:]
+        return np.concatenate(
+            (v, -np.einsum("kij,i,j->k", body.christoffel(x), v, v)))
 
-    for s in range(steps):
-        k1x, k1v = v, acc(x, v)
-        k2x, k2v = v + 0.5 * h * k1v, acc(x + 0.5 * h * k1x, v + 0.5 * h * k1v)
-        k3x, k3v = v + 0.5 * h * k2v, acc(x + 0.5 * h * k2x, v + 0.5 * h * k2v)
-        k4x, k4v = v + h * k3v, acc(x + h * k3x, v + h * k3v)
-        x = x + (h / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
-        v = v + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
-        xs[s + 1], vs[s + 1] = x, v
-    return ts, xs, vs
+    ts, ys = _real_rk4(rhs, np.concatenate((x0, v0)).astype(float), t_end, dt)
+    return ts, ys[:, :m], ys[:, m:]
 
 
 def classical_cotangent_flow(body: BodyGeometry, x0, p0, t_end: float,
                              dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Plain real RK4 for the classical cotangent geodesic flow:
     dq/dt = g^{-1} p, dp_i/dt = -1/2 p^T (d_i g^{-1}) p."""
-    steps = max(1, round(t_end / dt))
-    h = t_end / steps
-    q = np.asarray(x0, dtype=float).copy()
-    p = np.asarray(p0, dtype=float).copy()
-    ts = np.arange(steps + 1) * h
-    qs = np.empty((steps + 1, body.m))
-    ps = np.empty((steps + 1, body.m))
-    qs[0], ps[0] = q, p
+    m = body.m
 
-    def rhs(q, p):
-        ginv = body.metric_inverse(q)
-        dG = body.dmetric(q)
+    def rhs(y):
+        q, p = y[:m], y[m:]
+        ginv, dG = body.fields(q)
         dginv = -np.einsum("ik,akl,lj->aij", ginv, dG, ginv)
-        qdot = ginv @ p
-        pdot = -0.5 * np.einsum("k,akj,j->a", p, dginv, p)
-        return qdot, pdot
+        return np.concatenate(
+            (ginv @ p, -0.5 * np.einsum("k,akj,j->a", p, dginv, p)))
 
-    for s in range(steps):
-        k1q, k1p = rhs(q, p)
-        k2q, k2p = rhs(q + 0.5 * h * k1q, p + 0.5 * h * k1p)
-        k3q, k3p = rhs(q + 0.5 * h * k2q, p + 0.5 * h * k2p)
-        k4q, k4p = rhs(q + h * k3q, p + h * k3p)
-        q = q + (h / 6.0) * (k1q + 2 * k2q + 2 * k3q + k4q)
-        p = p + (h / 6.0) * (k1p + 2 * k2p + 2 * k3p + k4p)
-        qs[s + 1], ps[s + 1] = q, p
-    return ts, qs, ps
+    ts, ys = _real_rk4(rhs, np.concatenate((x0, p0)).astype(float), t_end, dt)
+    return ts, ys[:, :m], ys[:, m:]
 
 
 # ---------------------------------------------------------------------------
 # suites
 
 
-def run_metric_suite(fx: Fixtures, overrides: dict | None = None,
-                     n_points: int = 100) -> list[Check]:
+def run_metric_suite(fx: Fixtures, n_points: int = 100) -> list[Check]:
     model, chart = fx.model, fx.chart
     L = model.L
     rng = np.random.default_rng(_seed(model, "metric"))
     samples = [random_superpoint(chart, L, rng) for _ in range(8)]
     checks: list[Check] = []
 
-    report = metric_validate(chart, samples, tol=_tol(model, overrides,
-                                                      "metric_invariants"))
+    report = metric_validate(chart, samples, tol=fx.tol("metric_invariants"))
     checks.append(Check("metric_invariants", report.ok, 0.0,
-                        _tol(model, overrides, "metric_invariants"),
+                        fx.tol("metric_invariants"),
                         report.first_violation or ""))
     if not report.ok:
         return checks
@@ -350,10 +400,10 @@ def run_metric_suite(fx: Fixtures, overrides: dict | None = None,
         resid = dG - term1 - term2
         compat_dev = max(compat_dev, float(np.max(np.abs(resid))))
 
-    checks.append(_bounded(model, overrides, "christoffel_symmetry", sym_dev))
-    checks.append(_bounded(model, overrides, "christoffel_parity", par_dev))
-    checks.append(_bounded(model, overrides, "metric_compatibility",
-                           compat_dev, f"{n_points} random points"))
+    checks.append(fx.bounded("christoffel_symmetry", sym_dev))
+    checks.append(fx.bounded("christoffel_parity", par_dev))
+    checks.append(fx.bounded("metric_compatibility", compat_dev,
+                             f"{n_points} random points"))
 
     beta_dev = 0.0
     m = chart.sig.n_even
@@ -362,47 +412,39 @@ def run_metric_suite(fx: Fixtures, overrides: dict | None = None,
         gamma0 = chart.kernel(0).christoffel(chart.kernel(0).env(p0.as_array()))
         beta_dev = max(beta_dev, float(np.max(np.abs(
             gamma0[:m, :m, :m, 0] - fx.body.christoffel(q)))))
-    checks.append(_bounded(model, overrides, "beta_compatibility", beta_dev))
+    checks.append(fx.bounded("beta_compatibility", beta_dev))
     return checks
 
 
-def run_geodesic_suite(fx: Fixtures,
-                       overrides: dict | None = None) -> list[Check]:
-    model, chart = fx.model, fx.chart
+def run_geodesic_suite(fx: Fixtures) -> list[Check]:
+    chart = fx.chart
     checks: list[Check] = []
 
     traj = fx.geodesic
 
     resid = covariant_derivative_t(chart, traj, traj.velocities)
     resid_dev = float(np.max(np.abs(resid)))
-    checks.append(_bounded(model, overrides, "geodesic_residual", resid_dev))
+    checks.append(fx.bounded("geodesic_residual", resid_dev))
 
     speed = metric_speed(chart, traj)
     drift = float(np.max(np.abs(speed - speed[0])))
-    checks.append(_bounded(model, overrides, "speed_drift", drift))
+    checks.append(fx.bounded("speed_drift", drift))
 
     m = chart.sig.n_even
-    x0 = traj.positions[0, :m, 0]
-    v0 = traj.velocities[0, :m, 0]
-    _, xs, _ = classical_geodesic(fx.body, x0, v0, fx.t_end, fx.dt)
+    _, xs, _ = classical_geodesic(fx.body, traj.positions[0, :m, 0],
+                                  traj.velocities[0, :m, 0], fx.t_end, fx.dt)
     body_dev = float(np.max(np.abs(traj.positions[:, :m, 0] - xs)))
-    checks.append(_bounded(model, overrides, "body_reduction", body_dev,
-                           "vs independent classical integrator"))
+    checks.append(fx.bounded("body_reduction", body_dev,
+                             "vs independent classical integrator"))
 
     again = integrate_geodesic(chart, fx.run_ic(), fx.t_end, fx.dt)
-    identical = (np.array_equal(traj.positions, again.positions)
-                 and np.array_equal(traj.velocities, again.velocities))
-    checks.append(Check("determinism", identical,
-                        0.0 if identical else float(np.max(np.abs(
-                            traj.positions - again.positions))),
-                        _tol(model, overrides, "determinism"),
-                        "bitwise-identical re-run"))
+    checks.append(_determinism(fx, (traj.positions, again.positions),
+                               (traj.velocities, again.velocities)))
     return checks
 
 
-def run_flow_suite(fx: Fixtures,
-                   overrides: dict | None = None) -> list[Check]:
-    model, chart = fx.model, fx.chart
+def run_flow_suite(fx: Fixtures) -> list[Check]:
+    chart = fx.chart
     checks: list[Check] = []
 
     I = phase_from_ic(chart, fx.run_ic())
@@ -410,39 +452,33 @@ def run_flow_suite(fx: Fixtures,
 
     H = energy_series(chart, flow)
     drift = float(np.max(np.abs(H - H[0])))
-    checks.append(_bounded(model, overrides, "energy_drift", drift))
+    checks.append(fx.bounded("energy_drift", drift))
 
     pv = parity_violation_max(flow)
-    checks.append(_bounded(model, overrides, "parity_preservation", pv,
-                           "exact zero check"))
+    checks.append(fx.bounded("parity_preservation", pv, "exact zero check"))
 
-    rt = roundtrip_check(chart, fx.geodesic, flow,
-                         tolerance=_tol(model, overrides, "roundtrip"))
-    checks.append(Check("roundtrip", rt.passed, rt.max_dev, rt.tolerance,
-                        f"flow->geodesic {rt.flow_to_geodesic_dev:.3g}, "
-                        f"geodesic->flow {rt.geodesic_to_flow_dev:.3g}, "
-                        f"initial velocity {rt.initial_velocity_dev:.3g}"))
+    rt = roundtrip_check(chart, fx.geodesic, flow)
+    checks.append(fx.bounded("roundtrip", rt.max_dev,
+                             f"flow->geodesic {rt.flow_to_geodesic_dev:.3g}, "
+                             f"geodesic->flow {rt.geodesic_to_flow_dev:.3g}, "
+                             f"initial velocity {rt.initial_velocity_dev:.3g}"))
 
     m = chart.sig.n_even
-    q0 = flow.positions[0, :m, 0]
-    p0 = flow.momenta[0, :m, 0]
-    _, qs, ps = classical_cotangent_flow(fx.body, q0, p0, fx.t_end, fx.dt)
+    _, qs, ps = classical_cotangent_flow(
+        fx.body, flow.positions[0, :m, 0], flow.momenta[0, :m, 0], fx.t_end,
+        fx.dt)
     dev = max(float(np.max(np.abs(flow.positions[:, :m, 0] - qs))),
               float(np.max(np.abs(flow.momenta[:, :m, 0] - ps))))
-    checks.append(_bounded(model, overrides, "flow_body_reduction", dev,
-                           "vs independent classical cotangent flow"))
+    checks.append(fx.bounded("flow_body_reduction", dev,
+                             "vs independent classical cotangent flow"))
 
     again = integrate_flow(chart, I, fx.t_end, fx.dt)
-    identical = (np.array_equal(flow.positions, again.positions)
-                 and np.array_equal(flow.momenta, again.momenta))
-    checks.append(Check("determinism", identical, 0.0,
-                        _tol(model, overrides, "determinism"),
-                        "bitwise-identical re-run"))
+    checks.append(_determinism(fx, (flow.positions, again.positions),
+                               (flow.momenta, again.momenta)))
     return checks
 
 
-def run_exp_suite(fx: Fixtures,
-                  overrides: dict | None = None) -> list[Check]:
+def run_exp_suite(fx: Fixtures) -> list[Check]:
     model, chart = fx.model, fx.chart
     checks: list[Check] = []
     even_dev = 0.0
@@ -451,78 +487,53 @@ def run_exp_suite(fx: Fixtures,
                                    dt=fx.dt, exp=fx.exp):
         even_dev = max(even_dev, rep.even_dev)
         odd_dev = max(odd_dev, rep.odd_dev)
-    checks.append(_bounded(model, overrides, "exp_identity_even", even_dev,
-                           f"{len(fx.exp_points)} body points, h=1e-4"))
-    checks.append(_bounded(model, overrides, "exp_identity_odd", odd_dev,
-                           "exact coefficient extraction"))
+    checks.append(fx.bounded("exp_identity_even", even_dev,
+                             f"{len(fx.exp_points)} body points, h=1e-4"))
+    checks.append(fx.bounded("exp_identity_odd", odd_dev,
+                             "exact coefficient extraction"))
 
     agree_dev = 0.0
     for name, phi in model.morphisms.items():
         sym = tangent_map_matrix(phi, fx.base)
         num = numerical_tangent_map(phi, fx.base).matrix
         agree_dev = max(agree_dev, float(np.max(np.abs(sym - num))))
-    checks.append(_bounded(model, overrides, "tangent_map_agreement",
-                           agree_dev, "symbolic tangent map vs numerical Jacobian"))
+    checks.append(fx.bounded("tangent_map_agreement", agree_dev,
+                             "symbolic tangent map vs numerical Jacobian"))
     return checks
 
 
-def run_isometry_suite(fx: Fixtures,
-                       overrides: dict | None = None) -> list[Check]:
-    model, chart = fx.model, fx.chart
-    cfg = model.verify_config
-    dt, base, vectors = fx.dt, fx.base, fx.vectors
-    L = vectors[0].L if vectors else max(model.L, 1)
-    samples = probe_points(chart, base, L)
+def run_isometry_suite(fx: Fixtures) -> list[Check]:
+    cfg = fx.model.verify_config
+    natural, controls = _naturality_names(fx)
+    # the isometries among them have passed their condition already
+    devs = {name: naturality_check(fx.chart, fx.model.morphism(name), fx.base,
+                                   fx.vectors, dt=fx.dt, require_isometry=False,
+                                   exp=fx.exp).max_dev
+            for name in [*natural, *controls]}
+    nat_tol, neg_min = fx.tol("naturality"), fx.tol("negative_control_min")
     checks: list[Check] = []
 
-    iso_tol = _tol(model, overrides, "isometry_condition")
-    nat_tol = _tol(model, overrides, "naturality")
-    neg_min = _tol(model, overrides, "negative_control_min")
-
     for name in cfg.get("isometries", []):
-        phi = model.morphism(name)
-        iso = isometry_check(chart, chart, phi, samples, tolerance=iso_tol)
+        iso = fx.isometry[name]
         checks.append(Check(f"isometry_condition[{name}]", iso.passed,
-                            iso.max_dev, iso_tol))
-        # naturality presumes the isometry: a failed condition is the report
-        if vectors and iso.passed:
-            nat = naturality_check(chart, phi, base, vectors, dt=dt,
-                                   tolerance=nat_tol,
-                                   isometry_samples=samples, exp=fx.exp)
-            checks.append(Check(f"naturality[{name}]", nat.passed,
-                                nat.max_dev, nat_tol))
+                            iso.max_dev, iso.tolerance))
+        if name in natural:
+            checks.append(Check(f"naturality[{name}]", devs[name] <= nat_tol,
+                                devs[name], nat_tol))
 
     for name in cfg.get("negative_controls", []):
-        phi = model.morphism(name)
-        iso = isometry_check(chart, chart, phi, samples, tolerance=iso_tol)
-        dev = 0.0
-        if vectors:
-            nat = naturality_check(chart, phi, base, vectors, dt=dt,
-                                   isometry_samples=samples,
-                                   require_isometry=False, exp=fx.exp)
-            dev = nat.max_dev
-        ok = (not iso.passed) and (not vectors or dev > neg_min)
+        iso, dev = fx.isometry[name], devs.get(name, 0.0)
+        ok = (not iso.passed) and (not fx.vectors or dev > neg_min)
         checks.append(Check(f"negative_control[{name}]", ok, dev, neg_min,
                             f"isometry condition dev {iso.max_dev:.3g}; "
                             "naturality deviation must exceed tolerance"))
 
-    for name in cfg.get("point_symmetries", []):
-        phi = model.morphism(name)
-        rep = linearization_test(chart, phi, base, vectors, dt=dt,
-                                 tangent_sign=-1.0,
-                                 tolerance=_tol(model, overrides,
-                                                "geodesic_symmetry"),
+    for name, key, phi, sign in _linearizations(fx):
+        rep = linearization_test(fx.chart, phi, fx.base, fx.vectors, dt=fx.dt,
+                                 tangent_sign=sign, tolerance=fx.tol(key),
                                  exp=fx.exp)
-        checks.append(Check(f"geodesic_symmetry[{name}]", rep.passed,
-                            rep.max_dev, rep.tolerance, rep.reason))
-
-    identity = SuperMorphism.identity(chart.sig)
-    rep = linearization_test(chart, identity, base, vectors, dt=dt,
-                             tolerance=_tol(model, overrides,
-                                            "identity_linearization"),
-                             exp=fx.exp)
-    checks.append(Check("identity_linearization", rep.passed, rep.max_dev,
-                        rep.tolerance, rep.reason))
+        checks.append(Check(name, rep.passed, rep.max_dev, rep.tolerance,
+                            rep.reason))
     return checks
 
 
@@ -544,10 +555,10 @@ def run_suites(model: ModelFile, suites=("all",),
     if unknown:
         raise ModelError(f"unknown suites {sorted(unknown)}; "
                          f"choose from {('all',) + SUITES}")
-    fx = Fixtures(model, wanted)
+    fx = Fixtures(model, wanted, overrides)
     report: dict = {"model": model.name, "suites": {}, "passed": True}
     for suite in wanted:
-        checks = _SUITE_RUNNERS[suite](fx, overrides)
+        checks = _SUITE_RUNNERS[suite](fx)
         report["suites"][suite] = [c.as_dict() for c in checks]
         if not all(c.passed for c in checks):
             report["passed"] = False

@@ -1,7 +1,8 @@
 """Bit-level contracts of the serial right-hand side, on random inputs.
 
 * batch rows: a row of a batched paper-mode run or flow run on the one-array
-  stepper is `np.array_equal` to its own serial run;
+  stepper is `np.array_equal` to its own serial run, and so are the samples
+  and first stages `_rk4` records for one row;
 * the Neumann series of `_Kernel.inverse`, whose first term is -N, matches
   an oracle that computes that term as the product by the identity;
 * the program of `superexpr` matches a node-by-node tree evaluation.
@@ -16,8 +17,9 @@ from supergeodesics.cotangent import PhasePoint, _flow_rhs, integrate_flow
 from supergeodesics.errors import DomainError, ZeroBody
 from supergeodesics.geodesics import (
     InitialCondition,
+    _goertsches_rhs,
     _grid,
-    _paper_run,
+    _paper_rhs,
     _rk4,
     integrate_geodesic,
 )
@@ -70,16 +72,18 @@ def test_paper_run_rows_match_serial(c1x_r12, curved_r22, L, rows, seed, curved)
     pos, vel = random_states(chart, L, rows, rng)
     steps, h = _grid(0.03, 0.01)
     record = int(rng.integers(rows))
-    final, (positions, velocities) = _paper_run(chart, L, pos, vel, h, steps,
-                                                record=record)
+    kern = chart.kernel(L)
+    final, samples, _ = _rk4(lambda s: _paper_rhs(kern, s),
+                             np.concatenate((pos, vel), axis=-2), h, steps,
+                             chart, record=record)
     for r in range(rows):
         ic = InitialCondition(L, SuperPoint.from_array(chart.sig, L, pos[r]),
                               chart.sig.unpack(L, vel[r]))
         traj = integrate_geodesic(chart, ic, 0.03, 0.01)
-        assert np.array_equal(final[r], traj.positions[-1])
+        assert np.array_equal(final[r, :kern.n], traj.positions[-1])
         if r == record:
-            assert np.array_equal(positions, traj.positions)
-            assert np.array_equal(velocities, traj.velocities)
+            assert np.array_equal(samples[:, :kern.n], traj.positions)
+            assert np.array_equal(samples[:, kern.n:], traj.velocities)
 
 
 @FAST
@@ -91,15 +95,46 @@ def test_flow_rows_match_serial(c1x_r12, curved_r22, L, rows, seed, curved):
     pos, mom = random_states(chart, L, rows, rng)
     steps, h = _grid(0.03, 0.01)
     kern = chart.kernel(L)
-    for final, _ in _rk4(lambda s: _flow_rhs(kern, s),
-                         np.concatenate((pos, mom), axis=-2), h, steps, chart):
-        pass
+    final, _, _ = _rk4(lambda s: _flow_rhs(kern, s),
+                       np.concatenate((pos, mom), axis=-2), h, steps, chart)
     for r in range(rows):
         phase = PhasePoint(SuperPoint.from_array(chart.sig, L, pos[r]),
                            chart.sig.unpack(L, mom[r]))
         flow = integrate_flow(chart, phase, 0.03, 0.01)
         assert np.array_equal(final[r, :kern.n], flow.positions[-1])
         assert np.array_equal(final[r, kern.n:], flow.momenta[-1])
+
+
+@FAST
+@given(L=st.integers(0, 3), rows=st.integers(1, 4), seed=seeds,
+       curved=st.booleans())
+def test_recorded_row_and_first_stages(c1x_r12, curved_r22, L, rows, seed,
+                                       curved):
+    # the recorded row at every sample, and its first stage of every step,
+    # are those of the same state run alone
+    chart = curved_r22 if curved else c1x_r12
+    rng = np.random.default_rng(seed)
+    pos, vel = random_states(chart, L, rows, rng)
+    kern, m = chart.kernel(L), chart.sig.n_even
+    state = np.concatenate((pos, vel[:, :m]), axis=-2)
+    steps, h = _grid(0.03, 0.01)
+    record = int(rng.integers(rows))
+
+    def rhs(s):
+        return _goertsches_rhs(kern, m, s)
+
+    final, samples, k1s = _rk4(rhs, state, h, steps, chart, record=record)
+    alone, alone_samples, alone_k1s = _rk4(rhs, state[record], h, steps, chart,
+                                           record=())
+    assert samples.shape == (steps + 1,) + state.shape[1:]
+    assert k1s.shape == (steps,) + state.shape[1:]
+    assert np.array_equal(final[record], alone)
+    assert np.array_equal(samples, alone_samples)
+    assert np.array_equal(samples[-1], final[record])
+    assert np.array_equal(k1s, alone_k1s)
+    for s in range(steps):
+        assert np.array_equal(k1s[s], rhs(samples[s]))
+    assert _rk4(rhs, state, h, steps, chart)[1:] == (None, None)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from supergeodesics import geodesics, verify
+from supergeodesics import expmap, geodesics, verify
 from supergeodesics.cli import main
 from supergeodesics.model import load_model
 
@@ -324,11 +324,14 @@ class TestVerifyCommand:
     def test_suite_geodesic_integrated_once(self, monkeypatch, suites, runs):
         # paper-mode RK4 runs: the suite geodesic is one planned run that
         # the flow suite's round trip reuses; the geodesic suite's
-        # determinism check integrates it once more, serially
-        calls = count_calls(monkeypatch, geodesics, "_rk4")
+        # determinism check integrates it once more, serially.  They step
+        # through the `_rk4` that `expmap` and `geodesics` import; the flow's
+        # own, imported by `cotangent`, is not counted
+        calls = [count_calls(monkeypatch, module, "_rk4")
+                 for module in (expmap, geodesics)]
         report = verify.run_suites(load_model("flat_r12"), suites)
         assert report["passed"] is True
-        assert len(calls) == runs
+        assert sum(map(len, calls)) == runs
 
     def test_failed_isometry_reported_exit_1(self, capsys, tmp_path):
         # naturality presumes the isometry; its failed condition is the report
@@ -343,12 +346,100 @@ class TestVerifyCommand:
         assert "naturality[odd_scaling_bad]" not in checks
         assert checks["identity_linearization"]["passed"] is True
 
+    def test_gated_symmetry_rows_not_integrated(self, capsys, tmp_path):
+        # odd_scaling is no geodesic symmetry (T_q Phi is not -id), so its
+        # -v rows are never read; the one of x = 0.9 from x = 0 would leave
+        # x > -0.8 before t = 1 and, integrated, end the run with exit 3
+        vectors = bundled_doc("c1x_r12")["verify"]["vectors"]
+        vectors[0]["x"] = 0.9
+        model = write_model(tmp_path, "symmetry", coarse_doc(
+            "c1x_r12", point_symmetries=["odd_scaling"], vectors=vectors))
+        code, out, err = run(capsys, "verify", "--model", model,
+                             "--suite", "isometry")
+        assert code == 1 and err == ""
+        checks = {c["name"]: c for c in json.loads(out)["suites"]["isometry"]}
+        assert not checks["geodesic_symmetry[odd_scaling]"]["passed"]
+        assert "tangent map differs from -1*id" in \
+            checks["geodesic_symmetry[odd_scaling]"]["details"]
+        assert checks["identity_linearization"]["passed"] is True
+
     def test_report_written_to_file(self, capsys, tmp_path):
         out = tmp_path / "report.json"
         code, _, _ = run(capsys, "verify", "--model", "flat_r12",
                          "--suite", "metric", "--out", str(out))
         assert code == 0
         assert json.loads(out.read_text())["model"] == "flat_r12"
+
+
+def coarse_doc(name, **verify):
+    """A bundled model at dt = 1e-2, with `verify` entries replaced."""
+    doc = bundled_doc(name)
+    doc["defaults"]["dt"] = 1e-2
+    doc["verify"].update(verify)
+    return doc
+
+
+class TestVerifyFixtures:
+    # diag_x2 has x in (0.2, 100) and y unbounded
+    @pytest.mark.parametrize("verify_cfg, suite, message", [
+        ({"base_point": [0.1, 0.0], "vectors": []}, "isometry",
+         "verify.base_point [0.1, 0.0] is not a body point"),
+        ({"base_point": [0.1, 0.0]}, "isometry",
+         "verify.base_point [0.1, 0.0] is not a body point"),
+        ({"base_point": [2.0]}, "all",
+         "verify.base_point [2.0] is not a body point"),
+        ({"base_point": [2.0, float("nan")]}, "all",
+         "verify.base_point [2.0, nan] is not a body point"),
+        ({"exp_points": [[1.0, 0.0], [0.1, 0.0]]}, "exp",
+         "verify.exp_points[1] [0.1, 0.0] is not a body point"),
+    ], ids=["base_outside", "base_outside_with_vectors", "base_too_short",
+            "base_not_finite", "exp_point_outside"])
+    def test_bad_point_exits_2(self, capsys, tmp_path, verify_cfg, suite,
+                               message):
+        model = write_model(tmp_path, "bad_point",
+                            coarse_doc("diag_x2", **verify_cfg))
+        code, out, err = run(capsys, "verify", "--model", model,
+                             "--suite", suite)
+        assert code == 2 and out == "" and "Traceback" not in err
+        assert message in err
+
+    def test_bad_default_point_exits_2(self, capsys, tmp_path):
+        # the default base point is the middle of the box clipped to
+        # [-1, 1], here 3.0, outside x in (5, 10)
+        doc = coarse_doc("flat_r12")
+        doc["domain"] = {"x": [5.0, 10.0]}
+        del doc["verify"]["base_point"]
+        model = write_model(tmp_path, "bad_default", doc)
+        code, _, err = run(capsys, "verify", "--model", model)
+        assert code == 2
+        assert "the default verify.base_point [3.0] is not a body point" in err
+
+
+class TestDeterminismCheck:
+    @pytest.mark.parametrize("suite, name, nth, block", [
+        ("flow", "integrate_flow", 2, "momenta"),
+        ("geodesic", "integrate_geodesic", 1, "velocities")])
+    def test_rerun_differing_in_one_block(self, tmp_path, monkeypatch, suite,
+                                          name, nth, block):
+        # the nth call is the re-run (the suite geodesic itself is planned);
+        # it differs from the run only in one coefficient of `block`
+        model = load_model(write_model(tmp_path, "m", coarse_doc("flat_r22")))
+        calls = []
+        inner = getattr(verify, name)
+
+        def rerun(*args):
+            out = inner(*args)
+            calls.append(out)
+            if len(calls) == nth:
+                getattr(out, block)[-1, 0, 0] += 1e-12
+            return out
+
+        monkeypatch.setattr(verify, name, rerun)
+        checks = {c["name"]: c for c in
+                  verify.run_suites(model, (suite,))["suites"][suite]}
+        assert len(calls) == nth
+        assert checks["determinism"]["passed"] is False
+        assert 0.99e-12 < checks["determinism"]["max_deviation"] < 1.01e-12
 
 
 class TestMetricGate:

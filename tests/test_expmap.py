@@ -386,17 +386,20 @@ def coarse(name):
 
 def paper_runs(monkeypatch):
     """Record the initial state of every paper-mode RK4 run as (pos, vel),
-    split off the one state array (the flow steps through `_rk4` of its own
-    module and is not recorded)."""
+    split off the one state array.  The serial runs step through the `_rk4`
+    of `geodesics`, the planned ones through the `_rk4` that `expmap`
+    imports; the flow steps through the one `cotangent` imports and is not
+    recorded."""
     runs = []
     inner = geodesics._rk4
 
-    def recorded(rhs, state, h, steps, chart):
+    def recorded(rhs, state, h, steps, chart, record=None):
         n = state.shape[-2] // 2
         runs.append((state[..., :n, :], state[..., n:, :]))
-        return inner(rhs, state, h, steps, chart)
+        return inner(rhs, state, h, steps, chart, record)
 
-    monkeypatch.setattr(geodesics, "_rk4", recorded)
+    for module in (expmap, geodesics):
+        monkeypatch.setattr(module, "_rk4", recorded)
     return runs
 
 
@@ -473,3 +476,37 @@ class TestVerifyPlan:
             fx.exp(model.chart, [v], 2 * fx.dt)
         with pytest.raises(LookupError):
             fx.geodesic
+
+    @pytest.mark.parametrize("listing", [
+        {"point_symmetries": ["odd_scaling"]},
+        {"isometries": ["odd_scaling", "odd_scaling_bad"]}])
+    def test_only_rows_read_are_planned(self, listing, monkeypatch):
+        # a check stopped by a gate (T_q Phi is not -id; the isometry
+        # condition fails) reads no exp rows, so none are planned for it
+        base = coarse("c1x_r12")
+        model = dataclasses.replace(
+            base, verify_config={**base.verify_config, **listing})
+
+        def on_demand(chart, vectors, dt=1e-3):
+            return [exp_at(chart, v, dt) for v in vectors]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Fixtures, "exp", property(lambda fx: on_demand))
+            reference = run_suites(model, ("isometry",))
+
+        planned, asked = [], []
+        shoot, lookup = expmap._shoot, expmap.ExpTable.__call__
+
+        def planning(chart, vectors, dt, curve=None):
+            planned.extend(row_key(v) for v in vectors)
+            return shoot(chart, vectors, dt, curve)
+
+        def asking(table, chart, vectors, dt=1e-3):
+            asked.extend(row_key(v) for v in vectors)
+            return lookup(table, chart, vectors, dt)
+
+        monkeypatch.setattr(expmap, "_shoot", planning)
+        monkeypatch.setattr(expmap.ExpTable, "__call__", asking)
+        assert run_suites(model, ("isometry",)) == reference
+        assert len(planned) == len(set(planned))
+        assert set(planned) == set(asked)

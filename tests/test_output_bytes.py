@@ -1,10 +1,15 @@
-"""Byte-identity guard for the integrating commands.
+"""Byte-identity guard for the integrating commands and the verify report.
 
 `geodesic --mode paper`, `geodesic --mode goertsches` and `flow` over
 `--t-end 0.05` on the four bundled models and on one curved 2|2 chart at
 L = 6 must write CSVs with the sha256 recorded below.  A change to the
 right-hand sides, the stepper, the inverse metric or the expression
 evaluation that moves a single bit of any coefficient fails here.
+
+`verify --suite all` on the four bundled models at `dt = 1e-2` must write
+the report with the sha256 recorded below.  Only this report shows the
+classical oracles, the body geometry and every check's deviation, so a
+change to any of them that moves a bit fails here.
 
 The digests were recorded with numpy 2.4.6 on scipy-openblas (OpenBLAS
 0.3.31, DYNAMIC_ARCH, Haswell kernels), single- and two-threaded.  Another
@@ -14,6 +19,7 @@ only from a commit whose outputs are trusted.
 
 import hashlib
 import json
+from importlib import resources
 
 import pytest
 
@@ -113,3 +119,27 @@ def digest(tmp_path, model, ic, cmd):
 @pytest.mark.parametrize("model, ic, cmd", list(cases()))
 def test_csv_bytes_unchanged(tmp_path, model, ic, cmd):
     assert digest(tmp_path, model, ic, cmd) == EXPECTED[f"{cmd}:{model}"]
+
+
+VERIFY_EXPECTED = {
+    "flat_r12":
+        "f3820d163f0f989115bf317133082907b0ee629b86a06a478bfd14e79512569c",
+    "c1x_r12":
+        "163cdf26578c79ff26cfecc6566ff87edc5af766d8213ad0e1206ce38672c468",
+    "diag_x2":
+        "d3666e4ed6e702f018dbe7d4fda828058c30538286f054c4273b9a482d292c1c",
+    "flat_r22":
+        "4be728d47218745f9c8fa89f9b0714aef42ab5871f25bfec44f24ec96a71a5ed",
+}
+
+
+@pytest.mark.parametrize("model", list(VERIFY_EXPECTED))
+def test_verify_report_bytes_unchanged(tmp_path, model):
+    doc = json.loads((resources.files("supergeodesics.models")
+                      / f"{model}.json").read_text())
+    doc["defaults"]["dt"] = 1e-2
+    path = tmp_path / f"{model}.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "report.json"
+    assert main(["verify", "--model", str(path), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == VERIFY_EXPECTED[model]
