@@ -52,6 +52,9 @@ class PhasePoint:
     def __setattr__(self, name, value):
         raise AttributeError("PhasePoint is immutable")
 
+    def __reduce__(self):
+        return PhasePoint, (self.position, self.momenta)
+
     def momentum_array(self) -> np.ndarray:
         return self.position.sig.pack(self.momenta)
 

@@ -20,13 +20,15 @@ rows come from one helper, `_jacobian_rows`, `_naturality_rows` or
 `_linearization_rows`, which the check calls too), integrates each distinct
 row once, and passes the table as `exp`; the suite geodesic rides along as
 the one recorded row of the run whose (L, h, steps) it shares (`_shoot`).
-Every row keeps the bits of its serial `exp_at`, so a check reports the
-same numbers batched, planned or not.
+There each run is one job of the verify's `jobs.Jobs`, so the runs may go
+to forked workers.  Every row keeps the bits of its serial `exp_at`, so a
+check reports the same numbers batched, planned or not.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -36,6 +38,7 @@ from .geodesics import InitialCondition, Trajectory, _grid, _paper_rhs, \
     _paper_trajectory, _rk4, integrate_geodesic
 from .geometry import MetricChart, SuperPoint, _chunks
 from .grassmann import GrassmannElement, dim
+from .jobs import Jobs
 from .superexpr import (
     ChartSignature,
     Const,
@@ -76,6 +79,9 @@ class TangentFiberPoint:
     def __setattr__(self, name, value):
         raise AttributeError("TangentFiberPoint is immutable")
 
+    def __reduce__(self):
+        return TangentFiberPoint, (self.sig, self.L, self.base, self.vector)
+
     def to_initial_condition(self) -> InitialCondition:
         position = SuperPoint.body_point(self.sig, self.L, self.base)
         return InitialCondition(self.L, position, self.vector)
@@ -112,6 +118,9 @@ class LinearTangentMap:
     def __setattr__(self, name, value):
         raise AttributeError("LinearTangentMap is immutable")
 
+    def __reduce__(self):
+        return LinearTangentMap, (self.source, self.target, self.matrix)
+
     def apply(self, vector: Mapping[str, GrassmannElement],
               L: int) -> dict[str, GrassmannElement]:
         """w_j = sum_i v_i * matrix[i][j] (real scaling of coefficients)."""
@@ -142,12 +151,15 @@ def exp_at(chart: MetricChart, v: TangentFiberPoint, dt: float = 1e-3) -> SuperP
 
 
 def _shoot(chart: MetricChart, vectors: Sequence[TangentFiberPoint],
-           dt: float, curve: tuple[InitialCondition, float, float] | None = None
+           dt: float, curve: tuple[InitialCondition, float, float] | None = None,
+           jobs: Jobs | None = None
            ) -> tuple[list[SuperPoint], Trajectory | None]:
     """exp of each of `vectors` and, given `curve` = (ic, t_end, dt), that
     geodesic as `integrate_geodesic` returns it, in one batched paper-mode
     run per (L, h, steps) among them.  The curve is a row of the run whose
-    grid it shares and the only row whose samples are recorded."""
+    grid it shares and the only row whose samples are recorded.  Given
+    `jobs`, each run is one job of it, all queued before the first is read;
+    without, they run here in turn."""
     if any(v.sig != chart.sig for v in vectors):
         raise SignatureMismatch("tangent vector lives on a different chart")
     ics = [v.to_initial_condition() for v in vectors]
@@ -159,19 +171,32 @@ def _shoot(chart: MetricChart, vectors: Sequence[TangentFiberPoint],
             raise SignatureMismatch("initial condition lives on a different chart")
         ics.append(ic)
         grids.append((ic.L, *_grid(t_end, curve_dt)))
-    outs: list[SuperPoint | None] = [None] * len(vectors)
-    traj = None
+
+    def run(kern, state, h, steps, record):
+        final, samples, _ = _rk4(lambda st: _paper_rhs(kern, st), state, h,
+                                 steps, chart, record)
+        return final[:, :kern.n], samples
+
+    runs = []
     for grid in sorted(set(grids)):
         L, steps, h = grid
         rows = [r for r, g in enumerate(grids) if g == grid]
-        kern = chart.kernel(L)
         state = np.stack([np.concatenate((ics[r].position.as_array(),
                                           ics[r].velocity_array()))
                           for r in rows])
         record = rows.index(curve_row) if curve_row in rows else None
-        final, samples, _ = _rk4(lambda st: _paper_rhs(kern, st), state, h,
-                                 steps, chart, record)
-        for r, p in zip(rows, final[:, :kern.n]):
+        runs.append((L, rows, f"the exp run of {len(rows)} rows at L={L}, "
+                     f"{steps} steps of {h:g}", steps * (len(rows) * dim(L) + 8),
+                     partial(run, chart.kernel(L), state, h, steps, record)))
+    if jobs is None:
+        results = (fn() for *_, fn in runs)
+    else:
+        ids = [jobs.add(name, cost, fn) for _, _, name, cost, fn in runs]
+        results = map(jobs.result, ids)
+    outs: list[SuperPoint | None] = [None] * len(vectors)
+    traj = None
+    for (L, rows, *_), (final, samples) in zip(runs, results):
+        for r, p in zip(rows, final):
             if r != curve_row:
                 outs[r] = SuperPoint.from_array(chart.sig, L, p)
         if samples is not None:
@@ -203,16 +228,19 @@ class ExpTable:
 
     Called like `_exp_batch`, it looks the rows up; a row, chart or dt that
     was not planned raises `LookupError`, nothing is integrated on demand.
+    Given `jobs`, its runs are jobs of it (`_shoot`).
     """
 
     def __init__(self, chart: MetricChart, rows: Sequence[TangentFiberPoint],
                  dt: float,
-                 curve: tuple[InitialCondition, float, float] | None = None):
+                 curve: tuple[InitialCondition, float, float] | None = None,
+                 jobs: Jobs | None = None):
         distinct: dict[tuple, TangentFiberPoint] = {}
         for v in rows:
             distinct.setdefault(_row_key(v), v)
         self.chart, self.dt = chart, dt
-        outs, self.curve = _shoot(chart, list(distinct.values()), dt, curve)
+        outs, self.curve = _shoot(chart, list(distinct.values()), dt, curve,
+                                  jobs)
         self._values = dict(zip(distinct, outs))
 
     def __call__(self, chart: MetricChart, vectors: Sequence[TangentFiberPoint],
@@ -514,25 +542,30 @@ def naturality_check(chart: MetricChart, phi: SuperMorphism, q,
                      tolerance: float = 1e-6,
                      isometry_samples: Sequence[SuperPoint] | None = None,
                      require_isometry: bool = True,
-                     exp: ExpFn | None = None) -> NaturalityReport:
+                     exp: ExpFn | None = None,
+                     isometry: IsometryReport | None = None) -> NaturalityReport:
     """Compare Phi(exp_q(v)) with exp_{Phi(q)}(T_q Phi v) on test vectors.
 
     With `require_isometry` the morphism must first pass the coordinate
     isometry condition; pass False to measure the deviation of a negative
-    control.  The exp values come from `exp` (default `_exp_batch`).
+    control.  The condition is `isometry` if the caller has measured it, or
+    is measured here at `isometry_samples`.  The exp values come from `exp`
+    (default `_exp_batch`).
     """
-    L = vectors[0].L if vectors else 0
-    if isometry_samples is None:
-        isometry_samples = probe_points(chart, q, max(L, min(chart.sig.n_odd, 2)))
-    iso = isometry_check(chart, chart, phi, isometry_samples)
-    if require_isometry and not iso.passed:
-        raise ValueError(
-            f"morphism fails the isometry condition (dev {iso.max_dev:.3g})")
+    if isometry is None:
+        L = vectors[0].L if vectors else 0
+        if isometry_samples is None:
+            isometry_samples = probe_points(chart, q,
+                                            max(L, min(chart.sig.n_odd, 2)))
+        isometry = isometry_check(chart, chart, phi, isometry_samples)
+    if require_isometry and not isometry.passed:
+        raise ValueError("morphism fails the isometry condition "
+                         f"(dev {isometry.max_dev:.3g})")
     outs = (exp or _exp_batch)(chart, _naturality_rows(chart, phi, q, vectors),
                                dt)
     devs = [_max_dev(chart.sig, apply_morphism(phi, out), rhs)
             for out, rhs in zip(outs, outs[len(vectors):])]
-    return NaturalityReport(iso.max_dev, devs, tolerance)
+    return NaturalityReport(isometry.max_dev, devs, tolerance)
 
 
 def _max_dev(sig: ChartSignature, a: SuperPoint, b: SuperPoint) -> float:
@@ -582,15 +615,18 @@ def linearization_test(chart: MetricChart, phi: SuperMorphism, q,
                        vectors: Sequence[TangentFiberPoint], dt: float = 1e-3,
                        tangent_sign: float = 1.0,
                        tolerance: float = 1e-6,
-                       exp: ExpFn | None = None) -> LinearizationReport:
+                       exp: ExpFn | None = None,
+                       gate: str | None = None) -> LinearizationReport:
     """Computable content of faithful linearization on a single chart.
 
-    Gates first (`_linearization_gate`).  With sign +1 the check is
-    Phi(exp_q(v)) = exp_q(v); with sign -1 (a candidate geodesic symmetry)
-    it is Phi(exp_q(v)) = exp_q(-v).  The exp values come from `exp`
-    (default `_exp_batch`).
+    Gates first: `gate` if the caller has evaluated `_linearization_gate`
+    for these arguments, else that is evaluated here.  With sign +1 the
+    check is Phi(exp_q(v)) = exp_q(v); with sign -1 (a candidate geodesic
+    symmetry) it is Phi(exp_q(v)) = exp_q(-v).  The exp values come from
+    `exp` (default `_exp_batch`).
     """
-    reason = _linearization_gate(chart, phi, q, vectors, tangent_sign)
+    reason = (_linearization_gate(chart, phi, q, vectors, tangent_sign)
+              if gate is None else gate)
     if reason:
         return LinearizationReport(False, reason, np.inf, tolerance)
     outs = (exp or _exp_batch)(chart, _linearization_rows(vectors, tangent_sign),

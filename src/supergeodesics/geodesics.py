@@ -89,6 +89,9 @@ class InitialCondition:
     def __setattr__(self, name, value):
         raise AttributeError("InitialCondition is immutable")
 
+    def __reduce__(self):
+        return InitialCondition, (self.L, self.position, self.velocity)
+
     def velocity_array(self) -> np.ndarray:
         return self.position.sig.pack(self.velocity)
 

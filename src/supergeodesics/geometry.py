@@ -70,6 +70,9 @@ class SuperPoint:
     def __setattr__(self, name, value):
         raise AttributeError("SuperPoint is immutable")
 
+    def __reduce__(self):
+        return SuperPoint, (self.sig, self.L, self.values)
+
     @classmethod
     def from_array(cls, sig: ChartSignature, L: int, arr: np.ndarray) -> "SuperPoint":
         return cls(sig, L, sig.unpack(L, arr))

@@ -252,6 +252,9 @@ class GrassmannElement:
     def __setattr__(self, name, value):
         raise AttributeError("GrassmannElement is immutable")
 
+    def __reduce__(self):
+        return GrassmannElement, (self.L, self.coeffs)
+
     # -- constructors ------------------------------------------------------
 
     @classmethod

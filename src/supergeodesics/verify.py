@@ -22,14 +22,26 @@ This signed expansion is fixed here once and checked at random points.
 Verify as one plan
 ------------------
 `Fixtures` decodes a model's verify data before any suite runs.  On first
-use, `Fixtures.exp` lists every exp row the requested suites will read (the
-Jacobian rows of the exp suite; the naturality and linearization rows of
-the isometry suite whose gates pass, each gate shared with its check) and,
-for the geodesic and flow suites, the suite geodesic.  It integrates each distinct row once, in one batched paper-mode
+use, `Fixtures.exp` decides every gate (the isometry conditions and the
+linearization gates, each evaluated once and handed to its check) and
+lists every exp row the requested suites will read: the Jacobian rows of
+the exp suite, and the naturality and linearization rows of the isometry
+suite whose gates pass.  For the geodesic and flow suites it adds the suite
+geodesic.  It integrates each distinct row once, in one batched paper-mode
 run per (L, h, steps), with the suite geodesic as the one recorded row of
 the run whose grid it shares (`expmap.ExpTable`).  The checks read their
-exp values from that table.  Only the determinism re-runs, the flow and the
-classical oracles integrate on their own.
+exp values from that table.
+
+Every integration of the plan is a job of `Fixtures.jobs` (`jobs.Jobs`):
+each run of the table, and (`Fixtures.runs`) the geodesic's determinism
+re-run, the suite flow and its re-run, and the two classical oracles.  The
+jobs are independent, so they run in forked workers when more than one CPU
+is available.  `Fixtures.exp` queues the `runs` before the table's own, so
+when the table is read first, as under `--suite all`, one dispatch starts
+every job.  The parent keeps the planning, every check and the report.
+The suites read each result in the serial order, so the first failure
+raised is the one the serial program reaches first.  With one CPU the jobs
+run inline, each at its first read: the serial program.
 """
 
 from __future__ import annotations
@@ -74,6 +86,7 @@ from .geodesics import (
 from .geometry import BodyGeometry, MetricChart, SuperPoint, _chunks, \
     _last_axes, metric_validate, reduce_body
 from .grassmann import GrassmannElement, batched_mul, dim, mask_parity
+from .jobs import Jobs
 from .model import ModelFile, vector_from_spec
 from .superexpr import SuperMorphism
 
@@ -176,9 +189,9 @@ def _body_point(chart: MetricChart, value, key: str) -> np.ndarray:
 class Fixtures:
     """A model's verify fixtures for the `suites` that will run under the
     tolerance `overrides`, decoded before any suite runs (a bad one raises
-    `ModelError`); the body geometry, the isometry conditions and the
-    planned integrations (`exp`, `geodesic`) are built on first use and
-    shared by every suite."""
+    `ModelError`); the body geometry, the gates and the planned integrations
+    (`runs`, `exp`, `geodesic`) are built on first use and shared by every
+    suite.  The integrations are jobs of `jobs` (module docstring)."""
 
     def __init__(self, model: ModelFile, suites=SUITES,
                  overrides: dict | None = None):
@@ -186,6 +199,7 @@ class Fixtures:
         self.model, self.chart = model, chart
         self.suites = frozenset(suites)
         self.overrides = overrides or {}
+        self.jobs = Jobs()
         name = cfg.get("ic")
         self.ic: InitialCondition | None = (
             model.initial_condition(name) if name
@@ -242,6 +256,63 @@ class Fixtures:
                              *cfg.get("negative_controls", []))}
 
     @cached_property
+    def linearization_gates(self) -> dict[str, str]:
+        """Why the hypotheses of each linearization test fail, or "" if
+        they hold (`expmap._linearization_gate`), by check name."""
+        return {name: _linearization_gate(self.chart, phi, self.base,
+                                          self.vectors, sign)
+                for name, _, phi, sign in _linearizations(self)}
+
+    @cached_property
+    def runs(self) -> dict[str, int]:
+        """The jobs of the integrations the geodesic and flow suites read
+        besides the suite geodesic, queued on first use (module
+        docstring)."""
+        chart, jobs, t_end, dt = self.chart, self.jobs, self.t_end, self.dt
+        runs: dict[str, int] = {}
+        if not self.suites & {"geodesic", "flow"}:
+            return runs
+        ic = self.run_ic()
+        m = chart.sig.n_even
+        # relative costs, per step: coefficients of the graded state plus 8
+        # for the calls around them; a flow right-hand side costs about 1.5
+        # of a geodesic one, a classical one about 6
+        steps = t_end / dt if dt > 0 else 0.0
+        graded = steps * (dim(ic.L) + 8)
+
+        def flow():
+            return integrate_flow(chart, phase_from_ic(chart, ic), t_end, dt)
+
+        def body_geodesic():
+            pos, vel = ic.position.as_array(), ic.velocity_array()
+            return classical_geodesic(self.body, pos[:m, 0], vel[:m, 0],
+                                      t_end, dt)
+
+        def body_flow():
+            I = phase_from_ic(chart, ic)
+            return classical_cotangent_flow(
+                self.body, I.position.as_array()[:m, 0],
+                I.momentum_array()[:m, 0], t_end, dt)
+
+        if "geodesic" in self.suites:
+            runs["body_geodesic"] = jobs.add(
+                "the classical geodesic", 6 * steps, body_geodesic)
+            runs["geodesic_again"] = jobs.add(
+                "the geodesic's determinism re-run", graded,
+                lambda: integrate_geodesic(chart, ic, t_end, dt))
+        if "flow" in self.suites:
+            runs["flow"] = jobs.add("the suite flow", 1.5 * graded, flow)
+            runs["body_flow"] = jobs.add(
+                "the classical cotangent flow", 6 * steps, body_flow)
+            runs["flow_again"] = jobs.add(
+                "the flow's determinism re-run", 1.5 * graded, flow)
+        return runs
+
+    def run(self, name: str):
+        """The result of the planned integration `name` (`runs`)."""
+        return self.jobs.result(self.runs[name])
+
+    @cached_property
     def exp(self) -> ExpTable:
         """Every exp row the planned suites will read, and the suite
         geodesic if the geodesic or flow suite is planned, integrated once
@@ -254,7 +325,8 @@ class Fixtures:
             rows += _isometry_rows(self)
         curve = ((self.run_ic(), self.t_end, self.dt)
                  if self.suites & {"geodesic", "flow"} else None)
-        return ExpTable(self.chart, rows, self.dt, curve)
+        self.runs  # queued first, so that one dispatch starts every job
+        return ExpTable(self.chart, rows, self.dt, curve, self.jobs)
 
     @property
     def geodesic(self) -> Trajectory:
@@ -291,8 +363,8 @@ def _isometry_rows(fx: Fixtures) -> list[TangentFiberPoint]:
     for name in [*natural, *controls]:
         rows += _naturality_rows(fx.chart, fx.model.morphism(name), fx.base,
                                  fx.vectors)
-    for _, _, phi, sign in _linearizations(fx):
-        if not _linearization_gate(fx.chart, phi, fx.base, fx.vectors, sign):
+    for name, _, _, sign in _linearizations(fx):
+        if not fx.linearization_gates[name]:
             rows += _linearization_rows(fx.vectors, sign)
     return rows
 
@@ -431,13 +503,12 @@ def run_geodesic_suite(fx: Fixtures) -> list[Check]:
     checks.append(fx.bounded("speed_drift", drift))
 
     m = chart.sig.n_even
-    _, xs, _ = classical_geodesic(fx.body, traj.positions[0, :m, 0],
-                                  traj.velocities[0, :m, 0], fx.t_end, fx.dt)
+    _, xs, _ = fx.run("body_geodesic")
     body_dev = float(np.max(np.abs(traj.positions[:, :m, 0] - xs)))
     checks.append(fx.bounded("body_reduction", body_dev,
                              "vs independent classical integrator"))
 
-    again = integrate_geodesic(chart, fx.run_ic(), fx.t_end, fx.dt)
+    again = fx.run("geodesic_again")
     checks.append(_determinism(fx, (traj.positions, again.positions),
                                (traj.velocities, again.velocities)))
     return checks
@@ -447,8 +518,7 @@ def run_flow_suite(fx: Fixtures) -> list[Check]:
     chart = fx.chart
     checks: list[Check] = []
 
-    I = phase_from_ic(chart, fx.run_ic())
-    flow = integrate_flow(chart, I, fx.t_end, fx.dt)
+    flow = fx.run("flow")
 
     H = energy_series(chart, flow)
     drift = float(np.max(np.abs(H - H[0])))
@@ -464,15 +534,13 @@ def run_flow_suite(fx: Fixtures) -> list[Check]:
                              f"initial velocity {rt.initial_velocity_dev:.3g}"))
 
     m = chart.sig.n_even
-    _, qs, ps = classical_cotangent_flow(
-        fx.body, flow.positions[0, :m, 0], flow.momenta[0, :m, 0], fx.t_end,
-        fx.dt)
+    _, qs, ps = fx.run("body_flow")
     dev = max(float(np.max(np.abs(flow.positions[:, :m, 0] - qs))),
               float(np.max(np.abs(flow.momenta[:, :m, 0] - ps))))
     checks.append(fx.bounded("flow_body_reduction", dev,
                              "vs independent classical cotangent flow"))
 
-    again = integrate_flow(chart, I, fx.t_end, fx.dt)
+    again = fx.run("flow_again")
     checks.append(_determinism(fx, (flow.positions, again.positions),
                                (flow.momenta, again.momenta)))
     return checks
@@ -508,7 +576,8 @@ def run_isometry_suite(fx: Fixtures) -> list[Check]:
     # the isometries among them have passed their condition already
     devs = {name: naturality_check(fx.chart, fx.model.morphism(name), fx.base,
                                    fx.vectors, dt=fx.dt, require_isometry=False,
-                                   exp=fx.exp).max_dev
+                                   exp=fx.exp, isometry=fx.isometry[name]
+                                   ).max_dev
             for name in [*natural, *controls]}
     nat_tol, neg_min = fx.tol("naturality"), fx.tol("negative_control_min")
     checks: list[Check] = []
@@ -531,7 +600,7 @@ def run_isometry_suite(fx: Fixtures) -> list[Check]:
     for name, key, phi, sign in _linearizations(fx):
         rep = linearization_test(fx.chart, phi, fx.base, fx.vectors, dt=fx.dt,
                                  tangent_sign=sign, tolerance=fx.tol(key),
-                                 exp=fx.exp)
+                                 exp=fx.exp, gate=fx.linearization_gates[name])
         checks.append(Check(name, rep.passed, rep.max_dev, rep.tolerance,
                             rep.reason))
     return checks
@@ -557,9 +626,10 @@ def run_suites(model: ModelFile, suites=("all",),
                          f"choose from {('all',) + SUITES}")
     fx = Fixtures(model, wanted, overrides)
     report: dict = {"model": model.name, "suites": {}, "passed": True}
-    for suite in wanted:
-        checks = _SUITE_RUNNERS[suite](fx)
-        report["suites"][suite] = [c.as_dict() for c in checks]
-        if not all(c.passed for c in checks):
-            report["passed"] = False
+    with fx.jobs:
+        for suite in wanted:
+            checks = _SUITE_RUNNERS[suite](fx)
+            report["suites"][suite] = [c.as_dict() for c in checks]
+            if not all(c.passed for c in checks):
+                report["passed"] = False
     return report

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from supergeodesics import ChartSignature, MetricChart
+from supergeodesics import ChartSignature, MetricChart, jobs
 
 
 @pytest.fixture(scope="session")
@@ -62,3 +62,10 @@ def curved_r22(sig_r22):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240)
+
+
+@pytest.fixture
+def one_worker(monkeypatch):
+    """Run the integrations of a `verify` inline, in this process, so that a
+    test counting or patching them here sees every one."""
+    monkeypatch.setattr(jobs, "_cpus", lambda: 1)

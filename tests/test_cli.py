@@ -308,6 +308,7 @@ class TestVerifyCommand:
         assert "verify.vectors[1]" in err and "'xx'" in err
         assert not out.exists()
 
+    @pytest.mark.usefixtures("one_worker")
     def test_bad_vector_fails_before_any_integration(self, capsys, tmp_path,
                                                       monkeypatch):
         doc = bundled_doc("c1x_r12")
@@ -321,6 +322,7 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("suites, runs", [(("geodesic", "flow"), 2),
                                               (("flow",), 1)])
+    @pytest.mark.usefixtures("one_worker")
     def test_suite_geodesic_integrated_once(self, monkeypatch, suites, runs):
         # paper-mode RK4 runs: the suite geodesic is one planned run that
         # the flow suite's round trip reuses; the geodesic suite's
@@ -415,6 +417,7 @@ class TestVerifyFixtures:
         assert "the default verify.base_point [3.0] is not a body point" in err
 
 
+@pytest.mark.usefixtures("one_worker")
 class TestDeterminismCheck:
     @pytest.mark.parametrize("suite, name, nth, block", [
         ("flow", "integrate_flow", 2, "momenta"),

@@ -20,7 +20,7 @@ from supergeodesics.expmap import (
     tangent_map,
     tangent_map_matrix,
 )
-from supergeodesics import expmap, geodesics
+from supergeodesics import expmap, geodesics, verify
 from supergeodesics.errors import LeftDomain
 from supergeodesics.geodesics import integrate_geodesic
 from supergeodesics.expmap import _exp_batch, _jacobian_rows
@@ -360,6 +360,7 @@ class TestBatchedExp:
         assert _exp_batch(curved_r12, [], 1e-2) == []
 
     @pytest.mark.parametrize("name", bundled_models())
+    @pytest.mark.usefixtures("one_worker")
     def test_suites_match_serial_reference(self, name, monkeypatch):
         # the same suites with every exp value and the suite geodesic
         # integrated on their own
@@ -367,7 +368,7 @@ class TestBatchedExp:
         batched = run_suites(model, ("all",))
         calls = []
 
-        def serial(chart, vectors, dt, curve=None):
+        def serial(chart, vectors, dt, curve=None, jobs=None):
             calls.append((len(vectors), curve))
             return ([exp_at(chart, v, dt) for v in vectors],
                     None if curve is None else integrate_geodesic(chart, *curve))
@@ -414,6 +415,7 @@ def row_key(v):
     return state_keys(v.L, ic.position.as_array(), ic.velocity_array())[0]
 
 
+@pytest.mark.usefixtures("one_worker")
 class TestVerifyPlan:
     @pytest.mark.parametrize("name, runs", [("c1x_r12", 3), ("diag_x2", 2),
                                             ("flat_r12", 3), ("flat_r22", 3)])
@@ -444,6 +446,22 @@ class TestVerifyPlan:
         curve = state_keys(ic.L, ic.position.as_array(), ic.velocity_array())[0]
         assert len(rows) == len(set(rows))
         assert sorted(rows) == sorted(set(asked) | {curve})
+
+    def test_each_gate_evaluated_once(self, monkeypatch):
+        # 10 isometry conditions (`Fixtures.isometry`, which naturality
+        # reads) and 6 linearization gates, which their tests read
+        calls = []
+        inner = expmap.isometry_check
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return inner(*args, **kwargs)
+
+        for module in (expmap, verify):
+            monkeypatch.setattr(module, "isometry_check", counted)
+        for name in bundled_models():
+            run_suites(coarse(name), ("isometry",))
+        assert len(calls) == 16
 
     def test_metric_suite_integrates_nothing(self, monkeypatch):
         recorded = paper_runs(monkeypatch)
@@ -497,9 +515,9 @@ class TestVerifyPlan:
         planned, asked = [], []
         shoot, lookup = expmap._shoot, expmap.ExpTable.__call__
 
-        def planning(chart, vectors, dt, curve=None):
+        def planning(chart, vectors, dt, curve=None, jobs=None):
             planned.extend(row_key(v) for v in vectors)
-            return shoot(chart, vectors, dt, curve)
+            return shoot(chart, vectors, dt, curve, jobs)
 
         def asking(table, chart, vectors, dt=1e-3):
             asked.extend(row_key(v) for v in vectors)

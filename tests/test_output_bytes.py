@@ -7,7 +7,8 @@ right-hand sides, the stepper, the inverse metric or the expression
 evaluation that moves a single bit of any coefficient fails here.
 
 `verify --suite all` on the four bundled models at `dt = 1e-2` must write
-the report with the sha256 recorded below.  Only this report shows the
+the report with the sha256 recorded below, whether its integrations run
+inline or in forked workers.  Only this report shows the
 classical oracles, the body geometry and every check's deviation, so a
 change to any of them that moves a bit fails here.
 
@@ -23,6 +24,7 @@ from importlib import resources
 
 import pytest
 
+from supergeodesics import jobs
 from supergeodesics.cli import main
 
 COMMANDS = {
@@ -133,8 +135,7 @@ VERIFY_EXPECTED = {
 }
 
 
-@pytest.mark.parametrize("model", list(VERIFY_EXPECTED))
-def test_verify_report_bytes_unchanged(tmp_path, model):
+def verify_digest(tmp_path, model):
     doc = json.loads((resources.files("supergeodesics.models")
                       / f"{model}.json").read_text())
     doc["defaults"]["dt"] = 1e-2
@@ -142,4 +143,18 @@ def test_verify_report_bytes_unchanged(tmp_path, model):
     path.write_text(json.dumps(doc))
     out = tmp_path / "report.json"
     assert main(["verify", "--model", str(path), "--out", str(out)]) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == VERIFY_EXPECTED[model]
+    return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("model", list(VERIFY_EXPECTED))
+def test_verify_report_bytes_unchanged(tmp_path, model):
+    assert verify_digest(tmp_path, model) == VERIFY_EXPECTED[model]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("model", list(VERIFY_EXPECTED))
+def test_verify_report_bytes_any_worker_count(tmp_path, monkeypatch, model,
+                                              workers):
+    # the integrations inline, or in two forked workers on any host
+    monkeypatch.setattr(jobs, "_cpus", lambda: workers)
+    assert verify_digest(tmp_path, model) == VERIFY_EXPECTED[model]
