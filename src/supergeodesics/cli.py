@@ -31,7 +31,7 @@ from .expmap import exp_jacobian_check
 from .geodesics import Trajectory, integrate_geodesic, integrate_goertsches
 from .geometry import SuperPoint, christoffel_at, metric_validate
 from .grassmann import dim
-from .model import ModelFile, bundled_models, load_model
+from .model import ModelFile, bundled_models, load_model, tolerance_override
 from .verify import SUITES, run_suites
 
 
@@ -127,10 +127,29 @@ def _parse_tols(pairs) -> dict[str, float]:
         if not sep:
             raise ModelError(f"bad --tol {pair!r}; expected name=value")
         try:
-            out[key] = float(val)
+            value = float(val)
         except ValueError:
             raise ModelError(f"bad --tol value {val!r}") from None
+        out[key] = tolerance_override(key, value, f"--tol {key}")
     return out
+
+
+def _positive(text: str) -> float:
+    """argparse type of a step or span: a finite number > 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = float("nan")
+    if not 0.0 < value < float("inf"):
+        raise argparse.ArgumentTypeError(
+            f"expected a finite number > 0, got {text!r}")
+    return value
+
+
+def _model_default(model: ModelFile, args, key: str) -> float:
+    """The flag `key` if it was given, else the model's default."""
+    value = getattr(args, key)
+    return model.defaults[key] if value is None else value
 
 
 # ---------------------------------------------------------------------------
@@ -161,11 +180,10 @@ def cmd_geodesic(args) -> int:
     model = load_model(args.model)
     ic = model.initial_condition(args.ic)
     _require_valid_metric(model, [ic.position])
-    t_end = args.t_end if args.t_end is not None else model.defaults["t_end"]
-    dt = args.dt if args.dt is not None else model.defaults["dt"]
     integrate = (integrate_goertsches if args.mode == "goertsches"
                  else integrate_geodesic)
-    traj = integrate(model.chart, ic, t_end, dt)
+    traj = integrate(model.chart, ic, _model_default(model, args, "t_end"),
+                     _model_default(model, args, "dt"))
     _emit(trajectory_csv(traj), args.out)
     return 0
 
@@ -174,10 +192,9 @@ def cmd_flow(args) -> int:
     model = load_model(args.model)
     ic = model.initial_condition(args.ic)
     _require_valid_metric(model, [ic.position])
-    t_end = args.t_end if args.t_end is not None else model.defaults["t_end"]
-    dt = args.dt if args.dt is not None else model.defaults["dt"]
     flow = integrate_flow(model.chart, phase_from_ic(model.chart, ic),
-                          t_end, dt)
+                          _model_default(model, args, "t_end"),
+                          _model_default(model, args, "dt"))
     _emit(flow_csv(flow, energy_series(model.chart, flow)), args.out)
     return 0
 
@@ -185,9 +202,10 @@ def cmd_flow(args) -> int:
 def cmd_exp(args) -> int:
     model = load_model(args.model)
     point = _parse_point(model, args)
+    model.chart.check_point(point)  # exit 2 here, not 3 from the first step
     _require_valid_metric(model, [point])
-    dt = args.dt if args.dt is not None else model.defaults["dt"]
-    rep = exp_jacobian_check(model.chart, point.body_even(), h=args.h, dt=dt)
+    rep = exp_jacobian_check(model.chart, point.body_even(), h=args.h,
+                             dt=_model_default(model, args, "dt"))
     report = {
         "model": model.name,
         "point": [float(v) for v in rep.point],
@@ -241,15 +259,15 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("geodesic", help="integrate a supergeodesic to CSV")
     common(sp, ic_required=True)
     sp.add_argument("--mode", choices=("paper", "goertsches"), default="paper")
-    sp.add_argument("--t-end", dest="t_end", type=float, default=None)
-    sp.add_argument("--dt", type=float, default=None)
+    sp.add_argument("--t-end", dest="t_end", type=_positive, default=None)
+    sp.add_argument("--dt", type=_positive, default=None)
     sp.add_argument("--out", help="output CSV path (stdout if omitted)")
     sp.set_defaults(func=cmd_geodesic)
 
     sp = sub.add_parser("flow", help="integrate the cotangent flow to CSV")
     common(sp, ic_required=True)
-    sp.add_argument("--t-end", dest="t_end", type=float, default=None)
-    sp.add_argument("--dt", type=float, default=None)
+    sp.add_argument("--t-end", dest="t_end", type=_positive, default=None)
+    sp.add_argument("--dt", type=_positive, default=None)
     sp.add_argument("--out", help="output CSV path (stdout if omitted)")
     sp.set_defaults(func=cmd_flow)
 
@@ -257,9 +275,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--point", help="body point, e.g. 'x=0.0'")
     sp.add_argument("--ic", help="use the position of a named initial condition")
-    sp.add_argument("--h", type=float, default=1e-4,
+    sp.add_argument("--h", type=_positive, default=1e-4,
                     help="finite-difference step for even directions")
-    sp.add_argument("--dt", type=float, default=None)
+    sp.add_argument("--dt", type=_positive, default=None)
     sp.add_argument("--out", help="output JSON path (stdout if omitted)")
     sp.set_defaults(func=cmd_exp)
 

@@ -11,25 +11,23 @@ coefficient linear in a single odd generator.  Nilpotent directions admit no
 epsilon limits, so the odd block is extracted exactly, never differenced.
 
 Batching: every check needs several exp values (2m + 1 per Jacobian point,
-v and T Phi v for naturality, v and +-v for linearization), and takes them
-from an `exp` callable with the signature of `_exp_batch`.  By default that
-is `_exp_batch` itself: one batched RK4 run per generator count L on
-(rows, n, 2^L) arrays, on the chart's kernel for that L.  `verify` instead
-builds an `ExpTable` from the rows of every check it will run (each check's
-rows come from one helper, `_jacobian_rows`, `_naturality_rows` or
-`_linearization_rows`, which the check calls too), integrates each distinct
-row once, and passes the table as `exp`; the suite geodesic rides along as
-the one recorded row of the run whose (L, h, steps) it shares (`_shoot`).
-There each run is one job of the verify's `jobs.Jobs`, so the runs may go
-to forked workers.  Every row keeps the bits of its serial `exp_at`, so a
-check reports the same numbers batched, planned or not.
+v and T Phi v for naturality, v and +-v for linearization), each check's
+rows from one helper (`_jacobian_rows`, `_naturality_rows` or
+`_linearization_rows`).  It reads them from an `ExpTable`: the `exp` its
+caller passes, else a table of its own rows.  A table integrates each
+distinct row once, in one batched RK4 run per (L, h, steps) on
+(rows, n, 2^L) arrays (`_shoot`).  `verify` passes one table of the rows of
+every check it will run, with the suite geodesic as the one recorded row of
+the run whose grid it shares, and each run one job of its `jobs.Jobs`, so
+the runs may go to forked workers.  Every row keeps the bits of its serial
+`exp_at`, so a check reports the same numbers from either table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -204,17 +202,6 @@ def _shoot(chart: MetricChart, vectors: Sequence[TangentFiberPoint],
     return outs, traj
 
 
-def _exp_batch(chart: MetricChart, vectors: Sequence[TangentFiberPoint],
-               dt: float = 1e-3) -> list[SuperPoint]:
-    """[exp_at(chart, v, dt) for v in vectors], integrated as one batched RK4
-    run per generator count L among them (see the module docstring)."""
-    return _shoot(chart, vectors, dt)[0]
-
-
-ExpFn = Callable[[MetricChart, Sequence[TangentFiberPoint], float],
-                 list[SuperPoint]]
-
-
 def _row_key(v: TangentFiberPoint) -> tuple[int, bytes, bytes]:
     """(L, base bytes, coefficient bytes in signature order): the whole input
     of an exp row; bytes keep -0.0 apart from 0.0."""
@@ -226,7 +213,7 @@ class ExpTable:
     integrated once, plus an optional recorded geodesic `curve` = (ic,
     t_end, dt) (see `_shoot`).
 
-    Called like `_exp_batch`, it looks the rows up; a row, chart or dt that
+    `table(chart, vectors, dt)` looks the rows up; a row, chart or dt that
     was not planned raises `LookupError`, nothing is integrated on demand.
     Given `jobs`, its runs are jobs of it (`_shoot`).
     """
@@ -251,6 +238,12 @@ class ExpTable:
             return [self._values[_row_key(v)] for v in vectors]
         except KeyError:
             raise LookupError("an exp row was not planned") from None
+
+
+def _exp_values(chart: MetricChart, rows: Sequence[TangentFiberPoint],
+                dt: float, exp: ExpTable | None) -> list[SuperPoint]:
+    """exp of `rows`, read from `exp`, or else from a table of these rows."""
+    return (exp or ExpTable(chart, rows, dt))(chart, rows, dt)
 
 
 # ---------------------------------------------------------------------------
@@ -397,12 +390,12 @@ def _jacobian_report(sig: ChartSignature, q: np.ndarray, h: float, dt: float,
 
 def exp_jacobian_checks(chart: MetricChart, points, h: float = 1e-4,
                         dt: float = 1e-3,
-                        exp: ExpFn | None = None) -> list[ExpJacobianReport]:
-    """`exp_jacobian_check` at each body point, with the exp arguments of all
-    the points taken from one `exp` call (default `_exp_batch`)."""
+                        exp: ExpTable | None = None) -> list[ExpJacobianReport]:
+    """`exp_jacobian_check` at each body point, with the exp values of all
+    the points read from `exp`, else from one table of their rows."""
     qs = [np.asarray(q, dtype=float).reshape(-1) for q in points]
     rows = [_jacobian_rows(chart.sig, q, h) for q in qs]
-    outs = iter((exp or _exp_batch)(chart, [v for r in rows for v in r], dt))
+    outs = iter(_exp_values(chart, [v for r in rows for v in r], dt, exp))
     return [_jacobian_report(chart.sig, q, h, dt, [next(outs) for _ in r])
             for q, r in zip(qs, rows)]
 
@@ -415,7 +408,7 @@ def exp_jacobian_check(chart: MetricChart, q, h: float = 1e-4,
     directions: one combined run seeding a distinct generator on every odd
     slot; the single-generator coefficients isolate the linear response
     exactly (products of two seeded generators land on other masks).  The
-    2m + 1 exp values are integrated as one batch.
+    2m + 1 exp values are read from one table of their own.
     """
     return exp_jacobian_checks(chart, [q], h, dt)[0]
 
@@ -512,7 +505,6 @@ def probe_points(chart: MetricChart, q, L: int,
 
 @dataclass
 class NaturalityReport:
-    isometry_dev: float
     per_vector: list[float]
     tolerance: float
 
@@ -540,32 +532,18 @@ def _naturality_rows(chart: MetricChart, phi: SuperMorphism, q,
 def naturality_check(chart: MetricChart, phi: SuperMorphism, q,
                      vectors: Sequence[TangentFiberPoint], dt: float = 1e-3,
                      tolerance: float = 1e-6,
-                     isometry_samples: Sequence[SuperPoint] | None = None,
-                     require_isometry: bool = True,
-                     exp: ExpFn | None = None,
-                     isometry: IsometryReport | None = None) -> NaturalityReport:
+                     exp: ExpTable | None = None) -> NaturalityReport:
     """Compare Phi(exp_q(v)) with exp_{Phi(q)}(T_q Phi v) on test vectors.
 
-    With `require_isometry` the morphism must first pass the coordinate
-    isometry condition; pass False to measure the deviation of a negative
-    control.  The condition is `isometry` if the caller has measured it, or
-    is measured here at `isometry_samples`.  The exp values come from `exp`
-    (default `_exp_batch`).
+    A measurement only: naturality presumes an isometry, and whether Phi is
+    one is decided by `isometry_check`.  The exp values are read from
+    `exp`, else from a table of the check's own rows.
     """
-    if isometry is None:
-        L = vectors[0].L if vectors else 0
-        if isometry_samples is None:
-            isometry_samples = probe_points(chart, q,
-                                            max(L, min(chart.sig.n_odd, 2)))
-        isometry = isometry_check(chart, chart, phi, isometry_samples)
-    if require_isometry and not isometry.passed:
-        raise ValueError("morphism fails the isometry condition "
-                         f"(dev {isometry.max_dev:.3g})")
-    outs = (exp or _exp_batch)(chart, _naturality_rows(chart, phi, q, vectors),
-                               dt)
+    outs = _exp_values(chart, _naturality_rows(chart, phi, q, vectors), dt,
+                       exp)
     devs = [_max_dev(chart.sig, apply_morphism(phi, out), rhs)
             for out, rhs in zip(outs, outs[len(vectors):])]
-    return NaturalityReport(isometry.max_dev, devs, tolerance)
+    return NaturalityReport(devs, tolerance)
 
 
 def _max_dev(sig: ChartSignature, a: SuperPoint, b: SuperPoint) -> float:
@@ -615,22 +593,22 @@ def linearization_test(chart: MetricChart, phi: SuperMorphism, q,
                        vectors: Sequence[TangentFiberPoint], dt: float = 1e-3,
                        tangent_sign: float = 1.0,
                        tolerance: float = 1e-6,
-                       exp: ExpFn | None = None,
+                       exp: ExpTable | None = None,
                        gate: str | None = None) -> LinearizationReport:
     """Computable content of faithful linearization on a single chart.
 
     Gates first: `gate` if the caller has evaluated `_linearization_gate`
     for these arguments, else that is evaluated here.  With sign +1 the
     check is Phi(exp_q(v)) = exp_q(v); with sign -1 (a candidate geodesic
-    symmetry) it is Phi(exp_q(v)) = exp_q(-v).  The exp values come from
-    `exp` (default `_exp_batch`).
+    symmetry) it is Phi(exp_q(v)) = exp_q(-v).  The exp values are read
+    from `exp`, else from a table of the check's own rows.
     """
     reason = (_linearization_gate(chart, phi, q, vectors, tangent_sign)
               if gate is None else gate)
     if reason:
         return LinearizationReport(False, reason, np.inf, tolerance)
-    outs = (exp or _exp_batch)(chart, _linearization_rows(vectors, tangent_sign),
-                               dt)
+    outs = _exp_values(chart, _linearization_rows(vectors, tangent_sign), dt,
+                       exp)
     dev = max((_max_dev(chart.sig, apply_morphism(phi, out), rhs)
                for out, rhs in zip(outs, outs[len(vectors):])), default=0.0)
     return LinearizationReport(True, "", dev, tolerance)

@@ -34,6 +34,7 @@ chart coordinates; a missing one is zero and an unknown one is a ModelError
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -42,7 +43,7 @@ from typing import Mapping
 from .errors import ModelError, SuperGeometryError
 from .geodesics import InitialCondition
 from .geometry import MetricChart, SuperPoint
-from .grassmann import GrassmannElement
+from .grassmann import MAX_GENERATORS, GrassmannElement
 from .superexpr import ChartSignature, SuperMorphism
 
 SCHEMA_VERSION = 1
@@ -118,6 +119,59 @@ def _read_model_text(spec: str | Path) -> tuple[str, str]:
                      f"bundled: {bundled_models()}")
 
 
+def _finite(raw, where: str, least: float = -math.inf,
+            strict: bool = False) -> float:
+    """`raw` as a float: a finite JSON number >= `least` (> if `strict`),
+    else a `ModelError` naming `where`."""
+    try:
+        ok = (isinstance(raw, (int, float)) and not isinstance(raw, bool)
+              and math.isfinite(raw)
+              and (raw > least if strict else raw >= least))
+    except OverflowError:  # an int beyond float range
+        ok = False
+    if not ok:
+        bound = (f" {'>' if strict else '>='} {least:g}"
+                 if least > -math.inf else "")
+        raise ModelError(f"{where}: expected a finite number{bound}, "
+                         f"got {raw!r}")
+    return float(raw)
+
+
+def _generator_count(raw, where: str) -> int:
+    if isinstance(raw, bool) or not isinstance(raw, int) \
+            or not 0 <= raw <= MAX_GENERATORS:
+        raise ModelError(f"{where}: expected an integer from 0 to "
+                         f"{MAX_GENERATORS}, got {raw!r}")
+    return raw
+
+
+def _bounds(raw, where: str) -> tuple[float, float]:
+    """A domain interval [lo, hi]: two finite numbers with lo < hi."""
+    if not isinstance(raw, list) or len(raw) != 2:
+        raise ModelError(f"{where}: expected [lo, hi], got {raw!r}")
+    lo = _finite(raw[0], f"{where}[0]")
+    return lo, _finite(raw[1], f"{where}[1]", lo, strict=True)
+
+
+def tolerance_override(name: str, raw, where: str) -> float:
+    """A tolerance override, found at `where`: the name of a verify check's
+    tolerance (`verify.TOLERANCES`) and a finite number >= 0."""
+    from .verify import TOLERANCES
+
+    if name not in TOLERANCES:
+        raise ModelError(f"{where}: unknown tolerance {name!r}; "
+                         f"known: {sorted(TOLERANCES)}")
+    return _finite(raw, where, 0.0)
+
+
+def _section(data: Mapping, key: str, where: str) -> Mapping:
+    """The object under `key` ({} if absent), else a `ModelError`."""
+    raw = data.get(key, {})
+    if not isinstance(raw, dict):
+        raise ModelError(f"{where}: {key} must be an object, got {raw!r}")
+    return raw
+
+
 def _require(data: Mapping, key: str, where: str):
     if key not in data:
         raise ModelError(f"{where}: missing required key {key!r}")
@@ -127,7 +181,7 @@ def _require(data: Mapping, key: str, where: str):
 def _build_ic(name: str, raw: Mapping, sig: ChartSignature,
               default_L: int) -> InitialCondition:
     where = f"initial_conditions[{name!r}]"
-    L = int(raw.get("L", default_L))
+    L = _generator_count(raw.get("L", default_L), f"{where}.L")
     pos_raw = _require(raw, "position", where)
     vel_raw = raw.get("velocity", {})
     position = {n: grassmann_value(v, L, f"{where}.position.{n}")
@@ -154,6 +208,7 @@ def load_model(spec: str | Path) -> ModelFile:
     if version != SCHEMA_VERSION:
         raise ModelError(f"model {name!r}: unsupported schema_version {version}")
     name = data.get("name", name)
+    where = f"model {name!r}"
 
     sig_raw = _require(data, "signature", name)
     try:
@@ -163,8 +218,8 @@ def load_model(spec: str | Path) -> ModelFile:
         raise ModelError(f"model {name!r}: bad signature: {exc}") from exc
 
     metric_raw = _require(data, "metric", name)
-    domain = {k: (float(v[0]), float(v[1]))
-              for k, v in data.get("domain", {}).items()}
+    domain = {k: _bounds(v, f"{where}: domain.{k}")
+              for k, v in _section(data, "domain", where).items()}
     try:
         chart = MetricChart(sig, metric_raw, domain, name=name)
     except SuperGeometryError as exc:
@@ -172,7 +227,7 @@ def load_model(spec: str | Path) -> ModelFile:
     except ValueError as exc:
         raise ModelError(f"model {name!r}: bad metric: {exc}") from exc
 
-    L = int(data.get("L", 0))
+    L = _generator_count(data.get("L", 0), f"{where}: L")
     ics = {ic_name: _build_ic(ic_name, ic_raw, sig, L)
            for ic_name, ic_raw in data.get("initial_conditions", {}).items()}
 
@@ -185,8 +240,13 @@ def load_model(spec: str | Path) -> ModelFile:
             raise ModelError(f"morphisms[{m_name!r}]: {exc}") from exc
 
     defaults = {"dt": 1e-3, "t_end": 1.0}
-    defaults.update({k: float(v) for k, v in data.get("defaults", {}).items()})
-    tolerances = {k: float(v) for k, v in data.get("tolerances", {}).items()}
+    for k, v in _section(data, "defaults", where).items():
+        if k not in defaults:
+            raise ModelError(f"{where}: unknown default {k!r}; "
+                             f"known: {sorted(defaults)}")
+        defaults[k] = _finite(v, f"{where}: defaults.{k}", 0.0, strict=True)
+    tolerances = {k: tolerance_override(k, v, f"{where}: tolerances.{k}")
+                  for k, v in _section(data, "tolerances", where).items()}
     verify_config = data.get("verify", {})
 
     return ModelFile(name=name, chart=chart, L=L, initial_conditions=ics,

@@ -22,15 +22,15 @@ This signed expansion is fixed here once and checked at random points.
 Verify as one plan
 ------------------
 `Fixtures` decodes a model's verify data before any suite runs.  On first
-use, `Fixtures.exp` decides every gate (the isometry conditions and the
-linearization gates, each evaluated once and handed to its check) and
-lists every exp row the requested suites will read: the Jacobian rows of
-the exp suite, and the naturality and linearization rows of the isometry
-suite whose gates pass.  For the geodesic and flow suites it adds the suite
-geodesic.  It integrates each distinct row once, in one batched paper-mode
-run per (L, h, steps), with the suite geodesic as the one recorded row of
-the run whose grid it shares (`expmap.ExpTable`).  The checks read their
-exp values from that table.
+use, `Fixtures.exp` decides every gate once (the isometry conditions pick
+whose naturality is measured, the linearization gates are handed to their
+tests) and lists every exp row the requested suites will read: the
+Jacobian rows of the exp suite, and the naturality and linearization rows
+of the isometry suite whose gates pass.  For the geodesic and flow suites
+it adds the suite geodesic.  It integrates each distinct row once, in one
+batched paper-mode run per (L, h, steps), with the suite geodesic as the
+one recorded row of the run whose grid it shares (`expmap.ExpTable`).  The
+checks read their exp values from that table.
 
 Every integration of the plan is a job of `Fixtures.jobs` (`jobs.Jobs`):
 each run of the table, and (`Fixtures.runs`) the geodesic's determinism
@@ -130,7 +130,9 @@ class Check:
 
     def as_dict(self) -> dict:
         return {"name": self.name, "passed": bool(self.passed),
-                "max_deviation": float(self.max_deviation),
+                # strict JSON: a deviation that is not finite is written null
+                "max_deviation": (float(self.max_deviation)
+                                  if np.isfinite(self.max_deviation) else None),
                 "tolerance": float(self.tolerance), "details": self.details}
 
 
@@ -573,11 +575,8 @@ def run_exp_suite(fx: Fixtures) -> list[Check]:
 def run_isometry_suite(fx: Fixtures) -> list[Check]:
     cfg = fx.model.verify_config
     natural, controls = _naturality_names(fx)
-    # the isometries among them have passed their condition already
     devs = {name: naturality_check(fx.chart, fx.model.morphism(name), fx.base,
-                                   fx.vectors, dt=fx.dt, require_isometry=False,
-                                   exp=fx.exp, isometry=fx.isometry[name]
-                                   ).max_dev
+                                   fx.vectors, dt=fx.dt, exp=fx.exp).max_dev
             for name in [*natural, *controls]}
     nat_tol, neg_min = fx.tol("naturality"), fx.tol("negative_control_min")
     checks: list[Check] = []

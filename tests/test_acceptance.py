@@ -14,7 +14,8 @@ from supergeodesics.cotangent import (
     phase_from_ic,
     roundtrip_check,
 )
-from supergeodesics.expmap import exp_jacobian_checks, naturality_check
+from supergeodesics.expmap import exp_jacobian_checks, isometry_check, \
+    naturality_check, probe_points
 from supergeodesics.geodesics import (
     integrate_geodesic,
     integrate_goertsches,
@@ -164,16 +165,21 @@ def test_ac7_isometry_naturality(models):
         L = max(model.L, 1) if model.sig.n_odd else model.L
         vectors = [vector_from_spec(s, model.sig, L, base)
                    for s in cfg["vectors"]]
+        # the isometry condition of each fixture, at probe points around
+        # the base point
+        probes = probe_points(model.chart, base,
+                              max(L, min(model.sig.n_odd, 2)))
         for iso_name in cfg["isometries"]:
-            rep = naturality_check(model.chart, model.morphism(iso_name),
-                                   base, vectors, dt=DT)
+            phi = model.morphism(iso_name)
+            assert isometry_check(model.chart, model.chart, phi, probes).passed
+            rep = naturality_check(model.chart, phi, base, vectors, dt=DT)
             worst = max(worst, rep.max_dev)
             n_isometries += 1
         for bad_name in cfg.get("negative_controls", []):
-            rep = naturality_check(model.chart, model.morphism(bad_name),
-                                   base, vectors, dt=DT,
-                                   require_isometry=False)
-            assert rep.isometry_dev > 1e-3
+            bad = model.morphism(bad_name)
+            iso = isometry_check(model.chart, model.chart, bad, probes)
+            assert iso.max_dev > 1e-3
+            rep = naturality_check(model.chart, bad, base, vectors, dt=DT)
             assert rep.max_dev > 1e-3, (name, bad_name, rep.max_dev)
     passed = worst <= 1e-6 and n_isometries >= 6
     report(7, f"naturality on {n_isometries} isometry fixtures "

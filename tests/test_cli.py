@@ -475,3 +475,158 @@ class TestVerifyAllSuites:
         failing = [c for suite in report["suites"].values()
                    for c in suite if not c["passed"]]
         assert failing == []
+
+
+# ---------------------------------------------------------------------------
+# bad input exits 2 with a message; every JSON report is strict JSON
+
+
+def usage_error(capsys, *argv):
+    """stderr of a CLI call that argparse rejects with exit 2."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    return captured.err
+
+
+def no_constant(token):
+    raise ValueError(f"non-finite JSON token {token}")
+
+
+def strict_json(text):
+    """`json.loads` that rejects NaN, Infinity and -Infinity."""
+    return json.loads(text, parse_constant=no_constant)
+
+
+class TestBadFlags:
+    @pytest.mark.parametrize("argv", [
+        ("geodesic", "--ic", "run", "--dt", "0"),
+        ("geodesic", "--ic", "run", "--dt=-1e-3"),
+        ("geodesic", "--ic", "run", "--t-end", "nan"),
+        ("geodesic", "--ic", "run", "--mode", "goertsches", "--dt", "inf"),
+        ("flow", "--ic", "run", "--dt", "0"),
+        ("flow", "--ic", "run", "--t-end", "-1"),
+        ("exp", "--point", "x=0", "--h", "0"),
+        ("exp", "--point", "x=0", "--h", "nan"),
+        ("exp", "--point", "x=0", "--h", "1e400"),
+        ("exp", "--point", "x=0", "--dt", "-0.01"),
+        ("exp", "--point", "x=0", "--dt", "x"),
+    ], ids=" ".join)
+    def test_step_or_span_not_positive_finite(self, capsys, argv):
+        err = usage_error(capsys, argv[0], "--model", "c1x_r12", *argv[1:])
+        assert "Traceback" not in err
+        assert "expected a finite number > 0" in err
+
+    @pytest.mark.parametrize("pair, message", [
+        ("metric_compatibilty=1",
+         "--tol metric_compatibilty: unknown tolerance"),
+        ("roundtrip=-1e-6", "--tol roundtrip: expected a finite number >= 0"),
+        ("roundtrip=nan", "--tol roundtrip: expected a finite number >= 0"),
+        ("roundtrip=inf", "--tol roundtrip: expected a finite number >= 0"),
+    ])
+    def test_bad_tolerance_override(self, capsys, pair, message):
+        code, out, err = run(capsys, "verify", "--model", "flat_r12",
+                             "--suite", "metric", "--tol", pair)
+        assert code == 2 and out == "" and "Traceback" not in err
+        assert message in err
+
+    def test_exp_point_outside_box_before_integrating(self, capsys,
+                                                      monkeypatch):
+        # c1x_r12 has x in (-0.8, 20): as `christoffel`, `exp` rejects x = 50
+        # as a usage error, before any exp row is integrated
+        shot = count_calls(monkeypatch, expmap, "_shoot")
+        for command in ("christoffel", "exp"):
+            code, out, err = run(capsys, command, "--model", "c1x_r12",
+                                 "--point", "x=50")
+            assert code == 2 and out == "" and "Traceback" not in err
+            assert "body [50.] outside chart domain" in err
+        assert shot == []
+
+
+class TestModelFields:
+    @pytest.mark.parametrize("edit, message", [
+        ({"L": "x"}, "L: expected an integer from 0 to 12, got 'x'"),
+        ({"L": -1}, "L: expected an integer from 0 to 12, got -1"),
+        ({"L": 2.7}, "L: expected an integer from 0 to 12, got 2.7"),
+        ({"L": 13}, "L: expected an integer from 0 to 12, got 13"),
+        ({"L": True}, "L: expected an integer from 0 to 12, got True"),
+        ({"defaults": {"dt": 0}}, "defaults.dt: expected a finite number > 0"),
+        ({"defaults": {"t_end": -1.0}},
+         "defaults.t_end: expected a finite number > 0"),
+        ({"defaults": {"dt": float("nan")}},
+         "defaults.dt: expected a finite number > 0"),
+        ({"defaults": {"dt": "0.01"}},
+         "defaults.dt: expected a finite number > 0"),
+        ({"defaults": {"step": 0.01}}, "unknown default 'step'"),
+        ({"defaults": [0.01]}, "defaults must be an object"),
+        ({"domain": {"x": [1]}}, "domain.x: expected [lo, hi], got [1]"),
+        ({"domain": {"x": "ab"}}, "domain.x: expected [lo, hi]"),
+        ({"domain": {"x": ["a", 1]}},
+         "domain.x[0]: expected a finite number, got 'a'"),
+        ({"domain": {"x": [-1, float("inf")]}},
+         "domain.x[1]: expected a finite number > -1"),
+        ({"domain": {"x": [2.0, 1.0]}},
+         "domain.x[1]: expected a finite number > 2, got 1.0"),
+        ({"tolerances": {"roundtrip": "b"}},
+         "tolerances.roundtrip: expected a finite number >= 0, got 'b'"),
+        ({"tolerances": {"roundtrip": -1e-6}},
+         "tolerances.roundtrip: expected a finite number >= 0"),
+        ({"tolerances": {"rondtrip": 1e-6}},
+         "tolerances.rondtrip: unknown tolerance 'rondtrip'"),
+    ], ids=lambda v: json.dumps(v) if isinstance(v, dict) else "")
+    def test_bad_field_exits_2(self, capsys, tmp_path, edit, message):
+        model = write_model(tmp_path, "fields", {**bundled_doc("c1x_r12"),
+                                                 **edit})
+        code, out, err = run(capsys, "verify", "--model", model,
+                             "--suite", "metric")
+        assert code == 2 and out == "" and "Traceback" not in err
+        assert message in err
+
+    @pytest.mark.parametrize("L", ["x", -1, 2.5, 13])
+    def test_bad_initial_condition_L(self, capsys, tmp_path, L):
+        doc = bundled_doc("c1x_r12")
+        doc["initial_conditions"]["run"]["L"] = L
+        code, out, err = run(capsys, "geodesic", "--model",
+                             write_model(tmp_path, "ic_L", doc), "--ic", "run")
+        assert code == 2 and out == "" and "Traceback" not in err
+        assert ("initial_conditions['run'].L: expected an integer from 0 to "
+                f"12, got {L!r}") in err
+
+    def test_valid_fields_load(self, capsys, tmp_path):
+        doc = bundled_doc("c1x_r12")
+        doc.update(defaults={"dt": 0.01, "t_end": 0.02},
+                   tolerances={"roundtrip": 0, "metric_compatibility": 1e-9},
+                   domain={"x": [-0.8, 20]})
+        code, out, err = run(capsys, "verify", "--model",
+                             write_model(tmp_path, "fields", doc),
+                             "--suite", "metric")
+        assert code == 0 and err == ""
+        checks = strict_json(out)["suites"]["metric"]
+        assert {c["name"]: c["tolerance"] for c in checks}[
+            "metric_compatibility"] == 1e-9
+
+
+class TestStrictJson:
+    def test_gate_stopped_linearization_writes_null(self, capsys, tmp_path):
+        # odd_scaling is no geodesic symmetry: its test stops at the gate
+        # with no deviation measured, which the report writes as null
+        model = write_model(tmp_path, "symmetry", coarse_doc(
+            "c1x_r12", point_symmetries=["odd_scaling"]))
+        code, out, err = run(capsys, "verify", "--model", model,
+                             "--suite", "isometry")
+        assert code == 1 and err == ""
+        report = strict_json(out)
+        checks = {c["name"]: c for c in report["suites"]["isometry"]}
+        stopped = checks["geodesic_symmetry[odd_scaling]"]
+        assert stopped["passed"] is False and stopped["max_deviation"] is None
+        assert report["passed"] is False
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--model", "flat_r22", "--suite", "isometry"),
+        ("exp", "--model", "c1x_r12", "--point", "x=0.5", "--dt", "0.01"),
+    ], ids=" ".join)
+    def test_reports_are_strict(self, capsys, argv):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        strict_json(out)

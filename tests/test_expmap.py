@@ -23,7 +23,7 @@ from supergeodesics.expmap import (
 from supergeodesics import expmap, geodesics, verify
 from supergeodesics.errors import LeftDomain
 from supergeodesics.geodesics import integrate_geodesic
-from supergeodesics.expmap import _exp_batch, _jacobian_rows
+from supergeodesics.expmap import _jacobian_rows, _shoot
 from supergeodesics.geometry import MetricChart, SuperPoint, metric_validate
 from supergeodesics.grassmann import GrassmannElement as G, mask_parity
 from supergeodesics.model import bundled_models, load_model
@@ -204,10 +204,7 @@ class TestNaturality:
                        {"x": G.from_scalar(0.5, 2),
                         "th1": G.generator(0, 2),
                         "th2": G.generator(1, 2)})]
-        with pytest.raises(ValueError):
-            naturality_check(c1x_r12, bad, [0.0], vectors, dt=1e-2)
-        rep = naturality_check(c1x_r12, bad, [0.0], vectors, dt=1e-2,
-                               require_isometry=False)
+        rep = naturality_check(c1x_r12, bad, [0.0], vectors, dt=1e-2)
         assert rep.max_dev > 1e-3
 
 
@@ -277,7 +274,7 @@ class TestMorphismApplication:
 
 def assert_rows_equal_serial(chart, vectors, dt):
     """Every row of one batched run has the bits of its own serial exp_at."""
-    batched = _exp_batch(chart, vectors, dt)
+    batched = _shoot(chart, vectors, dt)[0]
     assert len(batched) == len(vectors)
     for v, out in zip(vectors, batched):
         ref = exp_at(chart, v, dt)
@@ -352,12 +349,12 @@ class TestBatchedExp:
         rows = [random_vector(sig, 2, [0.1], rng), dive,
                 random_vector(sig, 0, [0.2], rng)]
         with pytest.raises(LeftDomain, match="t=0 .*log undefined"):
-            _exp_batch(curved_r12, rows, 1e-2)
+            _shoot(curved_r12, rows, 1e-2)[0]
         with pytest.raises(LeftDomain, match="t=0 .*log undefined"):
             exp_at(curved_r12, dive, 1e-2)
 
     def test_empty_batch(self, curved_r12):
-        assert _exp_batch(curved_r12, [], 1e-2) == []
+        assert _shoot(curved_r12, [], 1e-2)[0] == []
 
     @pytest.mark.parametrize("name", bundled_models())
     @pytest.mark.usefixtures("one_worker")

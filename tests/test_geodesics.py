@@ -18,7 +18,7 @@ from supergeodesics.geodesics import (
     metric_speed,
 )
 from supergeodesics.cotangent import PhasePoint, integrate_flow, phase_from_ic
-from supergeodesics.expmap import TangentFiberPoint, _exp_batch
+from supergeodesics.expmap import TangentFiberPoint, _shoot
 from supergeodesics.geometry import MetricChart, SuperPoint
 from supergeodesics.grassmann import GrassmannElement as G, dim, mul_dense
 from supergeodesics.superexpr import ChartSignature
@@ -163,8 +163,8 @@ class TestStepperGuard:
                 lambda: integrate_goertsches(diag_x2, ic, 0.1, 1e-2),
                 lambda: integrate_flow(diag_x2, PhasePoint(ic.position, {}),
                                        0.1, 1e-2),
-                lambda: _exp_batch(diag_x2, [TangentFiberPoint(
-                    diag_x2.sig, 0, [0.1, 0.0], {})], 1e-2)]
+                lambda: _shoot(diag_x2, [TangentFiberPoint(
+                    diag_x2.sig, 0, [0.1, 0.0], {})], 1e-2)[0]]
         for run in runs:
             with pytest.raises(LeftDomain, match="at t=0$"):
                 run()
@@ -177,13 +177,13 @@ class TestStepperGuard:
         body = np.array([0.1, 0.5])
         with pytest.raises(LeftDomain, match=re.escape(
                 f"body {body} left the chart domain at t=0") + "$"):
-            _exp_batch(diag_x2, rows, 1e-2)
+            _shoot(diag_x2, rows, 1e-2)[0]
         rows = [TangentFiberPoint(diag_x2.sig, 0, [1.0, 0.0],
                                   {"x": G.from_scalar(vx, 0)})
                 for vx in (0.0, -85.0, -95.0)]
         # rows 1 and 2 leave in the first step, to x = 0.15 and 0.05
         with pytest.raises(LeftDomain, match=r"body \[0\.15\d* .*at t=0\.01$"):
-            _exp_batch(diag_x2, rows, 1e-2)
+            _shoot(diag_x2, rows, 1e-2)[0]
 
     def test_box_comparison_matches_per_coordinate_rule(self, rng):
         sig = ChartSignature(("x", "y", "z"), ("th",))

@@ -1,0 +1,56 @@
+"""Structural invariants on random inputs.
+
+* parity along curves: no coefficient of a position or velocity sample of a
+  paper-mode or Goertsches geodesic sits on a mask of the wrong parity, at
+  L = 0-4 and 6 (the flow's is a verify check, `parity_preservation`);
+* the stacking rule of `batched_mul` at L <= 3: independent products of
+  two or more rows each, stacked into one call, keep the bits of the
+  separate calls.
+
+Hypothesis runs derandomized; each example draws one integer seed for numpy.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from supergeodesics.geodesics import InitialCondition, integrate_geodesic, \
+    integrate_goertsches
+from supergeodesics.grassmann import batched_mul, dim, mask_parity
+from supergeodesics.verify import random_superpoint
+
+seeds = st.integers(0, 2**32 - 1)
+
+
+@pytest.mark.parametrize("L", [0, 1, 2, 3, 4, 6])
+@pytest.mark.parametrize("goertsches", [False, True],
+                         ids=["paper", "goertsches"])
+@settings(derandomize=True, max_examples=8, deadline=None, database=None)
+@given(seed=seeds, curved=st.booleans())
+def test_geodesic_keeps_parity(c1x_r12, curved_r22, L, goertsches, seed,
+                               curved):
+    # bodies start at least 5 % of the box inside it and move at most 0.06
+    chart = curved_r22 if curved else c1x_r12
+    rng = np.random.default_rng(seed)
+    position = random_superpoint(chart, L, rng)
+    velocity = random_superpoint(chart, L, rng).values
+    integrate = integrate_goertsches if goertsches else integrate_geodesic
+    traj = integrate(chart, InitialCondition(L, position, velocity), 0.03, 0.01)
+    wrong = mask_parity(L) != chart.sig.parity_vector()[:, None]  # [i, mask]
+    assert traj.positions.shape[1:] == wrong.shape
+    assert not traj.positions[:, wrong].any()
+    assert not traj.velocities[:, wrong].any()
+
+
+@pytest.mark.parametrize("L", [0, 1, 2, 3])
+@settings(derandomize=True, max_examples=25, deadline=None, database=None)
+@given(rows=st.lists(st.integers(2, 9), min_size=2, max_size=5),
+       inner=st.sampled_from([(), (1,), (3,), (2, 2)]), seed=seeds)
+def test_stacked_products_keep_their_bits(L, rows, inner, seed):
+    rng = np.random.default_rng(seed)
+    pairs = [(rng.uniform(-1.0, 1.0, (M, *inner, dim(L))),
+              rng.uniform(-1.0, 1.0, (M, *inner, dim(L)))) for M in rows]
+    stacked = batched_mul(np.concatenate([a for a, _ in pairs]),
+                          np.concatenate([b for _, b in pairs]), L)
+    for part, (a, b) in zip(np.split(stacked, np.cumsum(rows)[:-1]), pairs):
+        assert np.array_equal(part, batched_mul(a, b, L))
