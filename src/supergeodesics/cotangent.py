@@ -28,32 +28,28 @@ import numpy as np
 from .errors import SignatureMismatch
 from .geodesics import InitialCondition, Trajectory, _grid, _rk4
 from .geometry import MetricChart, SuperPoint, _chunks, _Kernel
-from .grassmann import GrassmannElement, batched_mul, mask_parity
+from .grassmann import GrassmannElement, _Frozen, batched_mul, mask_parity
 
 
 # ---------------------------------------------------------------------------
 # phase-space data
 
 
-class PhasePoint:
+class PhasePoint(_Frozen):
     """A point of the cotangent chart: position plus momenta p_i with
     parity |p_i| = |q_i|, checked by the coordinate values rule of
     `ChartSignature` (a missing momentum is zero)."""
 
-    __slots__ = ("position", "momenta", "L")
+    __slots__ = ("position", "momenta")
 
     def __init__(self, position: SuperPoint,
                  momenta: Mapping[str, GrassmannElement]):
-        object.__setattr__(self, "position", position)
-        object.__setattr__(self, "momenta",
-                           position.sig.graded(position.L, momenta, "momentum"))
-        object.__setattr__(self, "L", position.L)
+        self._init(position=position,
+                   momenta=position.sig.graded(position.L, momenta, "momentum"))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("PhasePoint is immutable")
-
-    def __reduce__(self):
-        return PhasePoint, (self.position, self.momenta)
+    @property
+    def L(self) -> int:
+        return self.position.L
 
     def momentum_array(self) -> np.ndarray:
         return self.position.sig.pack(self.momenta)

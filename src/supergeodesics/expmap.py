@@ -35,7 +35,7 @@ from .errors import SignatureMismatch
 from .geodesics import InitialCondition, Trajectory, _grid, _paper_rhs, \
     _paper_trajectory, _rk4, integrate_geodesic
 from .geometry import MetricChart, SuperPoint, _chunks
-from .grassmann import GrassmannElement, dim
+from .grassmann import GrassmannElement, _Frozen, dim
 from .jobs import Jobs
 from .superexpr import (
     ChartSignature,
@@ -55,7 +55,7 @@ from .superexpr import (
 # tangent-fiber data
 
 
-class TangentFiberPoint:
+class TangentFiberPoint(_Frozen):
     """A tangent vector at a body point: real base plus a Grassmann-valued
     component per coordinate, checked by the coordinate values rule of
     `ChartSignature` (a missing component is zero)."""
@@ -69,16 +69,7 @@ class TangentFiberPoint:
             raise ValueError(f"base must have {sig.n_even} components")
         vec = sig.graded(L, vector, "component")
         base_arr.flags.writeable = False
-        object.__setattr__(self, "sig", sig)
-        object.__setattr__(self, "L", L)
-        object.__setattr__(self, "base", base_arr)
-        object.__setattr__(self, "vector", vec)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TangentFiberPoint is immutable")
-
-    def __reduce__(self):
-        return TangentFiberPoint, (self.sig, self.L, self.base, self.vector)
+        self._init(sig=sig, L=L, base=base_arr, vector=vec)
 
     def to_initial_condition(self) -> InitialCondition:
         position = SuperPoint.body_point(self.sig, self.L, self.base)
@@ -90,7 +81,7 @@ class TangentFiberPoint:
             {name: factor * v for name, v in self.vector.items()})
 
 
-class LinearTangentMap:
+class LinearTangentMap(_Frozen):
     """The real Jacobian block matrix of a morphism at a body point.
 
     matrix[i][j] = body of d_{q_i} Phi*(q_j) at the point; parity forces the
@@ -109,15 +100,7 @@ class LinearTangentMap:
         if np.any(mat[mixed] != 0.0):
             raise ValueError("mixed-parity Jacobian entries must vanish")
         mat.flags.writeable = False
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "matrix", mat)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LinearTangentMap is immutable")
-
-    def __reduce__(self):
-        return LinearTangentMap, (self.source, self.target, self.matrix)
+        self._init(source=source, target=target, matrix=mat)
 
     def apply(self, vector: Mapping[str, GrassmannElement],
               L: int) -> dict[str, GrassmannElement]:
@@ -571,13 +554,13 @@ def _linearization_rows(vectors: Sequence[TangentFiberPoint],
 
 def _linearization_gate(chart: MetricChart, phi: SuperMorphism, q,
                         vectors: Sequence[TangentFiberPoint],
-                        tangent_sign: float) -> str:
+                        tangent_sign: float, tolerance: float = 1e-8) -> str:
     """Why the hypotheses of `linearization_test` fail, or "" if they hold.
-    Gates, in order: the isometry condition, the fixed body point, and
-    T_q Phi = tangent_sign * id."""
+    Gates, in order: the isometry condition (within `tolerance`), the fixed
+    body point, and T_q Phi = tangent_sign * id."""
     L = vectors[0].L if vectors else 0
     samples = probe_points(chart, q, max(L, min(chart.sig.n_odd, 2)))
-    iso = isometry_check(chart, chart, phi, samples)
+    iso = isometry_check(chart, chart, phi, samples, tolerance=tolerance)
     if not iso.passed:
         return f"isometry condition fails (dev {iso.max_dev:.3g})"
     q_arr = np.asarray(q, dtype=float).reshape(-1)

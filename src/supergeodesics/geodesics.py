@@ -55,6 +55,7 @@ from .errors import (
 from .geometry import MetricChart, SuperPoint, _chunks, _Kernel
 from .grassmann import (
     GrassmannElement,
+    _Frozen,
     batched_mul,
     mask_parity,
     strip_generator,
@@ -65,7 +66,7 @@ from .grassmann import (
 # initial data and trajectories
 
 
-class InitialCondition:
+class InitialCondition(_Frozen):
     """Grassmann-valued position and velocity data for a geodesic.
 
     Encodes a morphism from the odd parameter space with L generators into
@@ -81,16 +82,8 @@ class InitialCondition:
         if position.L != L:
             raise MismatchedGeneratorCount(
                 f"position has L={position.L}, expected {L}")
-        object.__setattr__(self, "L", L)
-        object.__setattr__(self, "position", position)
-        object.__setattr__(self, "velocity",
-                           position.sig.graded(L, velocity, "velocity"))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("InitialCondition is immutable")
-
-    def __reduce__(self):
-        return InitialCondition, (self.L, self.position, self.velocity)
+        self._init(L=L, position=position,
+                   velocity=position.sig.graded(L, velocity, "velocity"))
 
     def velocity_array(self) -> np.ndarray:
         return self.position.sig.pack(self.velocity)

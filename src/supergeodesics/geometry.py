@@ -33,7 +33,14 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from .errors import InvalidPoint, SingularBody
-from .grassmann import _TENSOR_MAX, GrassmannElement, Parity, batched_mul, dim
+from .grassmann import (
+    _TENSOR_MAX,
+    GrassmannElement,
+    Parity,
+    _Frozen,
+    batched_mul,
+    dim,
+)
 from .superexpr import (
     ChartSignature,
     Const,
@@ -51,7 +58,7 @@ from .superexpr import (
 # points
 
 
-class SuperPoint:
+class SuperPoint(_Frozen):
     """Grassmann values of every chart coordinate, checked by the coordinate
     values rule of `ChartSignature`; a missing coordinate raises
     `InvalidPoint`."""
@@ -63,15 +70,7 @@ class SuperPoint:
         missing = set(sig.names) - set(values)
         if missing:
             raise InvalidPoint(f"missing coordinates {sorted(missing)}")
-        object.__setattr__(self, "sig", sig)
-        object.__setattr__(self, "L", L)
-        object.__setattr__(self, "values", sig.graded(L, values, "coordinate"))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SuperPoint is immutable")
-
-    def __reduce__(self):
-        return SuperPoint, (self.sig, self.L, self.values)
+        self._init(sig=sig, L=L, values=sig.graded(L, values, "coordinate"))
 
     @classmethod
     def from_array(cls, sig: ChartSignature, L: int, arr: np.ndarray) -> "SuperPoint":

@@ -227,7 +227,26 @@ def strip_generator(arr: np.ndarray, L: int, gen: int) -> np.ndarray:
     return out
 
 
-class GrassmannElement:
+class _Frozen:
+    """Base of the immutable value types.  A subclass lists its fields in
+    `__slots__` in constructor order and sets them once with `_init`; any
+    later assignment raises, and copy, deepcopy and pickle rebuild the
+    value by calling the constructor with the slots."""
+
+    __slots__ = ()
+
+    def _init(self, **slots) -> None:
+        for name, value in slots.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+
+class GrassmannElement(_Frozen):
     """An element of the Grassmann algebra on L generators.
 
     Immutable value type; arithmetic via operators.  Generators in text
@@ -246,14 +265,7 @@ class GrassmannElement:
             if arr.shape != (dim(L),):
                 raise ValueError(f"expected {dim(L)} coefficients, got {arr.shape}")
         arr.flags.writeable = False
-        object.__setattr__(self, "L", L)
-        object.__setattr__(self, "coeffs", arr)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GrassmannElement is immutable")
-
-    def __reduce__(self):
-        return GrassmannElement, (self.L, self.coeffs)
+        self._init(L=L, coeffs=arr)
 
     # -- constructors ------------------------------------------------------
 

@@ -50,16 +50,28 @@ SCHEMA_VERSION = 1
 
 
 def grassmann_value(raw, L: int, where: str) -> GrassmannElement:
-    """Decode a model-file Grassmann value (number or [[mask, coeff], ...])."""
-    if isinstance(raw, (int, float)):
-        return GrassmannElement.from_scalar(float(raw), L)
-    if isinstance(raw, list):
-        try:
-            return GrassmannElement.from_pairs(raw, L)
-        except (TypeError, ValueError) as exc:
-            raise ModelError(f"{where}: bad Grassmann value {raw!r}: {exc}") from exc
-    raise ModelError(f"{where}: expected number or [[mask, coeff], ...], "
-                     f"got {raw!r}")
+    """Decode a model-file Grassmann value (number or [[mask, coeff], ...]):
+    every number finite, every mask an integer, and the coefficients of a
+    mask that repeats summed to a finite number."""
+    if not isinstance(raw, list):
+        return GrassmannElement.from_scalar(_finite(raw, where), L)
+    sums: dict[int, float] = {}
+    for i, pair in enumerate(raw):
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise ModelError(f"{where}[{i}]: expected [mask, coeff], "
+                             f"got {pair!r}")
+        mask, coeff = pair
+        if isinstance(mask, bool) or not isinstance(mask, int):
+            raise ModelError(f"{where}[{i}]: mask must be an integer, "
+                             f"got {mask!r}")
+        sums[mask] = sums.get(mask, 0.0) + _finite(coeff, f"{where}[{i}]")
+    if not all(map(math.isfinite, sums.values())):
+        raise ModelError(f"{where}: the coefficients of a mask sum to a "
+                         f"number that is not finite in {raw!r}")
+    try:
+        return GrassmannElement.from_pairs(sums.items(), L)
+    except ValueError as exc:
+        raise ModelError(f"{where}: bad Grassmann value {raw!r}: {exc}") from exc
 
 
 @dataclass
@@ -164,11 +176,13 @@ def tolerance_override(name: str, raw, where: str) -> float:
     return _finite(raw, where, 0.0)
 
 
-def _section(data: Mapping, key: str, where: str) -> Mapping:
-    """The object under `key` ({} if absent), else a `ModelError`."""
-    raw = data.get(key, {})
-    if not isinstance(raw, dict):
-        raise ModelError(f"{where}: {key} must be an object, got {raw!r}")
+def _section(data: Mapping, key: str, where: str, kind: type = dict):
+    """The object under `key` ({} if absent), or with `kind=list` the array
+    ([] if absent), else a `ModelError`."""
+    raw = data.get(key, kind())
+    if not isinstance(raw, kind):
+        what = "an object" if kind is dict else "an array"
+        raise ModelError(f"{where}: {key} must be {what}, got {raw!r}")
     return raw
 
 
@@ -182,12 +196,11 @@ def _build_ic(name: str, raw: Mapping, sig: ChartSignature,
               default_L: int) -> InitialCondition:
     where = f"initial_conditions[{name!r}]"
     L = _generator_count(raw.get("L", default_L), f"{where}.L")
-    pos_raw = _require(raw, "position", where)
-    vel_raw = raw.get("velocity", {})
+    _require(raw, "position", where)
     position = {n: grassmann_value(v, L, f"{where}.position.{n}")
-                for n, v in pos_raw.items()}
+                for n, v in _section(raw, "position", where).items()}
     velocity = {n: grassmann_value(v, L, f"{where}.velocity.{n}")
-                for n, v in vel_raw.items()}
+                for n, v in _section(raw, "velocity", where).items()}
     try:
         return InitialCondition(
             L, SuperPoint(sig, L, sig.graded(L, position, "position")), velocity)
@@ -210,10 +223,12 @@ def load_model(spec: str | Path) -> ModelFile:
     name = data.get("name", name)
     where = f"model {name!r}"
 
-    sig_raw = _require(data, "signature", name)
+    _require(data, "signature", name)
+    sig_raw = _section(data, "signature", where)
+    sig_where = f"{where}: signature"
     try:
-        sig = ChartSignature(tuple(sig_raw.get("even", ())),
-                             tuple(sig_raw.get("odd", ())))
+        sig = ChartSignature(_section(sig_raw, "even", sig_where, list),
+                             _section(sig_raw, "odd", sig_where, list))
     except (ValueError, TypeError) as exc:
         raise ModelError(f"model {name!r}: bad signature: {exc}") from exc
 
@@ -222,22 +237,26 @@ def load_model(spec: str | Path) -> ModelFile:
               for k, v in _section(data, "domain", where).items()}
     try:
         chart = MetricChart(sig, metric_raw, domain, name=name)
-    except SuperGeometryError as exc:
-        raise ModelError(f"model {name!r}: bad metric: {exc}") from exc
-    except ValueError as exc:
+    except (SuperGeometryError, ValueError, TypeError) as exc:
         raise ModelError(f"model {name!r}: bad metric: {exc}") from exc
 
     L = _generator_count(data.get("L", 0), f"{where}: L")
-    ics = {ic_name: _build_ic(ic_name, ic_raw, sig, L)
-           for ic_name, ic_raw in data.get("initial_conditions", {}).items()}
+    ics_raw = _section(data, "initial_conditions", where)
+    ics = {ic_name: _build_ic(ic_name, _section(ics_raw, ic_name,
+                                                "initial_conditions"), sig, L)
+           for ic_name in ics_raw}
 
     morphisms = {}
-    for m_name, m_raw in data.get("morphisms", {}).items():
+    ms_raw = _section(data, "morphisms", where)
+    for m_name in ms_raw:
+        m_where = f"morphisms[{m_name!r}]"
+        m_raw = _section(ms_raw, m_name, "morphisms")
+        _require(m_raw, "pullbacks", m_where)
+        pullbacks = _section(m_raw, "pullbacks", m_where)
         try:
-            morphisms[m_name] = SuperMorphism(
-                sig, sig, _require(m_raw, "pullbacks", f"morphisms[{m_name!r}]"))
+            morphisms[m_name] = SuperMorphism(sig, sig, pullbacks)
         except SuperGeometryError as exc:
-            raise ModelError(f"morphisms[{m_name!r}]: {exc}") from exc
+            raise ModelError(f"{m_where}: {exc}") from exc
 
     defaults = {"dt": 1e-3, "t_end": 1.0}
     for k, v in _section(data, "defaults", where).items():
@@ -247,7 +266,7 @@ def load_model(spec: str | Path) -> ModelFile:
         defaults[k] = _finite(v, f"{where}: defaults.{k}", 0.0, strict=True)
     tolerances = {k: tolerance_override(k, v, f"{where}: tolerances.{k}")
                   for k, v in _section(data, "tolerances", where).items()}
-    verify_config = data.get("verify", {})
+    verify_config = _section(data, "verify", where)
 
     return ModelFile(name=name, chart=chart, L=L, initial_conditions=ics,
                      morphisms=morphisms, defaults=defaults,
@@ -259,6 +278,8 @@ def vector_from_spec(raw: Mapping, sig: ChartSignature, L: int, base,
     """Decode a tangent-vector spec {coord: grassmann value} at a body point."""
     from .expmap import TangentFiberPoint
 
+    if not isinstance(raw, dict):
+        raise ModelError(f"{where}: expected an object, got {raw!r}")
     vec = {n: grassmann_value(v, L, f"{where}.{n}") for n, v in raw.items()}
     try:
         return TangentFiberPoint(sig, L, base, vec)

@@ -37,6 +37,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
@@ -168,10 +169,15 @@ class ChartSignature:
 
 
 class Expr:
-    """Base class for expression nodes.  Nodes are immutable; `_program`
-    caches the node's compiled `Program` (see `eval_dense`)."""
+    """Base class for expression nodes: frozen dataclasses, so the dataclass
+    writes their `__init__`, `__eq__` and `__hash__` and a node cannot be
+    changed.  `_program` caches the node's compiled `Program` (see
+    `eval_dense`)."""
 
-    _program: "Program | None" = None
+    @cached_property
+    def _program(self) -> Program:
+        """The program of this one expression, compiled on first use."""
+        return Program((self,))
 
     def parity(self) -> Parity:
         raise NotImplementedError
@@ -217,9 +223,12 @@ class Expr:
         return str(self)
 
 
+@dataclass(frozen=True, repr=False)
 class Const(Expr):
-    def __init__(self, value: float):
-        self.value = float(value)
+    value: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "value", float(self.value))
 
     def parity(self):
         return Parity.EVEN
@@ -233,55 +242,42 @@ class Const(Expr):
     def subst(self, mapping):
         return self
 
-    def __eq__(self, other):
-        return isinstance(other, Const) and self.value == other.value
-
-    def __hash__(self):
-        return hash(("const", self.value))
-
     def __str__(self):
         return f"{self.value:g}"
 
 
+@dataclass(frozen=True, repr=False)
 class Var(Expr):
-    def __init__(self, name: str):
-        self.name = name
+    name: str
 
     def free_vars(self):
         return frozenset((self.name,))
 
+    def diff(self, coord, odd):
+        return Const(1.0 if coord == self.name else 0.0)
+
     def subst(self, mapping):
         return mapping.get(self.name, self)
-
-    def __eq__(self, other):
-        return type(other) is type(self) and other.name == self.name
-
-    def __hash__(self):
-        return hash((type(self).__name__, self.name))
 
     def __str__(self):
         return self.name
 
 
+@dataclass(frozen=True, repr=False)
 class EvenVar(Var):
     def parity(self):
         return Parity.EVEN
 
-    def diff(self, coord, odd):
-        return Const(1.0 if coord == self.name else 0.0)
 
-
+@dataclass(frozen=True, repr=False)
 class OddVar(Var):
     def parity(self):
         return Parity.ODD
 
-    def diff(self, coord, odd):
-        return Const(1.0 if coord == self.name else 0.0)
 
-
+@dataclass(frozen=True, repr=False)
 class Sum(Expr):
-    def __init__(self, terms: tuple[Expr, ...]):
-        self.terms = terms
+    terms: tuple[Expr, ...]
 
     def parity(self):
         parities = {t.parity() for t in self.terms}
@@ -298,19 +294,13 @@ class Sum(Expr):
     def subst(self, mapping):
         return add(*(t.subst(mapping) for t in self.terms))
 
-    def __eq__(self, other):
-        return isinstance(other, Sum) and other.terms == self.terms
-
-    def __hash__(self):
-        return hash(("sum", self.terms))
-
     def __str__(self):
         return " + ".join(str(t) for t in self.terms)
 
 
+@dataclass(frozen=True, repr=False)
 class Product(Expr):
-    def __init__(self, factors: tuple[Expr, ...]):
-        self.factors = factors
+    factors: tuple[Expr, ...]
 
     def parity(self):
         p = Parity.EVEN
@@ -346,22 +336,16 @@ class Product(Expr):
     def subst(self, mapping):
         return mul(*(f.subst(mapping) for f in self.factors))
 
-    def __eq__(self, other):
-        return isinstance(other, Product) and other.factors == self.factors
-
-    def __hash__(self):
-        return hash(("product", self.factors))
-
     def __str__(self):
         return "*".join(_paren(f) for f in self.factors)
 
 
+@dataclass(frozen=True, repr=False)
 class IntPow(Expr):
     """Integer power (>= 2) of an even subexpression."""
 
-    def __init__(self, base: Expr, exponent: int):
-        self.base = base
-        self.exponent = exponent
+    base: Expr
+    exponent: int
 
     def parity(self):
         return Parity.EVEN
@@ -377,22 +361,15 @@ class IntPow(Expr):
     def subst(self, mapping):
         return pow_int(self.base.subst(mapping), self.exponent)
 
-    def __eq__(self, other):
-        return (isinstance(other, IntPow) and other.base == self.base
-                and other.exponent == self.exponent)
-
-    def __hash__(self):
-        return hash(("pow", self.base, self.exponent))
-
     def __str__(self):
         return f"{_paren(self.base)}^{self.exponent}"
 
 
+@dataclass(frozen=True, repr=False)
 class Recip(Expr):
     """Reciprocal of an even subexpression."""
 
-    def __init__(self, base: Expr):
-        self.base = base
+    base: Expr
 
     def parity(self):
         return Parity.EVEN
@@ -407,22 +384,16 @@ class Recip(Expr):
     def subst(self, mapping):
         return recip(self.base.subst(mapping))
 
-    def __eq__(self, other):
-        return isinstance(other, Recip) and other.base == self.base
-
-    def __hash__(self):
-        return hash(("recip", self.base))
-
     def __str__(self):
         return f"1/{_paren(self.base)}"
 
 
+@dataclass(frozen=True, repr=False)
 class Fun(Expr):
     """Elementary function (exp, sin, cos, log) of an even subexpression."""
 
-    def __init__(self, name: str, arg: Expr):
-        self.name = name
-        self.arg = arg
+    name: str
+    arg: Expr
 
     def parity(self):
         return Parity.EVEN
@@ -435,12 +406,6 @@ class Fun(Expr):
 
     def subst(self, mapping):
         return fun(self.name, self.arg.subst(mapping))
-
-    def __eq__(self, other):
-        return isinstance(other, Fun) and other.name == self.name and other.arg == self.arg
-
-    def __hash__(self):
-        return hash(("fun", self.name, self.arg))
 
     def __str__(self):
         return f"{self.name}({self.arg})"
@@ -789,14 +754,6 @@ def _fun_value(name: str, v: np.ndarray, L: int) -> np.ndarray:
     return out
 
 
-def _program(expr: Expr) -> Program:
-    """The program of one expression, compiled once and kept on the node."""
-    prog = expr._program
-    if prog is None:
-        prog = expr._program = Program((expr,))
-    return prog
-
-
 def evaluate(expr: Expr, values, L: int | None = None) -> GrassmannElement:
     """Evaluate at a Grassmann-valued point.
 
@@ -819,7 +776,7 @@ def evaluate(expr: Expr, values, L: int | None = None) -> GrassmannElement:
         if v.L != L:
             raise MismatchedGeneratorCount(f"{name}: L={v.L}, expected {L}")
         env[name] = v.coeffs
-    prog = _program(expr)
+    prog = expr._program
     for name, want in prog.variables:
         v = mapping.get(name)
         if v is None:
@@ -838,7 +795,7 @@ def eval_dense(expr: Expr, env: Mapping[str, np.ndarray], L: int) -> np.ndarray:
     broadcast, and every row has the bits it would have evaluated alone.
     A constant's value is one read-only array per (node, L).
     """
-    return _program(expr).run(env, L)[0]
+    return expr._program.run(env, L)[0]
 
 
 def substitute(expr: Expr, mapping: Mapping[str, Expr]) -> Expr:

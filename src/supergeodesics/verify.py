@@ -87,7 +87,7 @@ from .geometry import BodyGeometry, MetricChart, SuperPoint, _chunks, \
     _last_axes, metric_validate, reduce_body
 from .grassmann import GrassmannElement, batched_mul, dim, mask_parity
 from .jobs import Jobs
-from .model import ModelFile, vector_from_spec
+from .model import ModelFile, _section, vector_from_spec
 from .superexpr import SuperMorphism
 
 TOLERANCES: dict[str, float] = {
@@ -214,15 +214,21 @@ class Fixtures:
         self.base = _body_point(chart, cfg.get("base_point", [
             (max(lo, -1.0) + min(hi, 1.0)) / 2.0 for lo, hi in boxes]),
             key["base_point"])
-        offsets = (-0.2, -0.1, 0.0, 0.1, 0.2)
-        self.exp_points = [
-            _body_point(chart, p, f"{key['exp_points']}[{i}]")
-            for i, p in enumerate(cfg.get("exp_points", [
-                (self.base + off).tolist() for off in offsets]))]
+        lists = {k: _section(cfg, k, "verify", list) for k in (
+            "exp_points", "vectors", "isometries", "negative_controls",
+            "point_symmetries")}
+        if "exp_points" not in cfg:
+            lists["exp_points"] = [(self.base + off).tolist()
+                                   for off in (-0.2, -0.1, 0.0, 0.1, 0.2)]
+        self.exp_points = [_body_point(chart, p, f"{key['exp_points']}[{i}]")
+                           for i, p in enumerate(lists["exp_points"])]
         L = max(model.L, 1) if sig.n_odd else model.L
         self.vectors = [vector_from_spec(v, sig, L, self.base,
                                          f"verify.vectors[{i}]")
-                        for i, v in enumerate(cfg.get("vectors", []))]
+                        for i, v in enumerate(lists["vectors"])]
+        self.isometries = lists["isometries"]
+        self.negative_controls = lists["negative_controls"]
+        self.point_symmetries = lists["point_symmetries"]
 
     def tol(self, key: str) -> float:
         return self.overrides.get(key, self.model.tolerances.get(
@@ -248,21 +254,20 @@ class Fixtures:
         """The isometry condition of every morphism listed under
         `isometries` or `negative_controls`, at probe points around the base
         point; the gate of its naturality check."""
-        cfg = self.model.verify_config
         L = self.vectors[0].L if self.vectors else max(self.model.L, 1)
         probes = probe_points(self.chart, self.base, L)
         return {name: isometry_check(self.chart, self.chart,
                                      self.model.morphism(name), probes,
                                      tolerance=self.tol("isometry_condition"))
-                for name in (*cfg.get("isometries", []),
-                             *cfg.get("negative_controls", []))}
+                for name in (*self.isometries, *self.negative_controls)}
 
     @cached_property
     def linearization_gates(self) -> dict[str, str]:
         """Why the hypotheses of each linearization test fail, or "" if
         they hold (`expmap._linearization_gate`), by check name."""
+        tol = self.tol("isometry_condition")
         return {name: _linearization_gate(self.chart, phi, self.base,
-                                          self.vectors, sign)
+                                          self.vectors, sign, tol)
                 for name, _, phi, sign in _linearizations(self)}
 
     @cached_property
@@ -341,16 +346,15 @@ def _naturality_names(fx: Fixtures) -> tuple[list[str], list[str]]:
     """(isometries, negative controls) whose naturality `run_isometry_suite`
     measures: none without vectors to shoot, and an isometry only if it
     passes its condition, which naturality presumes."""
-    cfg = fx.model.verify_config
     if not fx.vectors:
         return [], []
-    return ([name for name in cfg.get("isometries", [])
-             if fx.isometry[name].passed], cfg.get("negative_controls", []))
+    return ([name for name in fx.isometries if fx.isometry[name].passed],
+            fx.negative_controls)
 
 
 def _linearizations(fx: Fixtures):
     """(check, tolerance key, morphism, sign) of each linearization test."""
-    for name in fx.model.verify_config.get("point_symmetries", []):
+    for name in fx.point_symmetries:
         yield (f"geodesic_symmetry[{name}]", "geodesic_symmetry",
                fx.model.morphism(name), -1.0)
     yield ("identity_linearization", "identity_linearization",
@@ -573,7 +577,6 @@ def run_exp_suite(fx: Fixtures) -> list[Check]:
 
 
 def run_isometry_suite(fx: Fixtures) -> list[Check]:
-    cfg = fx.model.verify_config
     natural, controls = _naturality_names(fx)
     devs = {name: naturality_check(fx.chart, fx.model.morphism(name), fx.base,
                                    fx.vectors, dt=fx.dt, exp=fx.exp).max_dev
@@ -581,7 +584,7 @@ def run_isometry_suite(fx: Fixtures) -> list[Check]:
     nat_tol, neg_min = fx.tol("naturality"), fx.tol("negative_control_min")
     checks: list[Check] = []
 
-    for name in cfg.get("isometries", []):
+    for name in fx.isometries:
         iso = fx.isometry[name]
         checks.append(Check(f"isometry_condition[{name}]", iso.passed,
                             iso.max_dev, iso.tolerance))
@@ -589,7 +592,7 @@ def run_isometry_suite(fx: Fixtures) -> list[Check]:
             checks.append(Check(f"naturality[{name}]", devs[name] <= nat_tol,
                                 devs[name], nat_tol))
 
-    for name in cfg.get("negative_controls", []):
+    for name in fx.negative_controls:
         iso, dev = fx.isometry[name], devs.get(name, 0.0)
         ok = (not iso.passed) and (not fx.vectors or dev > neg_min)
         checks.append(Check(f"negative_control[{name}]", ok, dev, neg_min,

@@ -348,6 +348,28 @@ class TestVerifyCommand:
         assert "naturality[odd_scaling_bad]" not in checks
         assert checks["identity_linearization"]["passed"] is True
 
+    @pytest.mark.usefixtures("one_worker")
+    def test_one_isometry_tolerance_per_run(self, capsys, tmp_path,
+                                            monkeypatch):
+        # point_reflection is listed as an isometry and as a point symmetry:
+        # its isometry check and its linearization gate decide the same
+        # condition, both at the run's isometry_condition tolerance
+        reflection = load_model("flat_r12").morphism("point_reflection")
+        inner, seen = expmap.isometry_check, []
+
+        def spy(m_src, m_dst, phi, samples, tolerance=1e-8):
+            if phi.pullbacks == reflection.pullbacks:
+                seen.append(tolerance)
+            return inner(m_src, m_dst, phi, samples, tolerance)
+
+        for module in (expmap, verify):
+            monkeypatch.setattr(module, "isometry_check", spy)
+        model = write_model(tmp_path, "flat", coarse_doc("flat_r12"))
+        code, _, err = run(capsys, "verify", "--model", model, "--suite",
+                           "isometry", "--tol", "isometry_condition=1e-3")
+        assert code == 0 and err == ""
+        assert seen == [1e-3, 1e-3]
+
     def test_gated_symmetry_rows_not_integrated(self, capsys, tmp_path):
         # odd_scaling is no geodesic symmetry (T_q Phi is not -id), so its
         # -v rows are never read; the one of x = 0.9 from x = 0 would leave
@@ -574,6 +596,27 @@ class TestModelFields:
          "tolerances.roundtrip: expected a finite number >= 0"),
         ({"tolerances": {"rondtrip": 1e-6}},
          "tolerances.rondtrip: unknown tolerance 'rondtrip'"),
+        ({"initial_conditions": {"run": 5}},
+         "initial_conditions: run must be an object, got 5"),
+        ({"signature": "x"}, "signature must be an object, got 'x'"),
+        ({"signature": {"even": "x", "odd": ["th1", "th2"]}},
+         "signature: even must be an array, got 'x'"),
+        ({"morphisms": [1]}, "morphisms must be an object, got [1]"),
+        ({"morphisms": {"m": {"pullbacks": 5}}},
+         "morphisms['m']: pullbacks must be an object, got 5"),
+        ({"metric": 5}, "bad metric"),
+        ({"verify": [1]}, "verify must be an object, got [1]"),
+        ({"verify": {"vectors": 5}}, "verify: vectors must be an array, got 5"),
+        ({"verify": {"vectors": [5]}},
+         "verify.vectors[0]: expected an object, got 5"),
+        ({"verify": {"exp_points": 3}},
+         "verify: exp_points must be an array, got 3"),
+        ({"verify": {"isometries": 5}},
+         "verify: isometries must be an array, got 5"),
+        ({"verify": {"negative_controls": "shift"}},
+         "verify: negative_controls must be an array, got 'shift'"),
+        ({"verify": {"point_symmetries": {}}},
+         "verify: point_symmetries must be an array, got {}"),
     ], ids=lambda v: json.dumps(v) if isinstance(v, dict) else "")
     def test_bad_field_exits_2(self, capsys, tmp_path, edit, message):
         model = write_model(tmp_path, "fields", {**bundled_doc("c1x_r12"),
@@ -592,6 +635,51 @@ class TestModelFields:
         assert code == 2 and out == "" and "Traceback" not in err
         assert ("initial_conditions['run'].L: expected an integer from 0 to "
                 f"12, got {L!r}") in err
+
+    @pytest.mark.parametrize("part, key, value, message", [
+        ("velocity", "x", float("inf"), "x: expected a finite number, got inf"),
+        ("position", "x", float("nan"), "x: expected a finite number, got nan"),
+        ("position", "x", True, "x: expected a finite number, got True"),
+        ("position", "x", "0.5", "x: expected a finite number, got '0.5'"),
+        ("velocity", "th1", [[1, float("inf")]],
+         "th1[0]: expected a finite number, got inf"),
+        ("velocity", "th1", [[True, 1.0]],
+         "th1[0]: mask must be an integer, got True"),
+        ("velocity", "th1", [[1.0, 1.0]],
+         "th1[0]: mask must be an integer, got 1.0"),
+        ("velocity", "th1", [[1]], "th1[0]: expected [mask, coeff], got [1]"),
+        ("velocity", "th1", [[8, 1.0]], "th1: bad Grassmann value"),
+        ("velocity", "th1", [[1, 1e308], [1, 1e308]],
+         "th1: the coefficients of a mask sum to a number that is not finite"),
+    ], ids=str)
+    def test_bad_grassmann_value(self, capsys, tmp_path, part, key, value,
+                                 message):
+        doc = bundled_doc("c1x_r12")
+        doc["initial_conditions"]["run"][part][key] = value
+        code, out, err = run(capsys, "geodesic", "--model",
+                             write_model(tmp_path, "value", doc), "--ic", "run")
+        assert code == 2 and out == "" and "Traceback" not in err
+        assert f"initial_conditions['run'].{part}.{message}" in err
+
+    @pytest.mark.parametrize("override, argv", [
+        # the default dt: even deviation 1.6e-14
+        ({"exp_identity_even": 1e-14}, ()),
+        # odd deviation 6.7e-16
+        ({"exp_identity_odd": 1e-16}, ("--dt", "0.01")),
+    ], ids=["even", "odd"])
+    def test_exp_reads_model_tolerances(self, capsys, tmp_path, override,
+                                        argv):
+        doc = bundled_doc("c1x_r12")
+        model = write_model(tmp_path, "tight", doc)
+        code, out, _ = run(capsys, "exp", "--model", model, "--point", "x=0.0",
+                           *argv)
+        assert code == 0 and strict_json(out)["passed"] is True
+        doc["tolerances"] = override
+        model = write_model(tmp_path, "tight", doc)
+        code, out, err = run(capsys, "exp", "--model", model, "--point",
+                             "x=0.0", *argv)
+        assert code == 1 and err == ""
+        assert strict_json(out)["passed"] is False
 
     def test_valid_fields_load(self, capsys, tmp_path):
         doc = bundled_doc("c1x_r12")
