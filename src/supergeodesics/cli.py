@@ -19,6 +19,7 @@ import json
 import os
 import sys
 import tempfile
+from functools import partial
 from itertools import product
 from pathlib import Path
 
@@ -31,8 +32,9 @@ from .expmap import exp_jacobian_check
 from .geodesics import Trajectory, integrate_geodesic, integrate_goertsches
 from .geometry import SuperPoint, christoffel_at, metric_validate
 from .grassmann import dim
-from .model import ModelFile, bundled_models, load_model, tolerance_override
-from .verify import SUITES, TOLERANCES, run_suites
+from .model import ModelFile, _finite, bundled_models, load_model, \
+    tolerance_override
+from .verify import SUITES, run_suites
 
 
 # ---------------------------------------------------------------------------
@@ -105,8 +107,9 @@ def _parse_point(model: ModelFile, args) -> SuperPoint:
                 raise ModelError(f"bad --point component {part!r}; "
                                  "expected name=value")
             key, _, val = part.partition("=")
+            key = key.strip()
             try:
-                values[key.strip()] = float(val)
+                values[key] = _finite(float(val), f"--point {key}")
             except ValueError:
                 raise ModelError(f"bad --point value {val!r}") from None
         missing = set(model.sig.even_names) - set(values)
@@ -134,16 +137,21 @@ def _parse_tols(pairs) -> dict[str, float]:
     return out
 
 
-def _positive(text: str) -> float:
-    """argparse type of a step or span: a finite number > 0."""
+def _number(text: str, strict: bool) -> float:
+    """argparse type: `text` as a finite number > 0 if `strict`, else >= 0."""
     try:
         value = float(text)
     except ValueError:
         value = float("nan")
-    if not 0.0 < value < float("inf"):
+    if not (value < float("inf") and (value > 0.0 if strict else value >= 0.0)):
         raise argparse.ArgumentTypeError(
-            f"expected a finite number > 0, got {text!r}")
+            f"expected a finite number {'>' if strict else '>='} 0, "
+            f"got {text!r}")
     return value
+
+
+_positive = partial(_number, strict=True)  # a step or span
+_nonnegative = partial(_number, strict=False)  # a threshold
 
 
 def _model_default(model: ModelFile, args, key: str) -> float:
@@ -157,7 +165,10 @@ def _model_default(model: ModelFile, args, key: str) -> float:
 
 
 def _require_valid_metric(model: ModelFile, points) -> None:
-    report = metric_validate(model.chart, points)
+    """The metric gate of every command: the `metric_invariants` check of
+    `verify`, at the model's tolerance."""
+    report = metric_validate(model.chart, points,
+                             model.tolerance("metric_invariants"))
     if not report.ok:
         raise ModelError(f"metric validation failed: {report.first_violation}")
 
@@ -206,7 +217,6 @@ def cmd_exp(args) -> int:
     _require_valid_metric(model, [point])
     rep = exp_jacobian_check(model.chart, point.body_even(), h=args.h,
                              dt=_model_default(model, args, "dt"))
-    tol = {**TOLERANCES, **model.tolerances}
     report = {
         "model": model.name,
         "point": [float(v) for v in rep.point],
@@ -215,7 +225,8 @@ def cmd_exp(args) -> int:
         "matrix": [[float(v) for v in row] for row in rep.matrix],
         "even_deviation": rep.even_dev,
         "odd_deviation": rep.odd_dev,
-        "passed": rep.passed(tol["exp_identity_even"], tol["exp_identity_odd"]),
+        "passed": (rep.even_dev <= model.tolerance("exp_identity_even")
+                   and rep.odd_dev <= model.tolerance("exp_identity_odd")),
     }
     _emit(json.dumps(report, indent=2) + "\n", args.out)
     return 0 if report["passed"] else 1
@@ -253,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--point", help="body point, e.g. 'x=2.0,y=0.0'")
     sp.add_argument("--ic", help="use the position of a named initial condition")
-    sp.add_argument("--tol", type=float, default=1e-12,
+    sp.add_argument("--tol", type=_nonnegative, default=1e-12,
                     help="threshold below which entries count as zero")
     sp.set_defaults(func=cmd_christoffel)
 

@@ -215,19 +215,14 @@ class RoundtripReport:
     flow_to_geodesic_dev: float   # positions of the flow vs the geodesic
     geodesic_to_flow_dev: float   # lowered geodesic velocity vs flow momenta
     initial_velocity_dev: float   # sharp(flat(v0)) vs v0 at t=0
-    tolerance: float
 
     @property
     def max_dev(self) -> float:
         return max(self.flow_to_geodesic_dev, self.geodesic_to_flow_dev)
 
-    @property
-    def passed(self) -> bool:
-        return self.max_dev <= self.tolerance
 
-
-def roundtrip_check(chart: MetricChart, traj: Trajectory, flow: FlowState,
-                    tolerance: float = 1e-6) -> RoundtripReport:
+def roundtrip_check(chart: MetricChart, traj: Trajectory,
+                    flow: FlowState) -> RoundtripReport:
     """Both directions of the geodesic / integral-curve correspondence.
 
     `traj` is an integrated geodesic and `flow` the flow integrated from its
@@ -250,4 +245,4 @@ def roundtrip_check(chart: MetricChart, traj: Trajectory, flow: FlowState,
     v_back = _sharp_arrays(kern, ginv0, flow.momenta[0])
     dev_init = float(np.max(np.abs(v_back - traj.velocities[0])))
 
-    return RoundtripReport(dev_a, dev_b, dev_init, tolerance)
+    return RoundtripReport(dev_a, dev_b, dev_init)

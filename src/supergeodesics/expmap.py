@@ -5,6 +5,13 @@ initial position q (a body point, vanishing odd coordinates) and initial
 velocity v, and read the position at t = 1.  The equivalence with the
 cotangent-flow construction is covered by the round-trip checks.
 
+The checks measure only: each returns its deviation, a float or a report of
+deviations, and takes no tolerance.  `verify` and the CLI judge every one
+against the tolerance a run reads through `model.ModelFile.tolerance`.  The
+one tolerance used here is that of the gate of `linearization_test`, which
+decides whether the test measures at all: its caller passes it, and the
+standalone test reads `model.TOLERANCES`.
+
 The Jacobian of exp_q at 0 is assembled numerically: even directions by
 central differences of the body output, odd directions by reading the
 coefficient linear in a single odd generator.  Nilpotent directions admit no
@@ -37,6 +44,7 @@ from .geodesics import InitialCondition, Trajectory, _grid, _paper_rhs, \
 from .geometry import MetricChart, SuperPoint, _chunks
 from .grassmann import GrassmannElement, _Frozen, dim
 from .jobs import Jobs
+from .model import TOLERANCES
 from .superexpr import (
     ChartSignature,
     Const,
@@ -332,9 +340,6 @@ class ExpJacobianReport:
     even_dev: float   # even rows vs identity (finite differences)
     odd_dev: float    # odd rows vs identity (exact coefficient extraction)
 
-    def passed(self, tol_even: float = 1e-5, tol_odd: float = 1e-9) -> bool:
-        return self.even_dev <= tol_even and self.odd_dev <= tol_odd
-
 
 def _jacobian_rows(sig: ChartSignature, q: np.ndarray,
                    h: float) -> list[TangentFiberPoint]:
@@ -400,21 +405,10 @@ def exp_jacobian_check(chart: MetricChart, q, h: float = 1e-4,
 # isometries
 
 
-@dataclass
-class IsometryReport:
-    max_dev: float
-    tolerance: float
-    n_samples: int
-
-    @property
-    def passed(self) -> bool:
-        return self.max_dev <= self.tolerance
-
-
 def isometry_check(m_src: MetricChart, m_dst: MetricChart, phi: SuperMorphism,
-                   samples: Sequence[SuperPoint],
-                   tolerance: float = 1e-8) -> IsometryReport:
-    """Coordinate condition for an isometry, evaluated at sample points:
+                   samples: Sequence[SuperPoint]) -> float:
+    """The largest deviation from the coordinate condition for an isometry
+    over the sample points:
 
         g^src_ij = sum_{k,l} (-1)^{|q_k|(|q_j|+|q_l|)}
                    d_i Phi*(q_k) * d_j Phi*(q_l) * Phi*(g^dst_kl)
@@ -453,7 +447,7 @@ def isometry_check(m_src: MetricChart, m_dst: MetricChart, phi: SuperMorphism,
                     lhs = eval_dense(m_src.entries[i][j], env, L)
                     rhs = eval_dense(rhs_exprs[i][j], env, L)
                     dev = max(dev, float(np.max(np.abs(lhs - rhs))))
-    return IsometryReport(dev, tolerance, len(samples))
+    return dev
 
 
 def probe_points(chart: MetricChart, q, L: int,
@@ -486,20 +480,6 @@ def probe_points(chart: MetricChart, q, L: int,
 # naturality and faithful linearization
 
 
-@dataclass
-class NaturalityReport:
-    per_vector: list[float]
-    tolerance: float
-
-    @property
-    def max_dev(self) -> float:
-        return max(self.per_vector) if self.per_vector else 0.0
-
-    @property
-    def passed(self) -> bool:
-        return self.max_dev <= self.tolerance
-
-
 def _naturality_rows(chart: MetricChart, phi: SuperMorphism, q,
                      vectors: Sequence[TangentFiberPoint]
                      ) -> list[TangentFiberPoint]:
@@ -514,9 +494,9 @@ def _naturality_rows(chart: MetricChart, phi: SuperMorphism, q,
 
 def naturality_check(chart: MetricChart, phi: SuperMorphism, q,
                      vectors: Sequence[TangentFiberPoint], dt: float = 1e-3,
-                     tolerance: float = 1e-6,
-                     exp: ExpTable | None = None) -> NaturalityReport:
-    """Compare Phi(exp_q(v)) with exp_{Phi(q)}(T_q Phi v) on test vectors.
+                     exp: ExpTable | None = None) -> float:
+    """The largest deviation of Phi(exp_q(v)) from exp_{Phi(q)}(T_q Phi v)
+    over the test vectors.
 
     A measurement only: naturality presumes an isometry, and whether Phi is
     one is decided by `isometry_check`.  The exp values are read from
@@ -524,9 +504,8 @@ def naturality_check(chart: MetricChart, phi: SuperMorphism, q,
     """
     outs = _exp_values(chart, _naturality_rows(chart, phi, q, vectors), dt,
                        exp)
-    devs = [_max_dev(chart.sig, apply_morphism(phi, out), rhs)
-            for out, rhs in zip(outs, outs[len(vectors):])]
-    return NaturalityReport(devs, tolerance)
+    return max((_max_dev(chart.sig, apply_morphism(phi, out), rhs)
+                for out, rhs in zip(outs, outs[len(vectors):])), default=0.0)
 
 
 def _max_dev(sig: ChartSignature, a: SuperPoint, b: SuperPoint) -> float:
@@ -538,12 +517,7 @@ def _max_dev(sig: ChartSignature, a: SuperPoint, b: SuperPoint) -> float:
 class LinearizationReport:
     hypotheses_met: bool
     reason: str
-    max_dev: float
-    tolerance: float
-
-    @property
-    def passed(self) -> bool:
-        return self.hypotheses_met and self.max_dev <= self.tolerance
+    max_dev: float  # inf when the hypotheses fail
 
 
 def _linearization_rows(vectors: Sequence[TangentFiberPoint],
@@ -554,15 +528,15 @@ def _linearization_rows(vectors: Sequence[TangentFiberPoint],
 
 def _linearization_gate(chart: MetricChart, phi: SuperMorphism, q,
                         vectors: Sequence[TangentFiberPoint],
-                        tangent_sign: float, tolerance: float = 1e-8) -> str:
+                        tangent_sign: float, tolerance: float) -> str:
     """Why the hypotheses of `linearization_test` fail, or "" if they hold.
     Gates, in order: the isometry condition (within `tolerance`), the fixed
     body point, and T_q Phi = tangent_sign * id."""
     L = vectors[0].L if vectors else 0
     samples = probe_points(chart, q, max(L, min(chart.sig.n_odd, 2)))
-    iso = isometry_check(chart, chart, phi, samples, tolerance=tolerance)
-    if not iso.passed:
-        return f"isometry condition fails (dev {iso.max_dev:.3g})"
+    iso_dev = isometry_check(chart, chart, phi, samples)
+    if not iso_dev <= tolerance:
+        return f"isometry condition fails (dev {iso_dev:.3g})"
     q_arr = np.asarray(q, dtype=float).reshape(-1)
     if np.max(np.abs(body_image(phi, q_arr) - q_arr)) > 1e-10:
         return "base point is not fixed"
@@ -575,23 +549,24 @@ def _linearization_gate(chart: MetricChart, phi: SuperMorphism, q,
 def linearization_test(chart: MetricChart, phi: SuperMorphism, q,
                        vectors: Sequence[TangentFiberPoint], dt: float = 1e-3,
                        tangent_sign: float = 1.0,
-                       tolerance: float = 1e-6,
                        exp: ExpTable | None = None,
                        gate: str | None = None) -> LinearizationReport:
     """Computable content of faithful linearization on a single chart.
 
     Gates first: `gate` if the caller has evaluated `_linearization_gate`
-    for these arguments, else that is evaluated here.  With sign +1 the
-    check is Phi(exp_q(v)) = exp_q(v); with sign -1 (a candidate geodesic
-    symmetry) it is Phi(exp_q(v)) = exp_q(-v).  The exp values are read
-    from `exp`, else from a table of the check's own rows.
+    for these arguments, else that is evaluated here at the isometry
+    tolerance of `TOLERANCES`.  With sign +1 the check is
+    Phi(exp_q(v)) = exp_q(v); with sign -1 (a candidate geodesic symmetry)
+    it is Phi(exp_q(v)) = exp_q(-v).  The exp values are read from `exp`,
+    else from a table of the check's own rows.
     """
-    reason = (_linearization_gate(chart, phi, q, vectors, tangent_sign)
+    reason = (_linearization_gate(chart, phi, q, vectors, tangent_sign,
+                                  TOLERANCES["isometry_condition"])
               if gate is None else gate)
     if reason:
-        return LinearizationReport(False, reason, np.inf, tolerance)
+        return LinearizationReport(False, reason, np.inf)
     outs = _exp_values(chart, _linearization_rows(vectors, tangent_sign), dt,
                        exp)
     dev = max((_max_dev(chart.sig, apply_morphism(phi, out), rhs)
                for out, rhs in zip(outs, outs[len(vectors):])), default=0.0)
-    return LinearizationReport(True, "", dev, tolerance)
+    return LinearizationReport(True, "", dev)

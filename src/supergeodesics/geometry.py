@@ -422,6 +422,7 @@ class MetricReport:
 
     ok: bool
     first_violation: str | None
+    max_deviation: float  # largest graded-symmetry deviation over the samples
     failures: list[str] = field(default_factory=list)
 
 
@@ -430,8 +431,9 @@ def metric_validate(chart: MetricChart, samples: Sequence[SuperPoint],
     """Check the graded-metric invariants at the sample points.
 
     Verifies: even odd-dimension, entry parity |g_ij| = |i|+|j|, graded
-    symmetry g_ij = (-1)^{|i||j|} g_ji, and nondegenerate symmetric /
-    antisymmetric body blocks.
+    symmetry g_ij = (-1)^{|i||j|} g_ji within `tol`, and nondegenerate
+    symmetric / antisymmetric body blocks.  The graded symmetry is measured
+    at every sample, even past a violation.
     """
     failures: list[str] = []
     sig = chart.sig
@@ -454,31 +456,27 @@ def metric_validate(chart: MetricChart, samples: Sequence[SuperPoint],
                     f"entry ({sig.names[i]},{sig.names[j]}) has parity "
                     f"{p.name}, expected {'EVEN' if expected == 0 else 'ODD'}")
 
+    max_dev = 0.0
     if not failures:
+        m = sig.n_even
         for p in samples:
             kern = chart.kernel(p.L)
-            env = kern.env(p.as_array())
-            G = kern.eval_metric(env)
-            sym_dev = np.max(np.abs(G - kern.s1[:, :, None] * G.transpose(1, 0, 2)))
+            G = kern.eval_metric(kern.env(p.as_array()))
+            sym_dev = float(np.max(np.abs(
+                G - kern.s1[:, :, None] * G.transpose(1, 0, 2))))
+            max_dev = max(max_dev, sym_dev)
+            body = G[:, :, 0]
             if sym_dev > tol:
                 failures.append(
                     f"graded symmetry violated at {p!r} (deviation {sym_dev:.3g})")
-                break
-            body = G[:, :, 0]
-            m = sig.n_even
-            bee = body[:m, :m]
-            if abs(np.linalg.det(bee)) <= 1e-12:
+            elif abs(np.linalg.det(body[:m, :m])) <= 1e-12:
                 failures.append(f"even-even body block degenerate at {p!r}")
-                break
-            if sig.n_odd:
-                boo = body[m:, m:]
-                if abs(np.linalg.det(boo)) <= 1e-12:
-                    failures.append(f"odd-odd body block degenerate at {p!r}")
-                    break
+            elif sig.n_odd and abs(np.linalg.det(body[m:, m:])) <= 1e-12:
+                failures.append(f"odd-odd body block degenerate at {p!r}")
 
     return MetricReport(ok=not failures,
                         first_violation=failures[0] if failures else None,
-                        failures=failures)
+                        max_deviation=max_dev, failures=failures)
 
 
 def metric_inverse_at(chart: MetricChart, p: SuperPoint) -> list[list[GrassmannElement]]:

@@ -48,6 +48,32 @@ from .superexpr import ChartSignature, SuperMorphism
 
 SCHEMA_VERSION = 1
 
+# the tolerance of each tolerance-bounded verify check, by key; a run reads
+# one through `ModelFile.tolerance`
+TOLERANCES: dict[str, float] = {
+    "metric_invariants": 1e-10,
+    "christoffel_symmetry": 1e-10,
+    "christoffel_parity": 1e-10,
+    "metric_compatibility": 1e-8,
+    "beta_compatibility": 1e-10,
+    "geodesic_residual": 1e-6,
+    "speed_drift": 1e-8,
+    "body_reduction": 1e-8,
+    "determinism": 0.0,
+    "energy_drift": 1e-8,
+    "parity_preservation": 0.0,
+    "roundtrip": 1e-6,
+    "flow_body_reduction": 1e-8,
+    "exp_identity_even": 1e-5,
+    "exp_identity_odd": 1e-9,
+    "tangent_map_agreement": 1e-12,
+    "isometry_condition": 1e-8,
+    "naturality": 1e-6,
+    "negative_control_min": 1e-3,
+    "geodesic_symmetry": 1e-6,
+    "identity_linearization": 1e-9,
+}
+
 
 def grassmann_value(raw, L: int, where: str) -> GrassmannElement:
     """Decode a model-file Grassmann value (number or [[mask, coeff], ...]):
@@ -106,6 +132,13 @@ class ModelFile:
             raise ModelError(
                 f"model {self.name!r} has no morphism {name!r}; "
                 f"available: {sorted(self.morphisms)}") from None
+
+    def tolerance(self, key: str,
+                  overrides: Mapping[str, float] | None = None) -> float:
+        """The tolerance `key` of a run: its entry in the run's `overrides`,
+        else in this model's `tolerances`, else in `TOLERANCES`."""
+        return (overrides or {}).get(key, self.tolerances.get(
+            key, TOLERANCES[key]))
 
 
 def bundled_models() -> list[str]:
@@ -167,9 +200,7 @@ def _bounds(raw, where: str) -> tuple[float, float]:
 
 def tolerance_override(name: str, raw, where: str) -> float:
     """A tolerance override, found at `where`: the name of a verify check's
-    tolerance (`verify.TOLERANCES`) and a finite number >= 0."""
-    from .verify import TOLERANCES
-
+    tolerance (`TOLERANCES`) and a finite number >= 0."""
     if name not in TOLERANCES:
         raise ModelError(f"{where}: unknown tolerance {name!r}; "
                          f"known: {sorted(TOLERANCES)}")

@@ -1,11 +1,21 @@
 """Verification suites: machine-checkable invariants of a loaded model.
 
 Each suite returns a list of named checks with a measured deviation and a
-tolerance; `cmd_verify` serializes them as JSON.  The classical oracles of
-the body-reduction checks, the geodesic equation of the reduced metric and
-the classical cotangent system, step through one plain real RK4 loop
-(`_real_rk4`) and read `BodyGeometry`: no graded kernel, product or stepper,
-so they stay independent of the integrators they certify.
+tolerance; `cmd_verify` serializes them as JSON.
+
+The library checks only measure; one judge decides pass or fail.  Every
+tolerance-bounded check is made by `Fixtures.bounded`, which reads the
+tolerance of the check's name up to any "[" through `ModelFile.tolerance`:
+the run's override, else the model's, else `model.TOLERANCES`.  Only
+`metric_invariants` (which also fails on a structural violation),
+`negative_control[..]` (which must fail) and `determinism` (which must be
+bitwise) build their `Check` by hand.
+
+The classical oracles of the body-reduction checks, the geodesic equation
+of the reduced metric and the classical cotangent system, step through one
+plain real RK4 loop (`_real_rk4`) and read `BodyGeometry`: no graded
+kernel, product or stepper, so they stay independent of the integrators
+they certify.
 
 Metric-compatibility oracle
 ---------------------------
@@ -62,7 +72,6 @@ from .cotangent import (
 from .errors import ModelError
 from .expmap import (
     ExpTable,
-    IsometryReport,
     TangentFiberPoint,
     _jacobian_rows,
     _linearization_gate,
@@ -89,30 +98,6 @@ from .grassmann import GrassmannElement, batched_mul, dim, mask_parity
 from .jobs import Jobs
 from .model import ModelFile, _section, vector_from_spec
 from .superexpr import SuperMorphism
-
-TOLERANCES: dict[str, float] = {
-    "metric_invariants": 1e-10,
-    "christoffel_symmetry": 1e-10,
-    "christoffel_parity": 1e-10,
-    "metric_compatibility": 1e-8,
-    "beta_compatibility": 1e-10,
-    "geodesic_residual": 1e-6,
-    "speed_drift": 1e-8,
-    "body_reduction": 1e-8,
-    "determinism": 0.0,
-    "energy_drift": 1e-8,
-    "parity_preservation": 0.0,
-    "roundtrip": 1e-6,
-    "flow_body_reduction": 1e-8,
-    "exp_identity_even": 1e-5,
-    "exp_identity_odd": 1e-9,
-    "tangent_map_agreement": 1e-12,
-    "isometry_condition": 1e-8,
-    "naturality": 1e-6,
-    "negative_control_min": 1e-3,
-    "geodesic_symmetry": 1e-6,
-    "identity_linearization": 1e-9,
-}
 
 SUITES = ("metric", "geodesic", "flow", "exp", "isometry")
 
@@ -231,12 +216,12 @@ class Fixtures:
         self.point_symmetries = lists["point_symmetries"]
 
     def tol(self, key: str) -> float:
-        return self.overrides.get(key, self.model.tolerances.get(
-            key, TOLERANCES[key]))
+        return self.model.tolerance(key, self.overrides)
 
     def bounded(self, name: str, dev: float, details: str = "") -> Check:
-        """The check `name`: it passes when `dev` is within its tolerance."""
-        tol = self.tol(name)
+        """The check `name`: it passes when `dev` is within the tolerance
+        of the name up to any "[" (a deviation of nan or inf fails)."""
+        tol = self.tol(name.partition("[")[0])
         return Check(name, dev <= tol, dev, tol, details)
 
     def run_ic(self) -> InitialCondition:
@@ -250,15 +235,16 @@ class Fixtures:
         return reduce_body(self.chart)
 
     @cached_property
-    def isometry(self) -> dict[str, IsometryReport]:
-        """The isometry condition of every morphism listed under
+    def isometry(self) -> dict[str, Check]:
+        """The isometry condition check of every morphism listed under
         `isometries` or `negative_controls`, at probe points around the base
         point; the gate of its naturality check."""
         L = self.vectors[0].L if self.vectors else max(self.model.L, 1)
         probes = probe_points(self.chart, self.base, L)
-        return {name: isometry_check(self.chart, self.chart,
-                                     self.model.morphism(name), probes,
-                                     tolerance=self.tol("isometry_condition"))
+        return {name: self.bounded(
+                    f"isometry_condition[{name}]",
+                    isometry_check(self.chart, self.chart,
+                                   self.model.morphism(name), probes))
                 for name in (*self.isometries, *self.negative_controls)}
 
     @cached_property
@@ -268,7 +254,7 @@ class Fixtures:
         tol = self.tol("isometry_condition")
         return {name: _linearization_gate(self.chart, phi, self.base,
                                           self.vectors, sign, tol)
-                for name, _, phi, sign in _linearizations(self)}
+                for name, phi, sign in _linearizations(self)}
 
     @cached_property
     def runs(self) -> dict[str, int]:
@@ -353,12 +339,10 @@ def _naturality_names(fx: Fixtures) -> tuple[list[str], list[str]]:
 
 
 def _linearizations(fx: Fixtures):
-    """(check, tolerance key, morphism, sign) of each linearization test."""
+    """(check, morphism, sign) of each linearization test."""
     for name in fx.point_symmetries:
-        yield (f"geodesic_symmetry[{name}]", "geodesic_symmetry",
-               fx.model.morphism(name), -1.0)
-    yield ("identity_linearization", "identity_linearization",
-           SuperMorphism.identity(fx.chart.sig), 1.0)
+        yield f"geodesic_symmetry[{name}]", fx.model.morphism(name), -1.0
+    yield "identity_linearization", SuperMorphism.identity(fx.chart.sig), 1.0
 
 
 def _isometry_rows(fx: Fixtures) -> list[TangentFiberPoint]:
@@ -369,7 +353,7 @@ def _isometry_rows(fx: Fixtures) -> list[TangentFiberPoint]:
     for name in [*natural, *controls]:
         rows += _naturality_rows(fx.chart, fx.model.morphism(name), fx.base,
                                  fx.vectors)
-    for name, _, _, sign in _linearizations(fx):
+    for name, _, sign in _linearizations(fx):
         if not fx.linearization_gates[name]:
             rows += _linearization_rows(fx.vectors, sign)
     return rows
@@ -439,10 +423,10 @@ def run_metric_suite(fx: Fixtures, n_points: int = 100) -> list[Check]:
     samples = [random_superpoint(chart, L, rng) for _ in range(8)]
     checks: list[Check] = []
 
-    report = metric_validate(chart, samples, tol=fx.tol("metric_invariants"))
-    checks.append(Check("metric_invariants", report.ok, 0.0,
-                        fx.tol("metric_invariants"),
-                        report.first_violation or ""))
+    tol = fx.tol("metric_invariants")
+    report = metric_validate(chart, samples, tol)
+    checks.append(Check("metric_invariants", report.ok, report.max_deviation,
+                        tol, report.first_violation or ""))
     if not report.ok:
         return checks
 
@@ -579,32 +563,28 @@ def run_exp_suite(fx: Fixtures) -> list[Check]:
 def run_isometry_suite(fx: Fixtures) -> list[Check]:
     natural, controls = _naturality_names(fx)
     devs = {name: naturality_check(fx.chart, fx.model.morphism(name), fx.base,
-                                   fx.vectors, dt=fx.dt, exp=fx.exp).max_dev
+                                   fx.vectors, dt=fx.dt, exp=fx.exp)
             for name in [*natural, *controls]}
-    nat_tol, neg_min = fx.tol("naturality"), fx.tol("negative_control_min")
+    neg_min = fx.tol("negative_control_min")
     checks: list[Check] = []
 
     for name in fx.isometries:
-        iso = fx.isometry[name]
-        checks.append(Check(f"isometry_condition[{name}]", iso.passed,
-                            iso.max_dev, iso.tolerance))
+        checks.append(fx.isometry[name])
         if name in natural:
-            checks.append(Check(f"naturality[{name}]", devs[name] <= nat_tol,
-                                devs[name], nat_tol))
+            checks.append(fx.bounded(f"naturality[{name}]", devs[name]))
 
     for name in fx.negative_controls:
         iso, dev = fx.isometry[name], devs.get(name, 0.0)
         ok = (not iso.passed) and (not fx.vectors or dev > neg_min)
         checks.append(Check(f"negative_control[{name}]", ok, dev, neg_min,
-                            f"isometry condition dev {iso.max_dev:.3g}; "
+                            f"isometry condition dev {iso.max_deviation:.3g}; "
                             "naturality deviation must exceed tolerance"))
 
-    for name, key, phi, sign in _linearizations(fx):
+    for name, phi, sign in _linearizations(fx):
         rep = linearization_test(fx.chart, phi, fx.base, fx.vectors, dt=fx.dt,
-                                 tangent_sign=sign, tolerance=fx.tol(key),
-                                 exp=fx.exp, gate=fx.linearization_gates[name])
-        checks.append(Check(name, rep.passed, rep.max_dev, rep.tolerance,
-                            rep.reason))
+                                 tangent_sign=sign, exp=fx.exp,
+                                 gate=fx.linearization_gates[name])
+        checks.append(fx.bounded(name, rep.max_dev, rep.reason))
     return checks
 
 

@@ -144,8 +144,8 @@ def test_isometry_check(case):
                            for n in chart.sig.names})
     points = [SuperPoint.from_array(chart.sig, traj.L, p)
               for p in traj.positions[:40]]
-    ref = max(isometry_check(chart, chart, scale, [p]).max_dev for p in points)
-    assert isometry_check(chart, chart, scale, points).max_dev == ref
+    ref = max(isometry_check(chart, chart, scale, [p]) for p in points)
+    assert isometry_check(chart, chart, scale, points) == ref
 
 
 def test_parity_violation_max(case):

@@ -1,6 +1,7 @@
 """CLI subcommands: tables, CSV determinism, verification, error codes."""
 
 import json
+import warnings
 from importlib import resources
 
 import numpy as np
@@ -355,20 +356,22 @@ class TestVerifyCommand:
         # its isometry check and its linearization gate decide the same
         # condition, both at the run's isometry_condition tolerance
         reflection = load_model("flat_r12").morphism("point_reflection")
-        inner, seen = expmap.isometry_check, []
+        inner, seen = verify._linearization_gate, []
 
-        def spy(m_src, m_dst, phi, samples, tolerance=1e-8):
+        def spy(chart, phi, q, vectors, sign, tolerance):
             if phi.pullbacks == reflection.pullbacks:
                 seen.append(tolerance)
-            return inner(m_src, m_dst, phi, samples, tolerance)
+            return inner(chart, phi, q, vectors, sign, tolerance)
 
-        for module in (expmap, verify):
-            monkeypatch.setattr(module, "isometry_check", spy)
+        monkeypatch.setattr(verify, "_linearization_gate", spy)
         model = write_model(tmp_path, "flat", coarse_doc("flat_r12"))
-        code, _, err = run(capsys, "verify", "--model", model, "--suite",
-                           "isometry", "--tol", "isometry_condition=1e-3")
+        code, out, err = run(capsys, "verify", "--model", model, "--suite",
+                             "isometry", "--tol", "isometry_condition=1e-3")
         assert code == 0 and err == ""
-        assert seen == [1e-3, 1e-3]
+        checks = {c["name"]: c for c in json.loads(out)["suites"]["isometry"]}
+        assert seen == [1e-3]
+        assert checks["isometry_condition[point_reflection]"]["tolerance"] \
+            == 1e-3
 
     def test_gated_symmetry_rows_not_integrated(self, capsys, tmp_path):
         # odd_scaling is no geodesic symmetry (T_q Phi is not -id), so its
@@ -479,6 +482,45 @@ class TestMetricGate:
         assert code == 2
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ("geodesic", "--ic", "orbit"),
+        ("christoffel", "--ic", "orbit"),
+        ("exp", "--ic", "orbit"),
+    ], ids=lambda argv: argv[0])
+    def test_gate_reads_model_tolerance(self, capsys, tmp_path, argv):
+        # g_xy and g_yx differ by 2e-9 at the orbit's x = 2: beyond the
+        # table's metric_invariants tolerance, within the model's override
+        doc = asymmetric_doc()
+        code, _, err = run(capsys, *argv, "--model",
+                           write_model(tmp_path, "asym", doc))
+        assert code == 2
+        assert "graded symmetry violated" in err and "2e-09" in err
+        doc["tolerances"] = {"metric_invariants": 1e-6}
+        code, _, err = run(capsys, *argv, "--model",
+                           write_model(tmp_path, "asym", doc))
+        assert code == 0 and err == ""
+
+    def test_verify_reports_symmetry_deviation(self, capsys, tmp_path):
+        # the same gate as a verify check, with the deviation it measured
+        doc = asymmetric_doc()
+        for tolerances, passed in (({}, False),
+                                   ({"metric_invariants": 1e-6}, True)):
+            doc["tolerances"] = tolerances
+            _, out, _ = run(capsys, "verify", "--model",
+                            write_model(tmp_path, "asym", doc),
+                            "--suite", "metric")
+            check = json.loads(out)["suites"]["metric"][0]
+            assert check["name"] == "metric_invariants"
+            assert check["passed"] is passed
+            assert 1e-9 < check["max_deviation"] < 2.1e-9
+
+
+def asymmetric_doc():
+    """diag_x2 with g_xy = 0.1 x and g_yx = 0.100000001 x."""
+    doc = bundled_doc("diag_x2")
+    doc["metric"] = [["1", "0.1*x"], ["0.100000001*x", "x^2"]]
+    return doc
+
 
 class TestVerifyAllSuites:
     def test_flat_model_all_suites(self, capsys):
@@ -539,6 +581,32 @@ class TestBadFlags:
         err = usage_error(capsys, argv[0], "--model", "c1x_r12", *argv[1:])
         assert "Traceback" not in err
         assert "expected a finite number > 0" in err
+
+    @pytest.mark.parametrize("value", ["nan", "-1", "inf", "x"])
+    def test_christoffel_threshold_finite_nonnegative(self, capsys, value):
+        # Gamma^x_{th1,th2} = -0.5 at x = 0.5: no threshold may hide it
+        err = usage_error(capsys, "christoffel", "--model", "c1x_r12",
+                          "--point", "x=0.5", "--tol", value)
+        assert "Traceback" not in err
+        assert "expected a finite number >= 0" in err
+
+    @pytest.mark.parametrize("command, model, value", [
+        ("christoffel", "c1x_r12", "nan"),
+        ("exp", "c1x_r12", "nan"),
+        ("christoffel", "c1x_r12", "-inf"),
+        ("exp", "flat_r12 without domain", "inf"),
+    ])
+    def test_point_not_finite(self, capsys, tmp_path, command, model, value):
+        if model == "flat_r12 without domain":
+            doc = bundled_doc("flat_r12")
+            del doc["domain"]
+            model = write_model(tmp_path, "boundless", doc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, command, "--model", model,
+                                 "--point", f"x={value}")
+        assert code == 2 and out == "" and "Traceback" not in err
+        assert f"--point x: expected a finite number, got {value}" in err
 
     @pytest.mark.parametrize("pair, message", [
         ("metric_compatibilty=1",

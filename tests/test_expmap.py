@@ -125,7 +125,7 @@ class TestExpJacobian:
         rep = exp_jacobian_check(flat_r12, [0.0], h=1e-4, dt=1e-2)
         assert rep.even_dev < 1e-10
         assert rep.odd_dev < 1e-12
-        assert rep.passed()
+        assert rep.even_dev <= 1e-5 and rep.odd_dev <= 1e-9
 
     def test_curved_within_tolerance(self, c1x_r12):
         rep = exp_jacobian_check(c1x_r12, [0.0], h=1e-4, dt=1e-3)
@@ -142,32 +142,31 @@ class TestIsometryCheck:
     def test_identity_passes(self, c1x_r12):
         ident = SuperMorphism.identity(c1x_r12.sig)
         samples = probe_points(c1x_r12, [0.0], 2)
-        rep = isometry_check(c1x_r12, c1x_r12, ident, samples)
-        assert rep.passed and rep.max_dev == 0.0
+        dev = isometry_check(c1x_r12, c1x_r12, ident, samples)
+        assert dev <= 1e-8 and dev == 0.0
 
     def test_rotation_is_isometry(self, flat_r22, rot_flat22):
         samples = probe_points(flat_r22, [0.0, 0.0], 2)
-        rep = isometry_check(flat_r22, flat_r22, rot_flat22, samples)
-        assert rep.passed
+        assert isometry_check(flat_r22, flat_r22, rot_flat22, samples) <= 1e-8
 
     def test_odd_symplectic_scaling(self, flat_r12, sig_r12):
         # th1 -> a th1, th2 -> th2/a preserves the odd block [[0,1],[-1,0]]
         phi = SuperMorphism(sig_r12, sig_r12, {
             "x": "x", "th1": "3*th1", "th2": "th2/3"})
         samples = probe_points(flat_r12, [0.0], 2)
-        assert isometry_check(flat_r12, flat_r12, phi, samples).passed
+        assert isometry_check(flat_r12, flat_r12, phi, samples) <= 1e-8
 
     def test_c1x_odd_scaling(self, c1x_r12, odd_scaling):
         samples = probe_points(c1x_r12, [0.2], 2)
-        assert isometry_check(c1x_r12, c1x_r12, odd_scaling, samples).passed
+        assert isometry_check(c1x_r12, c1x_r12, odd_scaling, samples) <= 1e-8
 
     def test_non_isometry_fails(self, c1x_r12, sig_r12):
         bad = SuperMorphism(sig_r12, sig_r12, {
             "x": "x", "th1": "2*th1", "th2": "2*th2"})
         samples = probe_points(c1x_r12, [0.2], 2)
-        rep = isometry_check(c1x_r12, c1x_r12, bad, samples)
-        assert not rep.passed
-        assert rep.max_dev > 1e-2
+        dev = isometry_check(c1x_r12, c1x_r12, bad, samples)
+        assert not dev <= 1e-8
+        assert dev > 1e-2
 
 
 class TestNaturality:
@@ -176,8 +175,7 @@ class TestNaturality:
         vectors = [vec(c1x_r12.sig, 2, [0.0],
                        {"x": G.from_scalar(0.5, 2),
                         "th1": G.generator(0, 2)})]
-        rep = naturality_check(c1x_r12, ident, [0.0], vectors, dt=1e-2)
-        assert rep.max_dev == 0.0
+        assert naturality_check(c1x_r12, ident, [0.0], vectors, dt=1e-2) == 0.0
 
     def test_flat_linear_isometry(self, flat_r22, rot_flat22):
         vectors = [vec(flat_r22.sig, 2, [0.0, 0.0],
@@ -185,17 +183,17 @@ class TestNaturality:
                         "y": G.from_scalar(-0.4, 2),
                         "th1": G.generator(0, 2),
                         "th2": G.generator(1, 2)})]
-        rep = naturality_check(flat_r22, rot_flat22, [0.0, 0.0], vectors,
+        dev = naturality_check(flat_r22, rot_flat22, [0.0, 0.0], vectors,
                                dt=1e-2)
-        assert rep.max_dev < 1e-12
+        assert dev < 1e-12
 
     def test_curved_isometry(self, c1x_r12, odd_scaling):
         vectors = [vec(c1x_r12.sig, 2, [0.0],
                        {"x": G.from_scalar(0.5, 2),
                         "th1": G.generator(0, 2),
                         "th2": G.generator(1, 2)})]
-        rep = naturality_check(c1x_r12, odd_scaling, [0.0], vectors, dt=1e-3)
-        assert rep.max_dev <= 1e-6
+        dev = naturality_check(c1x_r12, odd_scaling, [0.0], vectors, dt=1e-3)
+        assert dev <= 1e-6
 
     def test_negative_control_exceeds(self, c1x_r12, sig_r12):
         bad = SuperMorphism(sig_r12, sig_r12, {
@@ -204,8 +202,7 @@ class TestNaturality:
                        {"x": G.from_scalar(0.5, 2),
                         "th1": G.generator(0, 2),
                         "th2": G.generator(1, 2)})]
-        rep = naturality_check(c1x_r12, bad, [0.0], vectors, dt=1e-2)
-        assert rep.max_dev > 1e-3
+        assert naturality_check(c1x_r12, bad, [0.0], vectors, dt=1e-2) > 1e-3
 
 
 class TestLinearization:
@@ -215,7 +212,7 @@ class TestLinearization:
                        {"x": G.from_scalar(0.4, 2),
                         "th1": G.generator(0, 2)})]
         rep = linearization_test(c1x_r12, ident, [0.0], vectors, dt=1e-2)
-        assert rep.hypotheses_met and rep.passed
+        assert rep.hypotheses_met and rep.max_dev <= 1e-6
 
     def test_pi_rotation_hypotheses_not_met(self, flat_r22, sig_r22):
         # rotation by pi fixes 0 but has tangent map -id, not id
@@ -245,7 +242,7 @@ class TestLinearization:
                         "th2": G.generator(1, 2)})]
         rep = linearization_test(flat_r22, reflection, [0.0, 0.0], vectors,
                                  dt=1e-2, tangent_sign=-1.0)
-        assert rep.hypotheses_met and rep.passed
+        assert rep.hypotheses_met and rep.max_dev <= 1e-6
 
     def test_moved_base_point_rejected(self, flat_r12, sig_r12):
         shift = SuperMorphism(sig_r12, sig_r12, {
@@ -340,7 +337,7 @@ class TestBatchedExp:
         for q, rep in zip(([0.0], [0.4]), reps):
             one = exp_jacobian_check(curved_r12, q, dt=1e-2)
             assert np.array_equal(rep.matrix, one.matrix)
-            assert rep.passed(tol_even=1e-3)
+            assert rep.even_dev <= 1e-3 and rep.odd_dev <= 1e-9
 
     def test_domain_error_in_one_row(self, curved_r12, rng):
         # the last stage of the first step evaluates log(3 + x) at x < -3

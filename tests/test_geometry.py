@@ -120,7 +120,20 @@ class TestCoordinateValuesRule:
 class TestValidation:
     def test_flat_passes(self, flat_r12):
         samples = [SuperPoint.body_point(flat_r12.sig, 2, [0.3])]
-        assert metric_validate(flat_r12, samples).ok
+        report = metric_validate(flat_r12, samples)
+        assert report.ok and report.max_deviation == 0.0
+
+    def test_symmetry_deviation_measured(self):
+        # g_xy - g_yx = 1e-9 * x: measured at every sample, past a violation
+        sig = ChartSignature(("x", "y"), ())
+        chart = MetricChart(sig, [["1", "0.1*x"], ["0.100000001*x", "x^2"]])
+        samples = [SuperPoint.body_point(sig, 0, [x, 0.0]) for x in (1.0, 2.0)]
+        loose, tight = (metric_validate(chart, samples, tol)
+                        for tol in (1e-6, 1e-10))
+        assert loose.ok and not tight.ok
+        assert "deviation 1e-09" in tight.first_violation
+        assert loose.max_deviation == tight.max_deviation
+        assert abs(tight.max_deviation - 2e-9) < 1e-15
 
     def test_symmetric_odd_block_fails(self, sig_r12):
         broken = MetricChart(sig_r12, [["1", "0", "0"],

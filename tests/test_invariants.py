@@ -5,7 +5,12 @@
   L = 0-4 and 6 (the flow's is a verify check, `parity_preservation`);
 * the stacking rule of `batched_mul` at L <= 3: independent products of
   two or more rows each, stacked into one call, keep the bits of the
-  separate calls.
+  separate calls;
+* the algebra laws at every L = 0-12: associativity, left and right
+  distributivity, graded commutativity of homogeneous elements and
+  a * a^-1 = 1 for even a.  Integer coefficients in [-3, 3] and even bodies
+  in {+-1, +-2, +-4} keep every sum and product exact, so each law holds
+  bit for bit.
 
 Hypothesis runs derandomized; each example draws one integer seed for numpy.
 """
@@ -16,7 +21,8 @@ from hypothesis import given, settings, strategies as st
 
 from supergeodesics.geodesics import InitialCondition, integrate_geodesic, \
     integrate_goertsches
-from supergeodesics.grassmann import batched_mul, dim, mask_parity
+from supergeodesics.grassmann import GrassmannElement, batched_mul, dim, \
+    mask_parity
 from supergeodesics.verify import random_superpoint
 
 seeds = st.integers(0, 2**32 - 1)
@@ -54,3 +60,54 @@ def test_stacked_products_keep_their_bits(L, rows, inner, seed):
                           np.concatenate([b for _, b in pairs]), L)
     for part, (a, b) in zip(np.split(stacked, np.cumsum(rows)[:-1]), pairs):
         assert np.array_equal(part, batched_mul(a, b, L))
+
+
+def integer_element(rng, L, parity=None):
+    """Integer coefficients in [-3, 3], zero on the masks off `parity`."""
+    coeffs = rng.integers(-3, 4, dim(L)).astype(float)
+    if parity is not None:
+        coeffs[mask_parity(L) != parity] = 0.0
+    return GrassmannElement(L, coeffs)
+
+
+def associativity(rng, L):
+    a, b, c = (integer_element(rng, L) for _ in range(3))
+    return (a * b) * c, a * (b * c)
+
+
+def left_distributivity(rng, L):
+    a, b, c = (integer_element(rng, L) for _ in range(3))
+    return a * (b + c), a * b + a * c
+
+
+def right_distributivity(rng, L):
+    a, b, c = (integer_element(rng, L) for _ in range(3))
+    return (a + b) * c, a * c + b * c
+
+
+def graded_commutativity(rng, L):
+    p, q = rng.integers(0, 2, 2)
+    a, b = integer_element(rng, L, p), integer_element(rng, L, q)
+    return a * b, (-1.0) ** (p * q) * (b * a)
+
+
+def even_inverse(rng, L):
+    a = integer_element(rng, L, 0)
+    a = a - a.body + float(rng.choice([-4, -2, -1, 1, 2, 4]))
+    return a * a.invert(), GrassmannElement.from_scalar(1.0, L)
+
+
+@pytest.mark.parametrize("L", range(13))
+@pytest.mark.parametrize("law", [associativity, left_distributivity,
+                                 right_distributivity, graded_commutativity,
+                                 even_inverse], ids=lambda law: law.__name__)
+def test_algebra_law(law, L):
+    # the products above L = 9 cost 3^L each: one example there
+    @settings(derandomize=True, max_examples=10 if L <= 9 else 1,
+              deadline=None, database=None)
+    @given(seed=seeds)
+    def holds(seed):
+        lhs, rhs = law(np.random.default_rng(seed), L)
+        assert np.array_equal(lhs.coeffs, rhs.coeffs)
+
+    holds()
