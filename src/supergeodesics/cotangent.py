@@ -26,7 +26,8 @@ from typing import Mapping
 import numpy as np
 
 from .errors import SignatureMismatch
-from .geodesics import InitialCondition, Trajectory, _grid, _rk4
+from .geodesics import InitialCondition, Trajectory, _grid, _record, _rk4, \
+    _Samples
 from .geometry import MetricChart, SuperPoint, _chunks, _Kernel
 from .grassmann import GrassmannElement, _Frozen, batched_mul, mask_parity
 
@@ -56,7 +57,7 @@ class PhasePoint(_Frozen):
 
 
 @dataclass
-class FlowState:
+class FlowState(_Samples):
     """Trajectory of the geodesic flow on the cotangent chart."""
 
     sig: object
@@ -66,24 +67,13 @@ class FlowState:
     momenta: np.ndarray    # (T, n, 2^L)
     metadata: dict = field(default_factory=dict)
 
-    def __len__(self):
-        return len(self.ts)
-
-    def phase_at(self, idx: int) -> PhasePoint:
-        pos = SuperPoint.from_array(self.sig, self.L, self.positions[idx])
-        return PhasePoint(pos, self.sig.unpack(self.L, self.momenta[idx]))
-
-    @property
-    def dt(self) -> float:
-        return float(self.metadata.get("dt", self.ts[1] - self.ts[0]))
-
 
 # ---------------------------------------------------------------------------
 # energy and Hamiltonian field
 
 
 def _energy(kern: _Kernel, pos: np.ndarray, mom: np.ndarray) -> np.ndarray:
-    ginv = kern.metric_inverse(kern.env(pos))
+    ginv = kern.metric_inverse(pos)
     t1 = batched_mul(mom[..., :, None, :], ginv, kern.L)  # [i,j] = p_i g^{ij}
     t2 = batched_mul(t1, mom[..., None, :, :], kern.L)    # [i,j] = p_i g^{ij} p_j
     return 0.5 * t2.sum(axis=(-3, -2))
@@ -99,7 +89,7 @@ def energy_at(chart: MetricChart, s: PhasePoint) -> GrassmannElement:
 
 def _xh(kern: _Kernel, pos: np.ndarray, mom: np.ndarray):
     """Component equations of the Hamiltonian field at a phase point."""
-    ginv, dG = kern.fields(kern.env(pos))
+    ginv, dG = kern.fields(pos)
     qdot = _sharp_arrays(kern, ginv, mom)  # dq_i = sum_j p_j * g^{ji}
     if kern.is_flat:
         return qdot, np.zeros_like(mom)
@@ -141,10 +131,7 @@ def integrate_flow(chart: MetricChart, I: PhasePoint,
                            axis=-2)
     _, samples, _ = _rk4(lambda st: _flow_rhs(kern, st), state, h, steps,
                          chart, record=())
-    return FlowState(chart.sig, I.L, np.arange(steps + 1) * h,
-                     samples[:, :kern.n].copy(), samples[:, kern.n:].copy(),
-                     metadata={"dt": h, "requested_dt": dt, "t_end": t_end,
-                               "metric": chart.name})
+    return _record(FlowState, chart, I.L, t_end, dt, samples)
 
 
 def energy_series(chart: MetricChart, flow: FlowState) -> np.ndarray:
@@ -170,7 +157,7 @@ def parity_violation_max(flow: FlowState) -> float:
 
 
 def _flat_arrays(kern: _Kernel, pos: np.ndarray, vel: np.ndarray) -> np.ndarray:
-    G = kern.eval_metric(kern.env(pos))
+    G = kern.eval_metric(pos)
     t = batched_mul(vel[..., :, None, :], G, kern.L)  # [i,j] = v_i g_ij
     return t.sum(axis=-3)
 
@@ -194,7 +181,7 @@ def sharp(chart: MetricChart, pos: SuperPoint,
     """Raise momenta to a velocity: v_i = sum_j p_j * g^{ji} at the position."""
     chart.check_point(pos)
     kern = chart.kernel(pos.L)
-    ginv = kern.metric_inverse(kern.env(pos.as_array()))
+    ginv = kern.metric_inverse(pos.as_array())
     v = _sharp_arrays(kern, ginv, chart.sig.pack(momenta))
     return chart.sig.unpack(pos.L, v)
 
@@ -241,7 +228,7 @@ def roundtrip_check(chart: MetricChart, traj: Trajectory,
         p = _flat_arrays(kern, traj.positions[c], traj.velocities[c])
         dev_b = max(dev_b, float(np.max(np.abs(p - flow.momenta[c]))))
 
-    ginv0 = kern.metric_inverse(kern.env(traj.positions[0]))
+    ginv0 = kern.metric_inverse(traj.positions[0])
     v_back = _sharp_arrays(kern, ginv0, flow.momenta[0])
     dev_init = float(np.max(np.abs(v_back - traj.velocities[0])))
 

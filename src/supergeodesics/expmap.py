@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import SignatureMismatch
 from .geodesics import InitialCondition, Trajectory, _grid, _paper_rhs, \
-    _paper_trajectory, _rk4, integrate_geodesic
+    _record, _rk4, integrate_geodesic
 from .geometry import MetricChart, SuperPoint, _chunks
 from .grassmann import GrassmannElement, _Frozen, dim
 from .jobs import Jobs
@@ -189,7 +189,8 @@ def _shoot(chart: MetricChart, vectors: Sequence[TangentFiberPoint],
             if r != curve_row:
                 outs[r] = SuperPoint.from_array(chart.sig, L, p)
         if samples is not None:
-            traj = _paper_trajectory(chart, L, t_end, curve_dt, samples)
+            traj = _record(Trajectory, chart, L, t_end, curve_dt, samples,
+                           mode="paper")
     return outs, traj
 
 
@@ -240,63 +241,58 @@ def _exp_values(chart: MetricChart, rows: Sequence[TangentFiberPoint],
 # ---------------------------------------------------------------------------
 # tangent maps of morphisms
 
+_FIBER_PREFIX = "v_"  # the fiber coordinate of q on a doubled chart: v_q
 
-def tangent_signature(sig: ChartSignature, prefix: str = "v_") -> ChartSignature:
-    fiber_even = tuple(prefix + n for n in sig.even_names)
-    fiber_odd = tuple(prefix + n for n in sig.odd_names)
+
+def tangent_signature(sig: ChartSignature) -> ChartSignature:
+    fiber_even = tuple(_FIBER_PREFIX + n for n in sig.even_names)
+    fiber_odd = tuple(_FIBER_PREFIX + n for n in sig.odd_names)
     clash = (set(fiber_even) | set(fiber_odd)) & set(sig.names)
     if clash:
         raise ValueError(f"fiber names collide with coordinates: {sorted(clash)}")
     return ChartSignature(sig.even_names + fiber_even, sig.odd_names + fiber_odd)
 
 
-def tangent_map(phi: SuperMorphism, prefix: str = "v_") -> SuperMorphism:
+def tangent_map(phi: SuperMorphism) -> SuperMorphism:
     """The tangent map on the doubled charts (q_i, v_i):
 
         (TPhi)*(q_j) = Phi*(q_j)
         (TPhi)*(v_j) = sum_i v_i * d_{q_i} Phi*(q_j)
     """
-    src_t = tangent_signature(phi.source, prefix)
-    tgt_t = tangent_signature(phi.target, prefix)
+    src_t = tangent_signature(phi.source)
+    tgt_t = tangent_signature(phi.target)
     pullbacks: dict[str, Expr] = {}
     for name in phi.target.names:
         pullbacks[name] = phi.pullbacks[name]
         terms = []
         for qi in phi.source.names:
             d = partial_derivative(phi.pullbacks[name], qi, phi.source)
-            terms.append(mul(src_t.variable(prefix + qi), d))
-        pullbacks[prefix + name] = add(*terms)
+            terms.append(mul(src_t.variable(_FIBER_PREFIX + qi), d))
+        pullbacks[_FIBER_PREFIX + name] = add(*terms)
     return SuperMorphism(src_t, tgt_t, pullbacks)
 
 
-def tangent_map_matrix(phi: SuperMorphism, q, prefix: str = "v_") -> np.ndarray:
+def tangent_map_matrix(phi: SuperMorphism, q) -> np.ndarray:
     """Jacobian blocks read off the symbolic tangent map.
 
     Evaluates the fiber pullbacks at unit fiber seeds over the body point;
     odd directions are seeded with a single generator and the linear
     coefficient extracted exactly.  Cross-checks numerical_tangent_map.
     """
-    tphi = tangent_map(phi, prefix)
+    tphi = tangent_map(phi)
     src, tgt = phi.source, phi.target
     mat = np.zeros((src.dimension, tgt.dimension))
     q_arr = np.asarray(q, dtype=float).reshape(-1)
     for i, qi in enumerate(src.names):
         odd_dir = src.parity_of(qi) == 1
         L = 1 if odd_dir else 0
-        values: dict[str, GrassmannElement] = {}
-        for a, name in enumerate(src.even_names):
-            values[name] = GrassmannElement.from_scalar(q_arr[a], L)
-        for name in src.odd_names:
-            values[name] = GrassmannElement.zero(L)
-        for name in src.names:
-            if name == qi:
-                seed = (GrassmannElement.generator(0, 1) if odd_dir
-                        else GrassmannElement.from_scalar(1.0, 0))
-            else:
-                seed = GrassmannElement.zero(L)
-            values[prefix + name] = seed
+        values = dict(SuperPoint.body_point(src, L, q_arr).values)
+        values.update({_FIBER_PREFIX + name: GrassmannElement.zero(L)
+                       for name in src.names})
+        values[_FIBER_PREFIX + qi] = (GrassmannElement.generator(0, 1) if odd_dir
+                                      else GrassmannElement.from_scalar(1.0, 0))
         for j, qj in enumerate(tgt.names):
-            out = evaluate(tphi.pullbacks[prefix + qj], values, L)
+            out = evaluate(tphi.pullbacks[_FIBER_PREFIX + qj], values, L)
             mat[i, j] = out.coeffs[1] if odd_dir else out.body
     return mat
 
@@ -450,13 +446,15 @@ def isometry_check(m_src: MetricChart, m_dst: MetricChart, phi: SuperMorphism,
     return dev
 
 
-def probe_points(chart: MetricChart, q, L: int,
-                 offsets: Sequence[float] = (0.0, 0.09, -0.07)) -> list[SuperPoint]:
+_PROBE_OFFSETS = (0.0, 0.09, -0.07)  # body offsets from the body point
+
+
+def probe_points(chart: MetricChart, q, L: int) -> list[SuperPoint]:
     """Deterministic sample points near a body point, with soul content."""
     sig = chart.sig
     q_arr = np.asarray(q, dtype=float).reshape(-1)
     points = []
-    for idx, off in enumerate(offsets):
+    for idx, off in enumerate(_PROBE_OFFSETS):
         body = q_arr + off
         if not chart.domain_contains(body):
             continue
@@ -467,11 +465,8 @@ def probe_points(chart: MetricChart, q, L: int,
                 v = v + GrassmannElement.basis(0b11, L, 0.05 * (idx + 1))
             values[name] = v
         for a, name in enumerate(sig.odd_names):
-            if L:
-                g = a % L
-                values[name] = (0.3 + 0.1 * a) * GrassmannElement.generator(g, L)
-            else:
-                values[name] = GrassmannElement.zero(L)
+            values[name] = ((0.3 + 0.1 * a) * GrassmannElement.generator(a % L, L)
+                            if L else GrassmannElement.zero(L))
         points.append(SuperPoint(sig, L, values))
     return points
 
@@ -504,13 +499,16 @@ def naturality_check(chart: MetricChart, phi: SuperMorphism, q,
     """
     outs = _exp_values(chart, _naturality_rows(chart, phi, q, vectors), dt,
                        exp)
-    return max((_max_dev(chart.sig, apply_morphism(phi, out), rhs)
-                for out, rhs in zip(outs, outs[len(vectors):])), default=0.0)
+    return _image_dev(chart.sig, phi, outs, len(vectors))
 
 
-def _max_dev(sig: ChartSignature, a: SuperPoint, b: SuperPoint) -> float:
-    return max(float(np.max(np.abs(a.values[n].coeffs - b.values[n].coeffs)))
-               for n in sig.names)
+def _image_dev(sig: ChartSignature, phi: SuperMorphism,
+               outs: Sequence[SuperPoint], count: int) -> float:
+    """max over i < count of the deviation of Phi(outs[i]) from outs[count + i]."""
+    return max((max(float(np.max(np.abs(a.values[n].coeffs - b.values[n].coeffs)))
+                    for n in sig.names)
+                for a, b in zip(map(partial(apply_morphism, phi), outs[:count]),
+                                outs[count:])), default=0.0)
 
 
 @dataclass
@@ -567,6 +565,5 @@ def linearization_test(chart: MetricChart, phi: SuperMorphism, q,
         return LinearizationReport(False, reason, np.inf)
     outs = _exp_values(chart, _linearization_rows(vectors, tangent_sign), dt,
                        exp)
-    dev = max((_max_dev(chart.sig, apply_morphism(phi, out), rhs)
-               for out, rhs in zip(outs, outs[len(vectors):])), default=0.0)
-    return LinearizationReport(True, "", dev)
+    return LinearizationReport(True, "", _image_dev(chart.sig, phi, outs,
+                                                    len(vectors)))

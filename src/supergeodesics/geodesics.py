@@ -15,9 +15,11 @@ expanded system is a smooth real ODE, so the integration is deterministic):
 
 Both modes, the cotangent flow and the batched exponential map step through
 the one RK4 loop `_rk4`, which also turns a failing stage or a non-finite
-state into a typed error that names t.  It also records the samples of
-the one batch row a caller asks for, and that row's first stage k1 of
-every step (the Goertsches odd velocities), so no caller loops.
+state into a typed error that names t, and records the samples of the one
+batch row a caller asks for and that row's first stage k1 of every step
+(the Goertsches odd velocities), so no caller loops.  The grid `_grid`, the
+sample allocation `_sample_array` and the builder `_record` of every
+`Trajectory` and `cotangent.FlowState` are the one owner of a run record.
 
 State layout: `_rk4` advances one array of shape (..., k, 2^L), so a stage
 and the step's combination are one numpy expression each.  Along the
@@ -38,7 +40,8 @@ batched, one kernel call per chunk of samples (`geometry._chunks`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from functools import partial
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -89,8 +92,19 @@ class InitialCondition(_Frozen):
         return self.position.sig.pack(self.velocity)
 
 
+class _Samples:
+    """The sample times `ts` and run `metadata` of a recorded run."""
+
+    def __len__(self):
+        return len(self.ts)
+
+    @property
+    def dt(self) -> float:
+        return float(self.metadata.get("dt", self.ts[1] - self.ts[0]))
+
+
 @dataclass
-class Trajectory:
+class Trajectory(_Samples):
     """Time-ordered samples of a supercurve and its velocity.
 
     Stored struct-of-arrays: positions and velocities have shape
@@ -104,9 +118,6 @@ class Trajectory:
     velocities: np.ndarray
     metadata: dict = field(default_factory=dict)
 
-    def __len__(self):
-        return len(self.ts)
-
     def position_at(self, idx: int) -> SuperPoint:
         return SuperPoint.from_array(self.sig, self.L, self.positions[idx])
 
@@ -116,10 +127,6 @@ class Trajectory:
     def samples(self):
         for idx, t in enumerate(self.ts):
             yield float(t), self.position_at(idx), self.velocity_at(idx)
-
-    @property
-    def dt(self) -> float:
-        return float(self.metadata.get("dt", self.ts[1] - self.ts[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +146,7 @@ def _acceleration(kern: _Kernel, pos: np.ndarray, vel: np.ndarray) -> np.ndarray
     """a_k = -sum_{i,j} v_i * v_j * Gamma^k_ji, in exactly that factor order."""
     if kern.is_flat:
         return np.zeros_like(pos)
-    return -_connection(kern, kern.christoffel(kern.env(pos)), vel, vel)
+    return -_connection(kern, kern.christoffel(pos), vel, vel)
 
 
 def geodesic_rhs(chart: MetricChart, pos: SuperPoint,
@@ -160,18 +167,29 @@ def _grid(t_end: float, dt: float) -> tuple[int, float]:
     return steps, t_end / steps
 
 
-def _check_domain(chart: MetricChart, state: np.ndarray, t: float) -> None:
-    """Every batch row of `state` (..., k, 2^L), whose first rows along the
-    coordinate axis are positions, has its body in the chart box; the error
-    names the first row that has not."""
-    idx, lo, hi = chart._box
-    b = state[..., idx, 0]
-    inside = (lo < b) & (b < hi)
-    if not inside.all():
-        m = chart.sig.n_even
-        first = inside.reshape(-1, len(idx)).all(axis=1).argmin()
-        raise LeftDomain(f"body {state[..., :m, 0].reshape(-1, m)[first]} left "
-                         f"the chart domain at t={t:g}")
+def _sample_times(steps: int, h: float) -> np.ndarray:
+    return np.arange(steps + 1) * h
+
+
+def _sample_array(count: int, shape: Sequence[int]) -> np.ndarray:
+    """Room for `count` samples of `shape`, or `IntegrationFailure`."""
+    try:
+        return np.empty((count, *shape))
+    except (ValueError, MemoryError) as exc:
+        raise IntegrationFailure(f"cannot record {count:.6g} samples of "
+                                 f"shape {tuple(shape)}: {exc}") from None
+
+
+def _record(cls, chart: MetricChart, L: int, t_end: float, dt: float,
+            samples: np.ndarray, **mode):
+    """The `cls` (`Trajectory` or `cotangent.FlowState`) of the samples
+    (T, k, 2^L), positions first, of a run on the grid of (t_end, dt)."""
+    steps, h = _grid(t_end, dt)
+    n = chart.sig.dimension
+    return cls(chart.sig, L, _sample_times(steps, h), samples[:, :n].copy(),
+               samples[:, n:].copy(),
+               metadata={"dt": h, "requested_dt": dt, "t_end": t_end, **mode,
+                         "metric": chart.name})
 
 
 # what a stage may raise: a function evaluated outside its domain, or a
@@ -201,17 +219,17 @@ def _rk4(rhs, state: np.ndarray, h: float, steps: int, chart: MetricChart,
     its first stage k1 = rhs(state) of the step from each s < steps (None
     without `record`).
 
-    Guard, owned here for every caller: the initial state and every new
-    state must have their bodies in the chart's coordinate box (`LeftDomain`
-    otherwise).  A stage that leaves a function's domain raises `LeftDomain`,
-    one that overflows raises `IntegrationFailure`, and so does a step whose
-    new state is not finite; each names the t the step started from.
+    Guards for every caller: a body outside the chart box
+    (`MetricChart.check_state`) or a stage outside a function's domain
+    raises `LeftDomain`; an overflowing stage, a non-finite step or samples
+    numpy cannot hold (before the first step) raise `IntegrationFailure`.
+    Each error from a step names the t that step started from.
     """
-    _check_domain(chart, state, 0.0)
+    chart.check_state(state, 0.0)
     samples = k1s = None
     if record is not None:
-        samples = np.empty((steps + 1,) + state[record].shape)
-        k1s = np.empty((steps,) + state[record].shape)
+        samples = _sample_array(steps + 1, state[record].shape)
+        k1s = _sample_array(steps, state[record].shape)
         samples[0] = state[record]
     half, sixth = 0.5 * h, h / 6.0
     s = 0
@@ -225,7 +243,7 @@ def _rk4(rhs, state: np.ndarray, h: float, steps: int, chart: MetricChart,
             if not np.isfinite(state).all():
                 raise IntegrationFailure(
                     f"the step from t={s * h:g} produced a non-finite state")
-            _check_domain(chart, state, (s + 1) * h)
+            chart.check_state(state, (s + 1) * h)
             if record is not None:
                 samples[s + 1], k1s[s] = state[record], k1[record]
     except _STAGE_ERRORS as exc:
@@ -240,18 +258,6 @@ def _paper_rhs(kern: _Kernel, st: np.ndarray) -> np.ndarray:
                           axis=-2)
 
 
-def _paper_trajectory(chart: MetricChart, L: int, t_end: float, dt: float,
-                      samples: np.ndarray) -> Trajectory:
-    """The `Trajectory` of the samples of a paper-mode run on the grid of
-    (t_end, dt)."""
-    steps, h = _grid(t_end, dt)
-    n = chart.sig.dimension
-    return Trajectory(chart.sig, L, np.arange(steps + 1) * h,
-                      samples[:, :n].copy(), samples[:, n:].copy(),
-                      metadata={"dt": h, "requested_dt": dt, "t_end": t_end,
-                                "mode": "paper", "metric": chart.name})
-
-
 def integrate_geodesic(chart: MetricChart, ic: InitialCondition,
                        t_end: float, dt: float) -> Trajectory:
     """Fixed-step RK4 for the supergeodesic equation; deterministic output."""
@@ -263,7 +269,7 @@ def integrate_geodesic(chart: MetricChart, ic: InitialCondition,
                            axis=-2)
     _, samples, _ = _rk4(lambda st: _paper_rhs(kern, st), state, h, steps,
                          chart, record=())
-    return _paper_trajectory(chart, ic.L, t_end, dt, samples)
+    return _record(Trajectory, chart, ic.L, t_end, dt, samples, mode="paper")
 
 
 def _goertsches_rhs(kern: _Kernel, m: int, st: np.ndarray) -> np.ndarray:
@@ -274,7 +280,7 @@ def _goertsches_rhs(kern: _Kernel, m: int, st: np.ndarray) -> np.ndarray:
     out[..., :m, :] = vel_even
     if kern.is_flat:
         return out
-    gamma = kern.christoffel(kern.env(pos))
+    gamma = kern.christoffel(pos)
     # even: f_k'' = -sum_{i,j even} f_i' * f_j' * Gamma^k_ji
     out[..., n:, :] = -_connection(kern, gamma[..., :m, :m, :m, :],
                                    vel_even, vel_even)
@@ -305,24 +311,16 @@ def integrate_goertsches(chart: MetricChart, ic: InitialCondition,
     n, m = kern.n, chart.sig.n_even
     state = np.concatenate((ic.position.as_array(), ic.velocity_array()[:m]),
                            axis=-2)
-
-    def rhs(st):
-        return _goertsches_rhs(kern, m, st)
-
+    rhs = partial(_goertsches_rhs, kern, m)
     final, samples, k1s = _rk4(rhs, state, h, steps, chart, record=())
     try:
         k1_end = rhs(final)
     except _STAGE_ERRORS as exc:
         raise _stage_error(exc, (steps - 1) * h) from exc
-    positions = samples[:, :n].copy()
-    velocities = np.empty(positions.shape)
-    velocities[:, :m] = samples[:, n:]
-    velocities[:-1, m:] = k1s[:, m:n]
-    velocities[-1, m:] = k1_end[m:n]
-    return Trajectory(chart.sig, ic.L, np.arange(steps + 1) * h,
-                      positions, velocities,
-                      metadata={"dt": h, "requested_dt": dt, "t_end": t_end,
-                                "mode": "goertsches", "metric": chart.name})
+    # the odd velocities after the even ones, in signature order
+    odd_vel = np.concatenate((k1s[:, m:n], k1_end[None, m:n]))
+    return _record(Trajectory, chart, ic.L, t_end, dt,
+                   np.concatenate((samples, odd_vel), axis=1), mode="goertsches")
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +364,7 @@ def _add_connection_terms(kern: _Kernel, positions: np.ndarray, X: np.ndarray,
     """out[s, k] += sum_{i,j} X_i * Y_j * Gamma^k_ji at every sample s of the
     curve; returns `out`."""
     for c in _chunks(len(positions), kern.n, kern.D):
-        gamma = kern.christoffel(kern.env(positions[c]))
+        gamma = kern.christoffel(positions[c])
         out[c] += _connection(kern, gamma, X[c], Y[c])
     return out
 
@@ -435,7 +433,7 @@ def metric_speed(chart: MetricChart, traj: Trajectory) -> np.ndarray:
     kern = chart.kernel(traj.L)
     out = np.empty((len(traj), kern.D))
     for c in _chunks(len(traj), kern.n, kern.D):
-        G = kern.eval_metric(kern.env(traj.positions[c]))
+        G = kern.eval_metric(traj.positions[c])
         v = traj.velocities[c]
         vv = batched_mul(v[..., :, None, :], v[..., None, :, :], kern.L)
         tmp = batched_mul(vv, G.swapaxes(-3, -2), kern.L)

@@ -12,11 +12,15 @@ Christoffel symbols are evaluated pointwise:
 
 with the factor order exactly as written.
 
-Batch convention: the numeric kernel takes states of shape (..., n, 2^L).
-Leading axes are a batch of independent points over the kernel's L
-generators (for instance the rows of one batched RK4 run); every method maps
-them to the same leading axes of its result, and a batch row has the bits of
-the same point evaluated alone.
+The chart owns its coordinate box: `check_state` guards the stepper, and
+`window` places the default and random points of `verify`.
+
+Batch convention: the numeric kernel takes positions of shape (..., n, 2^L);
+only `_eval_live` names their rows for the expression program.  Leading axes
+are a batch of independent points over the kernel's L generators (for
+instance the rows of one batched RK4 run); every method maps them to the
+same leading axes of its result, and a batch row has the bits of the same
+point evaluated alone.
 Arrays that do not depend on the point (constant metric entries or
 partials) stay unbatched and broadcast, so code indexes from the right:
 `...` indexing, negative axes, `swapaxes` and `transpose` with axis tuples
@@ -32,7 +36,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import InvalidPoint, SingularBody
+from .errors import InvalidPoint, LeftDomain, SingularBody
 from .grassmann import (
     _TENSOR_MAX,
     GrassmannElement,
@@ -139,7 +143,7 @@ class MetricChart:
                 raise ValueError(f"empty domain for {name_!r}")
             dom[name_] = (lo, hi)
         self.domain = dom
-        # the bounded even slots and their bounds, for `outside_domain`
+        # the bounded even slots and their bounds (`outside_domain`)
         boxed = [i for i, name_ in enumerate(sig.even_names) if name_ in dom]
         self._box = (np.array(boxed, dtype=int),
                      np.array([dom[sig.even_names[i]][0] for i in boxed]),
@@ -173,8 +177,28 @@ class MetricChart:
         return ~((lo < b) & (b < hi)).all(axis=1)
 
     def domain_contains(self, body_even: np.ndarray) -> bool:
-        body = np.asarray(body_even, dtype=float).reshape(1, -1)
-        return not self.outside_domain(body)[0]
+        return not self.outside_domain(
+            np.asarray(body_even, dtype=float).reshape(1, -1))[0]
+
+    def check_state(self, state: np.ndarray, t: float) -> None:
+        """`LeftDomain` naming the first batch row of `state` (..., k, 2^L),
+        positions first, whose body is outside the box (checked per step)."""
+        idx, lo, hi = self._box
+        b = state[..., idx, 0]
+        inside = (lo < b) & (b < hi)
+        if not inside.all():
+            m = self.sig.n_even
+            first = inside.reshape(-1, len(idx)).all(axis=1).argmin()
+            raise LeftDomain(f"body {state[..., :m, 0].reshape(-1, m)[first]} "
+                             f"left the chart domain at t={t:g}")
+
+    def window(self, name: str, half: float) -> tuple[float, float]:
+        """The box of `name` cut to [-half, half], else its 2*half end nearest 0."""
+        lo, hi = self.domain.get(name, (-half, half))
+        if max(lo, -half) < min(hi, half):
+            return max(lo, -half), min(hi, half)
+        return ((lo, min(hi, lo + 2 * half)) if lo > 0
+                else (max(lo, hi - 2 * half), hi))
 
     def check_point(self, p: SuperPoint) -> None:
         if p.sig != self.sig:
@@ -268,27 +292,25 @@ class _Kernel:
         for arr in (self._g_const, self._dg_const, self._eye):
             arr.flags.writeable = False
 
-    def env(self, pos: np.ndarray) -> dict[str, np.ndarray]:
-        return dict(zip(self.sig.names, pos.swapaxes(0, -2)))
-
-    def _eval_live(self, env: Mapping[str, np.ndarray], count: int | None = None):
-        """(G, dG) with the live entries filled in from one program run over
-        the first `count` live expressions (all by default); an array with
-        none of its entries run is its read-only constant."""
+    def _eval_live(self, pos: np.ndarray, count: int | None = None):
+        """(G, dG) at `pos` with the live entries filled in from one program
+        run over the first `count` live expressions (all by default); an
+        array with none of its entries run is its read-only constant."""
         ng = len(self._g_live)
-        vals = self._program.run(env, self.L, count) if self._program.code else []
+        vals = (self._program.run(dict(zip(self.sig.names, pos.swapaxes(0, -2))),
+                                  self.L, count) if self._program.code else [])
         return (_filled(self._g_const, self._g_live, vals[:ng]),
                 _filled(self._dg_const, self._dg_live, vals[ng:]))
 
-    def eval_metric(self, env: Mapping[str, np.ndarray]) -> np.ndarray:
-        return self._eval_live(env, len(self._g_live))[0]
+    def eval_metric(self, pos: np.ndarray) -> np.ndarray:
+        return self._eval_live(pos, len(self._g_live))[0]
 
-    def eval_dmetric(self, env: Mapping[str, np.ndarray]) -> np.ndarray:
-        return self._eval_live(env)[1]
+    def eval_dmetric(self, pos: np.ndarray) -> np.ndarray:
+        return self._eval_live(pos)[1]
 
-    def fields(self, env: Mapping[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-        """(g^{-1}, dG) at the env's points, from one program run."""
-        G, dG = self._eval_live(env)
+    def fields(self, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(g^{-1}, dG) at the positions, from one program run."""
+        G, dG = self._eval_live(pos)
         if self._ginv_const is not None:
             return self._ginv_const, dG
         return self.inverse(G), dG
@@ -323,10 +345,10 @@ class _Kernel:
         # right-multiply by the real body inverse
         return (X.swapaxes(-1, -2) @ body_inv[..., None, :, :]).swapaxes(-1, -2)
 
-    def metric_inverse(self, env: Mapping[str, np.ndarray]) -> np.ndarray:
+    def metric_inverse(self, pos: np.ndarray) -> np.ndarray:
         if self._ginv_const is not None:
             return self._ginv_const
-        return self.inverse(self.eval_metric(env))
+        return self.inverse(self.eval_metric(pos))
 
     def _make_bracket(self, dG: np.ndarray) -> np.ndarray:
         """[i,j,l] = d_i g_jl + (-1)^{|i||j|} d_j g_il
@@ -336,11 +358,11 @@ class _Kernel:
         t3 = dG.transpose(_last_axes(dG.ndim, (1, 2, 0, 3)))  # [i,j,l] <- d_l g_ij
         return dG + self.s1[:, :, None, None] * t2 - self.s2[:, :, :, None] * t3
 
-    def christoffel(self, env: Mapping[str, np.ndarray]) -> np.ndarray:
+    def christoffel(self, pos: np.ndarray) -> np.ndarray:
         """Christoffel table as a (..., n, n, n, 2^L) array indexed [k, i, j]."""
         if self.is_flat:
             return np.zeros((self.n, self.n, self.n, self.D))
-        ginv, dG = self.fields(env)
+        ginv, dG = self.fields(pos)
         bracket = self._bracket_const
         if bracket is None:
             bracket = self._make_bracket(dG)
@@ -461,7 +483,7 @@ def metric_validate(chart: MetricChart, samples: Sequence[SuperPoint],
         m = sig.n_even
         for p in samples:
             kern = chart.kernel(p.L)
-            G = kern.eval_metric(kern.env(p.as_array()))
+            G = kern.eval_metric(p.as_array())
             sym_dev = float(np.max(np.abs(
                 G - kern.s1[:, :, None] * G.transpose(1, 0, 2))))
             max_dev = max(max_dev, sym_dev)
@@ -483,7 +505,7 @@ def metric_inverse_at(chart: MetricChart, p: SuperPoint) -> list[list[GrassmannE
     """Inverse metric at a point; sum_k G[i][k]*g_kj(p) = delta_ij exactly."""
     chart.check_point(p)
     kern = chart.kernel(p.L)
-    ginv = kern.metric_inverse(kern.env(p.as_array()))
+    ginv = kern.metric_inverse(p.as_array())
     return [[GrassmannElement(p.L, ginv[i, j]) for j in range(kern.n)]
             for i in range(kern.n)]
 
@@ -491,9 +513,8 @@ def metric_inverse_at(chart: MetricChart, p: SuperPoint) -> list[list[GrassmannE
 def christoffel_at(chart: MetricChart, p: SuperPoint) -> ChristoffelTable:
     """Christoffel symbols of the metric connection at a point."""
     chart.check_point(p)
-    kern = chart.kernel(p.L)
-    values = kern.christoffel(kern.env(p.as_array()))
-    return ChristoffelTable(chart.sig, p.L, values)
+    return ChristoffelTable(chart.sig, p.L,
+                            chart.kernel(p.L).christoffel(p.as_array()))
 
 
 # ---------------------------------------------------------------------------
@@ -510,7 +531,6 @@ class BodyGeometry:
     def __init__(self, chart: MetricChart):
         sig = chart.sig
         self.even_names = sig.even_names
-        self.domain = dict(chart.domain)
         m = sig.n_even
         self.m = m
         kill_odd = {name: Const(0.0) for name in sig.odd_names}

@@ -303,16 +303,3 @@ def load_model(spec: str | Path) -> ModelFile:
                      morphisms=morphisms, defaults=defaults,
                      tolerances=tolerances, verify_config=verify_config)
 
-
-def vector_from_spec(raw: Mapping, sig: ChartSignature, L: int, base,
-                     where: str = "vector"):
-    """Decode a tangent-vector spec {coord: grassmann value} at a body point."""
-    from .expmap import TangentFiberPoint
-
-    if not isinstance(raw, dict):
-        raise ModelError(f"{where}: expected an object, got {raw!r}")
-    vec = {n: grassmann_value(v, L, f"{where}.{n}") for n, v in raw.items()}
-    try:
-        return TangentFiberPoint(sig, L, base, vec)
-    except SuperGeometryError as exc:
-        raise ModelError(f"{where}: {exc}") from exc

@@ -11,6 +11,9 @@ the run's override, else the model's, else `model.TOLERANCES`.  Only
 `negative_control[..]` (which must fail) and `determinism` (which must be
 bitwise) build their `Check` by hand.
 
+The default base point is the middle of the chart's window of half-width 1
+(`MetricChart.window`), the random points lie in that of half-width 2.
+
 The classical oracles of the body-reduction checks, the geodesic equation
 of the reduced metric and the classical cotangent system, step through one
 plain real RK4 loop (`_real_rk4`) and read `BodyGeometry`: no graded
@@ -69,7 +72,7 @@ from .cotangent import (
     phase_from_ic,
     roundtrip_check,
 )
-from .errors import ModelError
+from .errors import ModelError, SuperGeometryError
 from .expmap import (
     ExpTable,
     TangentFiberPoint,
@@ -88,6 +91,9 @@ from .expmap import (
 from .geodesics import (
     InitialCondition,
     Trajectory,
+    _grid,
+    _sample_array,
+    _sample_times,
     covariant_derivative_t,
     integrate_geodesic,
     metric_speed,
@@ -96,13 +102,15 @@ from .geometry import BodyGeometry, MetricChart, SuperPoint, _chunks, \
     _last_axes, metric_validate, reduce_body
 from .grassmann import GrassmannElement, batched_mul, dim, mask_parity
 from .jobs import Jobs
-from .model import ModelFile, _section, vector_from_spec
-from .superexpr import SuperMorphism
+from .model import ModelFile, _section, grassmann_value
+from .superexpr import ChartSignature, SuperMorphism
 
 SUITES = ("metric", "geodesic", "flow", "exp", "isometry")
 
 # finite-difference step of the even rows of the exp Jacobian
 _JACOBIAN_H = 1e-4
+_METRIC_POINTS = 100  # random points of the metric suite
+_SOUL_SCALE = 0.2  # the scale of their even soul coefficients
 
 
 @dataclass
@@ -134,22 +142,21 @@ def _seed(model: ModelFile, salt: str = "") -> int:
     return zlib.crc32((model.name + salt).encode())
 
 
-def random_superpoint(chart: MetricChart, L: int, rng: np.random.Generator,
-                      soul_scale: float = 0.2) -> SuperPoint:
-    """A parity-correct random point with body inside the chart box."""
+def random_superpoint(chart: MetricChart, L: int,
+                      rng: np.random.Generator) -> SuperPoint:
+    """A parity-correct random point with body in the chart's window."""
     sig = chart.sig
     mpar = mask_parity(L)
     even_masks = np.nonzero(mpar == 0)[0][1:]
     odd_masks = np.nonzero(mpar == 1)[0]
     values: dict[str, GrassmannElement] = {}
     for name in sig.even_names:
-        lo, hi = chart.domain.get(name, (-2.0, 2.0))
-        lo, hi = max(lo, -2.0), min(hi, 2.0)
+        lo, hi = chart.window(name, 2.0)
         pad = 0.05 * (hi - lo)
         arr = np.zeros(dim(L))
         arr[0] = rng.uniform(lo + pad, hi - pad)
         if len(even_masks):
-            arr[even_masks] = soul_scale * rng.uniform(-1.0, 1.0, len(even_masks))
+            arr[even_masks] = _SOUL_SCALE * rng.uniform(-1.0, 1.0, len(even_masks))
         values[name] = GrassmannElement(L, arr)
     for name in sig.odd_names:
         arr = np.zeros(dim(L))
@@ -171,6 +178,18 @@ def _body_point(chart: MetricChart, value, key: str) -> np.ndarray:
                          f"{chart.sig.n_even} finite coordinates strictly "
                          "inside the chart domain")
     return q
+
+
+def vector_from_spec(raw, sig: ChartSignature, L: int, base,
+                     where: str = "vector") -> TangentFiberPoint:
+    """Decode a tangent-vector spec {coord: grassmann value} at a body point."""
+    if not isinstance(raw, dict):
+        raise ModelError(f"{where}: expected an object, got {raw!r}")
+    vec = {n: grassmann_value(v, L, f"{where}.{n}") for n, v in raw.items()}
+    try:
+        return TangentFiberPoint(sig, L, base, vec)
+    except SuperGeometryError as exc:
+        raise ModelError(f"{where}: {exc}") from exc
 
 
 class Fixtures:
@@ -195,9 +214,8 @@ class Fixtures:
         # a point the model leaves out has a default, named as such
         key = {k: f"verify.{k}" if k in cfg else f"the default verify.{k}"
                for k in ("base_point", "exp_points")}
-        boxes = [chart.domain.get(n, (-1.0, 1.0)) for n in sig.even_names]
         self.base = _body_point(chart, cfg.get("base_point", [
-            (max(lo, -1.0) + min(hi, 1.0)) / 2.0 for lo, hi in boxes]),
+            sum(chart.window(n, 1.0)) / 2.0 for n in sig.even_names]),
             key["base_point"])
         lists = {k: _section(cfg, k, "verify", list) for k in (
             "exp_points", "vectors", "isometries", "negative_controls",
@@ -363,14 +381,13 @@ def _isometry_rows(fx: Fixtures) -> list[TangentFiberPoint]:
 # classical oracles (independent code paths on the reduced geometry)
 
 
-def _real_rk4(rhs, y0: np.ndarray, t_end: float,
-              dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """Plain real RK4 for y' = rhs(y) on the grid of (t_end, dt): the
-    sample times and the state at each of them."""
-    steps = max(1, round(t_end / dt))
-    h = t_end / steps
-    ys = np.empty((steps + 1, len(y0)))
-    ys[0] = y = y0
+def _real_rk4(rhs, x0, v0, t_end: float,
+              dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Plain real RK4 for y' = rhs(y) from y = (x0, v0) on the grid of
+    (t_end, dt): the sample times and both halves of y at each of them."""
+    steps, h = _grid(t_end, dt)
+    ys = _sample_array(steps + 1, (len(x0) + len(v0),))
+    ys[0] = y = np.concatenate((x0, v0)).astype(float)
     for s in range(steps):
         k1 = rhs(y)
         k2 = rhs(y + 0.5 * h * k1)
@@ -378,7 +395,7 @@ def _real_rk4(rhs, y0: np.ndarray, t_end: float,
         k4 = rhs(y + h * k3)
         y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         ys[s + 1] = y
-    return np.arange(steps + 1) * h, ys
+    return _sample_times(steps, h), ys[:, :len(x0)], ys[:, len(x0):]
 
 
 def classical_geodesic(body: BodyGeometry, x0, v0, t_end: float,
@@ -391,8 +408,7 @@ def classical_geodesic(body: BodyGeometry, x0, v0, t_end: float,
         return np.concatenate(
             (v, -np.einsum("kij,i,j->k", body.christoffel(x), v, v)))
 
-    ts, ys = _real_rk4(rhs, np.concatenate((x0, v0)).astype(float), t_end, dt)
-    return ts, ys[:, :m], ys[:, m:]
+    return _real_rk4(rhs, x0, v0, t_end, dt)
 
 
 def classical_cotangent_flow(body: BodyGeometry, x0, p0, t_end: float,
@@ -408,15 +424,14 @@ def classical_cotangent_flow(body: BodyGeometry, x0, p0, t_end: float,
         return np.concatenate(
             (ginv @ p, -0.5 * np.einsum("k,akj,j->a", p, dginv, p)))
 
-    ts, ys = _real_rk4(rhs, np.concatenate((x0, p0)).astype(float), t_end, dt)
-    return ts, ys[:, :m], ys[:, m:]
+    return _real_rk4(rhs, x0, p0, t_end, dt)
 
 
 # ---------------------------------------------------------------------------
 # suites
 
 
-def run_metric_suite(fx: Fixtures, n_points: int = 100) -> list[Check]:
+def run_metric_suite(fx: Fixtures) -> list[Check]:
     model, chart = fx.model, fx.chart
     L = model.L
     rng = np.random.default_rng(_seed(model, "metric"))
@@ -435,22 +450,19 @@ def run_metric_suite(fx: Fixtures, n_points: int = 100) -> list[Check]:
     # the masks of the wrong parity for Gamma^k_ij, |Gamma^k_ij| = |i|+|j|+|k|
     wrong = mask_parity(L) != (par[:, None, None, None] + par[:, None, None]
                                + par[:, None]) % 2
-    sym_dev = 0.0
-    par_dev = 0.0
-    compat_dev = 0.0
+    sym_dev = par_dev = compat_dev = 0.0
     pts = np.stack([random_superpoint(chart, L, rng).as_array()
-                    for _ in range(n_points)])
-    for c in _chunks(n_points, kern.n, kern.D):
-        env = kern.env(pts[c])
-        G = kern.eval_metric(env)
-        gamma = kern.christoffel(env)
+                    for _ in range(_METRIC_POINTS)])
+    for c in _chunks(_METRIC_POINTS, kern.n, kern.D):
+        G = kern.eval_metric(pts[c])
+        gamma = kern.christoffel(pts[c])
         # graded symmetry Gamma^k_ij = (-1)^{|i||j|} Gamma^k_ji
         sym = gamma - kern.s1[:, :, None] * gamma.swapaxes(-3, -2)
         sym_dev = max(sym_dev, float(np.max(np.abs(sym))))
         if wrong.any():
             par_dev = max(par_dev, float(np.max(np.abs(gamma[..., wrong]))))
         # metric compatibility (oracle in the module docstring)
-        dG = kern.eval_dmetric(env)
+        dG = kern.eval_dmetric(pts[c])
         gT = gamma.transpose(_last_axes(gamma.ndim, (1, 2, 0, 3)))  # Gamma^l_ij
         t1 = batched_mul(gT[..., :, :, :, None, :], G[..., None, None, :, :, :], L)
         term1 = t1.sum(axis=-3)          # [i,j,k] = sum_l Gamma^l_ij g_lk
@@ -465,13 +477,13 @@ def run_metric_suite(fx: Fixtures, n_points: int = 100) -> list[Check]:
     checks.append(fx.bounded("christoffel_symmetry", sym_dev))
     checks.append(fx.bounded("christoffel_parity", par_dev))
     checks.append(fx.bounded("metric_compatibility", compat_dev,
-                             f"{n_points} random points"))
+                             f"{_METRIC_POINTS} random points"))
 
     beta_dev = 0.0
     m = chart.sig.n_even
     for q in fx.exp_points:
         p0 = SuperPoint.body_point(chart.sig, 0, q)
-        gamma0 = chart.kernel(0).christoffel(chart.kernel(0).env(p0.as_array()))
+        gamma0 = chart.kernel(0).christoffel(p0.as_array())
         beta_dev = max(beta_dev, float(np.max(np.abs(
             gamma0[:m, :m, :m, 0] - fx.body.christoffel(q)))))
     checks.append(fx.bounded("beta_compatibility", beta_dev))
@@ -539,8 +551,7 @@ def run_flow_suite(fx: Fixtures) -> list[Check]:
 def run_exp_suite(fx: Fixtures) -> list[Check]:
     model, chart = fx.model, fx.chart
     checks: list[Check] = []
-    even_dev = 0.0
-    odd_dev = 0.0
+    even_dev = odd_dev = 0.0
     for rep in exp_jacobian_checks(chart, fx.exp_points, h=_JACOBIAN_H,
                                    dt=fx.dt, exp=fx.exp):
         even_dev = max(even_dev, rep.even_dev)

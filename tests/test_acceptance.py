@@ -23,11 +23,12 @@ from supergeodesics.geodesics import (
 )
 from supergeodesics.geometry import SuperPoint, christoffel_at, reduce_body
 from supergeodesics.grassmann import GrassmannElement as G, dim, mask_parity
-from supergeodesics.model import load_model, vector_from_spec
+from supergeodesics.model import load_model
 from supergeodesics.verify import (
     Fixtures,
     classical_geodesic,
     run_metric_suite,
+    vector_from_spec,
 )
 
 MODEL_NAMES = ("flat_r12", "c1x_r12", "diag_x2", "flat_r22")
@@ -212,7 +213,7 @@ def test_ac9_structural_invariants(models, rng):
     per metric; Grassmann laws on 1000 triples; inversion on 1000 elements."""
     failed = []
     for name in MODEL_NAMES:
-        for check in run_metric_suite(Fixtures(models[name]), n_points=100):
+        for check in run_metric_suite(Fixtures(models[name])):
             if not check.passed:
                 failed.append((name, check.name, check.max_deviation))
 

@@ -49,7 +49,7 @@ def random_curve(chart, L, T, rng):
 
 def reference_connection(kern, positions, X, Y, out):
     for s in range(len(positions)):
-        gamma = kern.christoffel(kern.env(positions[s]))
+        gamma = kern.christoffel(positions[s])
         out[s] += _connection(kern, gamma, X[s], Y[s])
     return out
 
@@ -108,7 +108,7 @@ def test_metric_speed(case):
     chart, kern, traj, _ = case
     ref = np.empty((len(traj), kern.D))
     for s in range(len(traj)):
-        G = kern.eval_metric(kern.env(traj.positions[s]))
+        G = kern.eval_metric(traj.positions[s])
         v = traj.velocities[s]
         vv = batched_mul(v[:, None, :], v[None, :, :], kern.L)
         ref[s] = batched_mul(vv, G.transpose(1, 0, 2), kern.L).sum(axis=(0, 1))
@@ -119,7 +119,7 @@ def test_energy_series(case):
     chart, kern, _, flow = case
     ref = np.empty((len(flow), kern.D))
     for s in range(len(flow)):
-        ginv = kern.metric_inverse(kern.env(flow.positions[s]))
+        ginv = kern.metric_inverse(flow.positions[s])
         p = flow.momenta[s]
         t1 = batched_mul(p[:, None, :], ginv, kern.L)
         ref[s] = 0.5 * batched_mul(t1, p[None, :, :], kern.L).sum(axis=(0, 1))
@@ -130,7 +130,7 @@ def test_roundtrip_lowered_velocity(case):
     chart, kern, traj, flow = case
     ref = 0.0
     for s in range(len(traj)):
-        G = kern.eval_metric(kern.env(traj.positions[s]))
+        G = kern.eval_metric(traj.positions[s])
         p = batched_mul(traj.velocities[s][:, None, :], G, kern.L).sum(axis=0)
         ref = max(ref, float(np.max(np.abs(p - flow.momenta[s]))))
     assert roundtrip_check(chart, traj, flow).geodesic_to_flow_dev == ref

@@ -10,6 +10,7 @@ import pytest
 from supergeodesics import expmap, geodesics, verify
 from supergeodesics.cli import main
 from supergeodesics.model import load_model
+from supergeodesics.verify import Fixtures
 
 
 def count_calls(monkeypatch, module, name):
@@ -202,6 +203,24 @@ class TestGeodesicCommand:
                                "--t-end", "5", "--out", str(out))
         assert code == 3
         assert "t=" in err
+        assert not out.exists()
+
+    # numpy refuses either sample array before allocating anything
+    @pytest.mark.parametrize("t_end, dt, count", [
+        ("1e15", "1e-3", "1e+18"), ("1", "1e-300", "1e+300")],
+        ids=["long", "fine"])
+    @pytest.mark.parametrize("command", [("geodesic", "--mode", "paper"),
+                                         ("geodesic", "--mode", "goertsches"),
+                                         ("flow",)])
+    def test_grid_too_large_to_record_exits_3(self, capsys, tmp_path, command,
+                                              t_end, dt, count):
+        out = tmp_path / "traj.csv"
+        code, stdout, err = run(capsys, *command, "--model", "c1x_r12",
+                                "--ic", "run", "--t-end", t_end, "--dt", dt,
+                                "--out", str(out))
+        assert code == 3 and stdout == ""
+        assert err.startswith(f"error: cannot record {count} samples")
+        assert err.count("\n") == 1 and "Traceback" not in err
         assert not out.exists()
 
     def test_function_domain_error_in_constant_exits_2(self, capsys, tmp_path):
@@ -430,16 +449,40 @@ class TestVerifyFixtures:
         assert code == 2 and out == "" and "Traceback" not in err
         assert message in err
 
-    def test_bad_default_point_exits_2(self, capsys, tmp_path):
-        # the default base point is the middle of the box clipped to
-        # [-1, 1], here 3.0, outside x in (5, 10)
+    def test_default_point_in_far_box(self, capsys, tmp_path):
+        # the box x in (5, 10) misses [-1, 1]: the default base point is the
+        # middle of its window (5, 7), and the default exp points lie around it
         doc = coarse_doc("flat_r12")
         doc["domain"] = {"x": [5.0, 10.0]}
-        del doc["verify"]["base_point"]
-        model = write_model(tmp_path, "bad_default", doc)
-        code, _, err = run(capsys, "verify", "--model", model)
-        assert code == 2
-        assert "the default verify.base_point [3.0] is not a body point" in err
+        del doc["verify"]["base_point"], doc["verify"]["exp_points"]
+        model = write_model(tmp_path, "far_default", doc)
+        assert Fixtures(load_model(model)).base.tolist() == [6.0]
+        for suite in ("metric", "exp"):
+            code, out, err = run(capsys, "verify", "--model", model,
+                                 "--suite", suite)
+            assert code == 0 and err == ""
+            assert json.loads(out)["passed"] is True
+
+    def test_far_box_model_verifies(self, capsys, tmp_path):
+        # diag_x2 moved to x in (5, 10): its points and initial condition
+        # shifted by 5 into the box, the random points in the window (5, 9)
+        doc = bundled_doc("diag_x2")
+        doc["domain"]["x"] = [5.0, 10.0]
+        for ic in doc["initial_conditions"].values():
+            ic["position"]["x"] += 5.0
+        cfg = doc["verify"]
+        cfg["base_point"][0] += 5.0
+        for q in cfg["exp_points"]:
+            q[0] += 5.0
+        model = write_model(tmp_path, "far_diag_x2", doc)
+        code, out, err = run(capsys, "verify", "--model", model)
+        assert code == 0 and err == ""
+        report = json.loads(out)
+        assert all(c["passed"] for checks in report["suites"].values()
+                   for c in checks)
+        del cfg["base_point"]
+        far = load_model(write_model(tmp_path, "far_default", doc))
+        assert Fixtures(far).base.tolist() == [6.0, 0.0]
 
 
 @pytest.mark.usefixtures("one_worker")

@@ -19,9 +19,10 @@ from supergeodesics.geodesics import (
 )
 from supergeodesics.cotangent import PhasePoint, integrate_flow, phase_from_ic
 from supergeodesics.expmap import TangentFiberPoint, _shoot
-from supergeodesics.geometry import MetricChart, SuperPoint
+from supergeodesics.geometry import MetricChart, SuperPoint, reduce_body
 from supergeodesics.grassmann import GrassmannElement as G, dim, mul_dense
 from supergeodesics.superexpr import ChartSignature
+from supergeodesics.verify import classical_cotangent_flow, classical_geodesic
 
 
 def make_ic(chart, L, body, velocity):
@@ -196,6 +197,32 @@ class TestStepperGuard:
         want = [not (-1.0 < x < 1.0 and 0.0 < z < 2.0) for x, _, z in bodies]
         assert chart.outside_domain(bodies).tolist() == want
         assert [not chart.domain_contains(b) for b in bodies] == want
+        # the stepper's guard on states (rows, k, 2^L) stacked from them
+        state = np.zeros((len(bodies), 8, 2))
+        state[:, :3, 0] = bodies
+        inside = state[~np.array(want)]
+        chart.check_state(inside, 0.5)
+        for i in np.flatnonzero(want)[::3]:
+            # one outside row among the inside ones, or a run of rows
+            mixed = np.insert(inside, i % len(inside), state[i], axis=0)
+            rows = slice(i, i + 1 + i % 9)
+            first = bodies[rows][np.flatnonzero(want[rows])[0]]
+            for st, body in ((mixed, bodies[i]), (state[rows], first)):
+                with pytest.raises(LeftDomain, match=re.escape(
+                        f"body {body} left the chart domain at t=0.5") + "$"):
+                    chart.check_state(st, 0.5)
+        # leading axes of any shape: the first row in C order
+        first = bodies[want.index(True)]
+        with pytest.raises(LeftDomain, match=re.escape(f"body {first} ")):
+            chart.check_state(state.reshape(20, 20, 8, 2), 0.5)
+
+    @pytest.mark.parametrize("oracle", [classical_geodesic,
+                                        classical_cotangent_flow])
+    def test_classical_grid_too_large_to_record(self, diag_x2, oracle):
+        # numpy refuses the sample array before allocating anything
+        with pytest.raises(IntegrationFailure,
+                           match=r"^cannot record 1e\+300 samples of shape \(4,\)"):
+            oracle(reduce_body(diag_x2), [2.0, 0.0], [0.0, 1.0], 1.0, 1e-300)
 
     @pytest.fixture(scope="class")
     def blowup(self):

@@ -161,6 +161,30 @@ class TestValidation:
         assert "degenerate" in report.first_violation
 
 
+class TestWindow:
+    """`MetricChart.window`: the part of the box near the origin where
+    `verify` places its default and random points."""
+
+    @pytest.mark.parametrize("box, half, window", [
+        (None, 2.0, (-2.0, 2.0)),
+        ((-0.8, 20.0), 1.0, (-0.8, 1.0)),
+        ((0.2, 100.0), 2.0, (0.2, 2.0)),
+        ((-0.5, 0.5), 2.0, (-0.5, 0.5)),
+        ((5.0, 10.0), 1.0, (5.0, 7.0)),
+        ((5.0, 10.0), 2.0, (5.0, 9.0)),
+        ((5.0, 6.0), 2.0, (5.0, 6.0)),
+        ((1.0, 3.0), 1.0, (1.0, 3.0)),
+        ((-10.0, -5.0), 1.0, (-7.0, -5.0)),
+        ((-3.0, -1.0), 2.0, (-2.0, -1.0)),
+    ], ids=["unbounded", "clipped_above", "clipped", "inside", "far_above",
+            "far_above_wide", "far_narrow", "touching", "far_below",
+            "clipped_below"])
+    def test_window(self, box, half, window):
+        sig = ChartSignature(("x",), ())
+        chart = MetricChart(sig, [["1"]], {"x": box} if box else None)
+        assert chart.window("x", half) == window
+
+
 class TestInverse:
     def test_identity_metric(self, flat_r22):
         p = SuperPoint.body_point(flat_r22.sig, 2, [0.0, 0.0])
@@ -188,9 +212,9 @@ class TestInverse:
         kern = c1x_r12.kernel(2)
         for _ in range(20):
             p = random_superpoint(c1x_r12, 2, rng)
-            env = kern.env(p.as_array())
-            Gm = kern.eval_metric(env)
-            ginv = kern.metric_inverse(env)
+            pos = p.as_array()
+            Gm = kern.eval_metric(pos)
+            ginv = kern.metric_inverse(pos)
             for i in range(3):
                 for j in range(3):
                     acc = np.zeros(dim(2))
@@ -295,11 +319,10 @@ class TestBatchAxis:
 
     @staticmethod
     def kernel_values(kern, pos, vel):
-        env = kern.env(pos)
-        ginv = kern.metric_inverse(env)
-        dG = kern.eval_dmetric(env)
-        return (kern.eval_metric(env), dG, ginv,
-                kern.christoffel(env), kern.dginv(ginv, dG),
+        ginv = kern.metric_inverse(pos)
+        dG = kern.eval_dmetric(pos)
+        return (kern.eval_metric(pos), dG, ginv,
+                kern.christoffel(pos), kern.dginv(ginv, dG),
                 _acceleration(kern, pos, vel), *_xh(kern, pos, vel))
 
     @pytest.mark.parametrize("L", [0, 1, 2, 3, 4])

@@ -1,5 +1,6 @@
-"""Every name a package module imports is used in that module, and every
-module-level private function or class is used somewhere in the package.
+"""Every name a package module imports is used in that module, every
+module-level private function or class is used somewhere in the package,
+and no module imports inside a function (a deferred import hides a cycle).
 
 No linter ships with the test dependencies, so this parses each module of
 `supergeodesics` with the standard `ast` module.  A name counts as used when
@@ -106,3 +107,23 @@ def test_unreferenced_private_def_detected():
                         "def _used():\n    pass\n\nVALUE = _used\n")
     assert unreferenced_private_defs({"planted.py": planted}) == [
         "planted.py:_orphan"]
+
+
+def imports_in_functions(tree: ast.Module) -> list[int]:
+    """Lines of the import statements inside a function body."""
+    return sorted({sub.lineno for node in ast.walk(tree)
+                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   for sub in ast.walk(node)
+                   if isinstance(sub, (ast.Import, ast.ImportFrom))})
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_import_inside_a_function(path):
+    assert imports_in_functions(TREES[path.name]) == [], path.name
+
+
+def test_import_inside_a_function_detected():
+    planted = ast.parse("import math\n\nclass A:\n    def f(self):\n"
+                        "        from .expmap import TangentFiberPoint\n\n"
+                        "def g():\n    def h():\n        import os\n")
+    assert imports_in_functions(planted) == [5, 9]
