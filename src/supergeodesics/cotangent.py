@@ -25,9 +25,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import SignatureMismatch
-from .geodesics import InitialCondition, Trajectory, _grid, _record, _rk4, \
-    _Samples
+from .geodesics import InitialCondition, Trajectory, _record, _run, _Samples
 from .geometry import MetricChart, SuperPoint, _chunks, _Kernel
 from .grassmann import GrassmannElement, _Frozen, batched_mul, mask_parity
 
@@ -123,15 +121,9 @@ def xh_at(chart: MetricChart, s: PhasePoint):
 def integrate_flow(chart: MetricChart, I: PhasePoint,
                    t_end: float, dt: float) -> FlowState:
     """Fixed-step RK4 for the Hamiltonian flow; deterministic output."""
-    if I.position.sig != chart.sig:
-        raise SignatureMismatch("initial condition lives on a different chart")
-    steps, h = _grid(t_end, dt)
-    kern = chart.kernel(I.L)
-    state = np.concatenate((I.position.as_array(), I.momentum_array()),
-                           axis=-2)
-    _, samples, _ = _rk4(lambda st: _flow_rhs(kern, st), state, h, steps,
-                         chart, record=())
-    return _record(FlowState, chart, I.L, t_end, dt, samples)
+    _, samples, _, grid = _run(chart, (I.position, I.momentum_array()),
+                               _flow_rhs, t_end, dt)
+    return _record(FlowState, chart, I.L, t_end, dt, grid, samples)
 
 
 def energy_series(chart: MetricChart, flow: FlowState) -> np.ndarray:

@@ -22,11 +22,11 @@ v and T Phi v for naturality, v and +-v for linearization), each check's
 rows from one helper (`_jacobian_rows`, `_naturality_rows` or
 `_linearization_rows`).  It reads them from an `ExpTable`: the `exp` its
 caller passes, else a table of its own rows.  A table integrates each
-distinct row once, in one batched RK4 run per (L, h, steps) on
-(rows, n, 2^L) arrays (`_shoot`).  `verify` passes one table of the rows of
+distinct row once, in one batched RK4 run per (L, t_end, dt) on
+(rows, 2n, 2^L) arrays (`_shoot`).  `verify` passes one table of the rows of
 every check it will run, with the suite geodesic as the one recorded row of
-the run whose grid it shares, and each run one job of its `jobs.Jobs`, so
-the runs may go to forked workers.  Every row keeps the bits of its serial
+the run it shares, and each run one job of its `jobs.Jobs`, so the runs may
+go to forked workers.  Every row keeps the bits of its serial
 `exp_at`, so a check reports the same numbers from either table.
 """
 
@@ -39,8 +39,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import SignatureMismatch
-from .geodesics import InitialCondition, Trajectory, _grid, _paper_rhs, \
-    _record, _rk4, integrate_geodesic
+from .geodesics import InitialCondition, Trajectory, _paper_rhs, _record, \
+    _run, integrate_geodesic
 from .geometry import MetricChart, SuperPoint, _chunks
 from .grassmann import GrassmannElement, _Frozen, dim
 from .jobs import Jobs
@@ -139,59 +139,58 @@ def exp_at(chart: MetricChart, v: TangentFiberPoint, dt: float = 1e-3) -> SuperP
     return traj.position_at(len(traj) - 1)
 
 
+def _exp_run(chart: MetricChart, ics: Sequence[InitialCondition],
+             t_end: float, dt: float, record):
+    """One batched run of `_shoot`: the final positions, the samples and the
+    grid, all that a worker sends back (the unread first stages would double
+    the pickled result of the recorded run)."""
+    final, samples, _, grid = _run(
+        chart, [(ic.position, ic.velocity_array()) for ic in ics],
+        _paper_rhs, t_end, dt, record)
+    return final[:, :chart.sig.dimension], samples, grid
+
+
 def _shoot(chart: MetricChart, vectors: Sequence[TangentFiberPoint],
            dt: float, curve: tuple[InitialCondition, float, float] | None = None,
            jobs: Jobs | None = None
            ) -> tuple[list[SuperPoint], Trajectory | None]:
     """exp of each of `vectors` and, given `curve` = (ic, t_end, dt), that
     geodesic as `integrate_geodesic` returns it, in one batched paper-mode
-    run per (L, h, steps) among them.  The curve is a row of the run whose
-    grid it shares and the only row whose samples are recorded.  Given
-    `jobs`, each run is one job of it, all queued before the first is read;
-    without, they run here in turn."""
-    if any(v.sig != chart.sig for v in vectors):
-        raise SignatureMismatch("tangent vector lives on a different chart")
+    run (`geodesics._run`) per (L, t_end, dt) among them.  The curve is a
+    row of the run whose key it shares and the only row whose samples are
+    recorded.  Given `jobs`, each run is one job of it, all queued before
+    the first is read; without, they run here in turn."""
     ics = [v.to_initial_condition() for v in vectors]
-    grids = [(v.L, *_grid(1.0, dt)) for v in vectors]
-    curve_row = len(vectors)  # the curve's index in ics and grids, if any
+    keys = [(v.L, 1.0, dt) for v in vectors]
+    curve_row = len(vectors)  # the curve's index in ics and keys, if any
     if curve is not None:
-        ic, t_end, curve_dt = curve
-        if ic.position.sig != chart.sig:
-            raise SignatureMismatch("initial condition lives on a different chart")
-        ics.append(ic)
-        grids.append((ic.L, *_grid(t_end, curve_dt)))
-
-    def run(kern, state, h, steps, record):
-        final, samples, _ = _rk4(lambda st: _paper_rhs(kern, st), state, h,
-                                 steps, chart, record)
-        return final[:, :kern.n], samples
-
+        ics.append(curve[0])
+        keys.append((curve[0].L, *curve[1:]))
     runs = []
-    for grid in sorted(set(grids)):
-        L, steps, h = grid
-        rows = [r for r, g in enumerate(grids) if g == grid]
-        state = np.stack([np.concatenate((ics[r].position.as_array(),
-                                          ics[r].velocity_array()))
-                          for r in rows])
+    for key in sorted(set(keys)):
+        L, t_end, run_dt = key
+        rows = [r for r, k in enumerate(keys) if k == key]
         record = rows.index(curve_row) if curve_row in rows else None
+        steps = t_end / run_dt if run_dt > 0.0 else 0.0
         runs.append((L, rows, f"the exp run of {len(rows)} rows at L={L}, "
-                     f"{steps} steps of {h:g}", steps * (len(rows) * dim(L) + 8),
-                     partial(run, chart.kernel(L), state, h, steps, record)))
+                     f"t_end={t_end:g}, dt={run_dt:g}",
+                     steps * (len(rows) * dim(L) + 8),
+                     partial(_exp_run, chart, [ics[r] for r in rows], t_end,
+                             run_dt, record)))
     if jobs is None:
         results = (fn() for *_, fn in runs)
     else:
         ids = [jobs.add(name, cost, fn) for _, _, name, cost, fn in runs]
         results = map(jobs.result, ids)
-    outs: list[SuperPoint | None] = [None] * len(vectors)
+    outs: list[SuperPoint | None] = [None] * len(ics)
     traj = None
-    for (L, rows, *_), (final, samples) in zip(runs, results):
+    for (L, rows, *_), (final, samples, grid) in zip(runs, results):
         for r, p in zip(rows, final):
-            if r != curve_row:
-                outs[r] = SuperPoint.from_array(chart.sig, L, p)
+            outs[r] = SuperPoint.from_array(chart.sig, L, p)
         if samples is not None:
-            traj = _record(Trajectory, chart, L, t_end, curve_dt, samples,
+            traj = _record(Trajectory, chart, L, *curve[1:], grid, samples,
                            mode="paper")
-    return outs, traj
+    return outs[:len(vectors)], traj
 
 
 def _row_key(v: TangentFiberPoint) -> tuple[int, bytes, bytes]:

@@ -13,13 +13,13 @@ expanded system is a smooth real ODE, so the integration is deterministic):
   Odd coordinates carry value-only initial data; odd velocity entries of the
   initial condition are ignored in this mode.
 
-Both modes, the cotangent flow and the batched exponential map step through
-the one RK4 loop `_rk4`, which also turns a failing stage or a non-finite
-state into a typed error that names t, and records the samples of the one
-batch row a caller asks for and that row's first stage k1 of every step
-(the Goertsches odd velocities), so no caller loops.  The grid `_grid`, the
-sample allocation `_sample_array` and the builder `_record` of every
-`Trajectory` and `cotangent.FlowState` are the one owner of a run record.
+Both modes, the cotangent flow and the batched exponential map start every
+run in the one entry point `_run`, which checks the chart, computes the grid
+(`_grid`), builds the state and steps it with the one RK4 loop `_rk4`.  The
+loop turns a failing stage or a non-finite state into a typed error that
+names t, and records one batch row's samples and first stages k1 (the
+Goertsches odd velocities).  `_sample_array` and `_record`, which makes
+every `Trajectory` and `cotangent.FlowState`, own a run record.
 
 State layout: `_rk4` advances one array of shape (..., k, 2^L), so a stage
 and the step's combination are one numpy expression each.  Along the
@@ -181,10 +181,10 @@ def _sample_array(count: int, shape: Sequence[int]) -> np.ndarray:
 
 
 def _record(cls, chart: MetricChart, L: int, t_end: float, dt: float,
-            samples: np.ndarray, **mode):
+            grid: tuple[int, float], samples: np.ndarray, **mode):
     """The `cls` (`Trajectory` or `cotangent.FlowState`) of the samples
-    (T, k, 2^L), positions first, of a run on the grid of (t_end, dt)."""
-    steps, h = _grid(t_end, dt)
+    (T, k, 2^L), positions first, of a run of (t_end, dt) on `grid`."""
+    steps, h = grid
     n = chart.sig.dimension
     return cls(chart.sig, L, _sample_times(steps, h), samples[:, :n].copy(),
                samples[:, n:].copy(),
@@ -251,6 +251,24 @@ def _rk4(rhs, state: np.ndarray, h: float, steps: int, chart: MetricChart,
     return state, samples, k1s
 
 
+def _run(chart: MetricChart, rows, rhs, t_end: float, dt: float, record=()):
+    """The one run behind every integrator, and the only caller of `_rk4`.
+    `rows` is one initial row (position `SuperPoint`, the (k - n, 2^L) block
+    after it in the state) or a list of rows of one L, a batch, all on
+    `chart` (else `SignatureMismatch`); `rhs(kern, state)` is the derivative
+    at the kernel of that L, `record` as in `_rk4`.  Returns (final state,
+    samples, k1s, (steps, h)) on the grid of (t_end, dt)."""
+    batch = rows if isinstance(rows, list) else [rows]
+    if any(pos.sig != chart.sig for pos, _ in batch):
+        raise SignatureMismatch("initial condition lives on a different chart")
+    state = [np.concatenate((pos.as_array(), block)) for pos, block in batch]
+    state = np.stack(state) if batch is rows else state[0]
+    steps, h = _grid(t_end, dt)
+    kern = chart.kernel(batch[0][0].L)
+    return (*_rk4(partial(rhs, kern), state, h, steps, chart, record),
+            (steps, h))
+
+
 def _paper_rhs(kern: _Kernel, st: np.ndarray) -> np.ndarray:
     """d/dt of the paper-mode state (pos, vel), one (..., 2n, 2^L) array."""
     vel = st[..., kern.n:, :]
@@ -261,15 +279,10 @@ def _paper_rhs(kern: _Kernel, st: np.ndarray) -> np.ndarray:
 def integrate_geodesic(chart: MetricChart, ic: InitialCondition,
                        t_end: float, dt: float) -> Trajectory:
     """Fixed-step RK4 for the supergeodesic equation; deterministic output."""
-    if ic.position.sig != chart.sig:
-        raise SignatureMismatch("initial condition lives on a different chart")
-    steps, h = _grid(t_end, dt)
-    kern = chart.kernel(ic.L)
-    state = np.concatenate((ic.position.as_array(), ic.velocity_array()),
-                           axis=-2)
-    _, samples, _ = _rk4(lambda st: _paper_rhs(kern, st), state, h, steps,
-                         chart, record=())
-    return _record(Trajectory, chart, ic.L, t_end, dt, samples, mode="paper")
+    _, samples, _, grid = _run(chart, (ic.position, ic.velocity_array()),
+                               _paper_rhs, t_end, dt)
+    return _record(Trajectory, chart, ic.L, t_end, dt, grid, samples,
+                   mode="paper")
 
 
 def _goertsches_rhs(kern: _Kernel, m: int, st: np.ndarray) -> np.ndarray:
@@ -304,22 +317,17 @@ def integrate_goertsches(chart: MetricChart, ic: InitialCondition,
     right-hand side call at the final sample).  Odd velocity entries of `ic`
     are not used.
     """
-    if ic.position.sig != chart.sig:
-        raise SignatureMismatch("initial condition lives on a different chart")
-    steps, h = _grid(t_end, dt)
-    kern = chart.kernel(ic.L)
-    n, m = kern.n, chart.sig.n_even
-    state = np.concatenate((ic.position.as_array(), ic.velocity_array()[:m]),
-                           axis=-2)
-    rhs = partial(_goertsches_rhs, kern, m)
-    final, samples, k1s = _rk4(rhs, state, h, steps, chart, record=())
+    n, m = chart.sig.dimension, chart.sig.n_even
+    final, samples, k1s, (steps, h) = _run(
+        chart, (ic.position, ic.velocity_array()[:m]),
+        lambda kern, st: _goertsches_rhs(kern, m, st), t_end, dt)
     try:
-        k1_end = rhs(final)
+        k1_end = _goertsches_rhs(chart.kernel(ic.L), m, final)
     except _STAGE_ERRORS as exc:
         raise _stage_error(exc, (steps - 1) * h) from exc
     # the odd velocities after the even ones, in signature order
     odd_vel = np.concatenate((k1s[:, m:n], k1_end[None, m:n]))
-    return _record(Trajectory, chart, ic.L, t_end, dt,
+    return _record(Trajectory, chart, ic.L, t_end, dt, (steps, h),
                    np.concatenate((samples, odd_vel), axis=1), mode="goertsches")
 
 

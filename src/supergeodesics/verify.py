@@ -41,9 +41,9 @@ tests) and lists every exp row the requested suites will read: the
 Jacobian rows of the exp suite, and the naturality and linearization rows
 of the isometry suite whose gates pass.  For the geodesic and flow suites
 it adds the suite geodesic.  It integrates each distinct row once, in one
-batched paper-mode run per (L, h, steps), with the suite geodesic as the
-one recorded row of the run whose grid it shares (`expmap.ExpTable`).  The
-checks read their exp values from that table.
+batched paper-mode run per (L, t_end, dt), with the suite geodesic as the
+one recorded row of the run it shares (`expmap.ExpTable`).  The checks read
+their exp values from that table.
 
 Every integration of the plan is a job of `Fixtures.jobs` (`jobs.Jobs`):
 each run of the table, and (`Fixtures.runs`) the geodesic's determinism

@@ -346,14 +346,13 @@ class TestVerifyCommand:
     def test_suite_geodesic_integrated_once(self, monkeypatch, suites, runs):
         # paper-mode RK4 runs: the suite geodesic is one planned run that
         # the flow suite's round trip reuses; the geodesic suite's
-        # determinism check integrates it once more, serially.  They step
-        # through the `_rk4` that `expmap` and `geodesics` import; the flow's
-        # own, imported by `cotangent`, is not counted
-        calls = [count_calls(monkeypatch, module, "_rk4")
-                 for module in (expmap, geodesics)]
+        # determinism check integrates it once more, serially.  Every run
+        # steps through the `_rk4` of `geodesics`; the flow's are not counted
+        calls = count_calls(monkeypatch, geodesics, "_rk4")
         report = verify.run_suites(load_model("flat_r12"), suites)
         assert report["passed"] is True
-        assert sum(map(len, calls)) == runs
+        assert sum(rhs.func is geodesics._paper_rhs
+                   for rhs, *_ in calls) == runs
 
     def test_failed_isometry_reported_exit_1(self, capsys, tmp_path):
         # naturality presumes the isometry; its failed condition is the report

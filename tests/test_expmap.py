@@ -381,20 +381,19 @@ def coarse(name):
 
 def paper_runs(monkeypatch):
     """Record the initial state of every paper-mode RK4 run as (pos, vel),
-    split off the one state array.  The serial runs step through the `_rk4`
-    of `geodesics`, the planned ones through the `_rk4` that `expmap`
-    imports; the flow steps through the one `cotangent` imports and is not
-    recorded."""
+    split off the one state array.  Every run steps through the `_rk4` of
+    `geodesics`, which `geodesics._run` hands the right-hand side bound to
+    its kernel; the flow's runs are not recorded."""
     runs = []
     inner = geodesics._rk4
 
     def recorded(rhs, state, h, steps, chart, record=None):
-        n = state.shape[-2] // 2
-        runs.append((state[..., :n, :], state[..., n:, :]))
+        if rhs.func is geodesics._paper_rhs:
+            n = state.shape[-2] // 2
+            runs.append((state[..., :n, :], state[..., n:, :]))
         return inner(rhs, state, h, steps, chart, record)
 
-    for module in (expmap, geodesics):
-        monkeypatch.setattr(module, "_rk4", recorded)
+    monkeypatch.setattr(geodesics, "_rk4", recorded)
     return runs
 
 
