@@ -39,6 +39,7 @@ batched, one kernel call per chunk of samples (`geometry._chunks`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Mapping, Sequence
@@ -158,12 +159,24 @@ def geodesic_rhs(chart: MetricChart, pos: SuperPoint,
     return chart.sig.unpack(pos.L, acc)
 
 
-def _grid(t_end: float, dt: float) -> tuple[int, float]:
+def _grid(t_end: float, dt: float,
+          shape: Sequence[int] = ()) -> tuple[int, float]:
+    """(steps, h) of the fixed grid of (t_end, dt).  A step count that is
+    not finite, or whose steps + 1 float64 samples of `shape` numpy could
+    not describe (more bytes than `np.intp` counts), is `IntegrationFailure`
+    before anything is allocated or stepped."""
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     if t_end <= 0.0:
         raise ValueError("t_end must be positive")
+    if not math.isfinite(t_end / dt):
+        raise IntegrationFailure(f"the grid of t_end={t_end:g}, dt={dt:g} "
+                                 "has no finite step count")
     steps = max(1, round(t_end / dt))
+    if (steps + 1) * math.prod(shape) * 8 > np.iinfo(np.intp).max:
+        raise IntegrationFailure(f"cannot record {steps + 1:.6g} samples of "
+                                 f"shape {tuple(shape)}: the grid of "
+                                 f"t_end={t_end:g}, dt={dt:g} is too fine")
     return steps, t_end / steps
 
 
@@ -263,7 +276,7 @@ def _run(chart: MetricChart, rows, rhs, t_end: float, dt: float, record=()):
         raise SignatureMismatch("initial condition lives on a different chart")
     state = [np.concatenate((pos.as_array(), block)) for pos, block in batch]
     state = np.stack(state) if batch is rows else state[0]
-    steps, h = _grid(t_end, dt)
+    steps, h = _grid(t_end, dt, state.shape[-2:])
     kern = chart.kernel(batch[0][0].L)
     return (*_rk4(partial(rhs, kern), state, h, steps, chart, record),
             (steps, h))

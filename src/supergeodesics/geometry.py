@@ -444,7 +444,7 @@ class MetricReport:
 
     ok: bool
     first_violation: str | None
-    max_deviation: float  # largest graded-symmetry deviation over the samples
+    max_deviation: float  # largest graded-symmetry deviation (inf: not finite)
     failures: list[str] = field(default_factory=list)
 
 
@@ -452,10 +452,11 @@ def metric_validate(chart: MetricChart, samples: Sequence[SuperPoint],
                     tol: float = 1e-10) -> MetricReport:
     """Check the graded-metric invariants at the sample points.
 
-    Verifies: even odd-dimension, entry parity |g_ij| = |i|+|j|, graded
+    Verifies: even odd-dimension, entry parity |g_ij| = |i|+|j|, a finite
+    metric (one that overflows or is not finite is a violation), graded
     symmetry g_ij = (-1)^{|i||j|} g_ji within `tol`, and nondegenerate
     symmetric / antisymmetric body blocks.  The graded symmetry is measured
-    at every sample, even past a violation.
+    at every sample, even past a violation; a NaN deviation fails.
     """
     failures: list[str] = []
     sig = chart.sig
@@ -483,17 +484,26 @@ def metric_validate(chart: MetricChart, samples: Sequence[SuperPoint],
         m = sig.n_even
         for p in samples:
             kern = chart.kernel(p.L)
-            G = kern.eval_metric(p.as_array())
+            try:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    G = kern.eval_metric(p.as_array())
+                finite = np.isfinite(G).all()
+            except OverflowError:  # math.exp of a body overflowed
+                finite = False
+            if not finite:
+                failures.append(f"metric is not finite at {p!r}")
+                max_dev = np.inf
+                continue
             sym_dev = float(np.max(np.abs(
                 G - kern.s1[:, :, None] * G.transpose(1, 0, 2))))
             max_dev = max(max_dev, sym_dev)
             body = G[:, :, 0]
-            if sym_dev > tol:
+            if not sym_dev <= tol:
                 failures.append(
                     f"graded symmetry violated at {p!r} (deviation {sym_dev:.3g})")
-            elif abs(np.linalg.det(body[:m, :m])) <= 1e-12:
+            elif not abs(np.linalg.det(body[:m, :m])) > 1e-12:
                 failures.append(f"even-even body block degenerate at {p!r}")
-            elif sig.n_odd and abs(np.linalg.det(body[m:, m:])) <= 1e-12:
+            elif sig.n_odd and not abs(np.linalg.det(body[m:, m:])) > 1e-12:
                 failures.append(f"odd-odd body block degenerate at {p!r}")
 
     return MetricReport(ok=not failures,

@@ -375,14 +375,14 @@ class GrassmannElement(_Frozen):
             return Parity.ODD
         return Parity.EVEN  # zero counts as even
 
-    def has_parity(self, parity: Parity, tol: float = 0.0) -> bool:
-        """True if all coefficients on masks of the other parity are within tol.
+    def has_parity(self, parity: Parity) -> bool:
+        """True if every coefficient on a mask of the other parity is zero.
 
         The zero element passes for either parity.
         """
         par = mask_parity(self.L)
         wrong = self.coeffs[par != (0 if parity is Parity.EVEN else 1)]
-        return bool(np.all(np.abs(wrong) <= tol))
+        return not wrong.any()
 
     @property
     def body(self) -> float:

@@ -59,7 +59,6 @@ TOLERANCES: dict[str, float] = {
     "geodesic_residual": 1e-6,
     "speed_drift": 1e-8,
     "body_reduction": 1e-8,
-    "determinism": 0.0,
     "energy_drift": 1e-8,
     "parity_preservation": 0.0,
     "roundtrip": 1e-6,

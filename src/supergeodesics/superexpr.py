@@ -29,7 +29,9 @@ Grammar accepted by the parser::
     power  := atom ('^' exponent)?       exponent: optionally signed integer,
     atom   := number | name | name '(' expr ')' | '(' expr ')'
 
-Functions: exp, sin, cos, log (of even arguments).
+Functions: exp, sin, cos, log (of even arguments).  A number must be finite
+and parentheses nest at most `_MAX_NESTING` deep (`ExpressionSyntaxError`);
+a constant fold that overflows is a `DomainError`.
 """
 
 from __future__ import annotations
@@ -228,7 +230,10 @@ class Const(Expr):
     value: float
 
     def __post_init__(self):
-        object.__setattr__(self, "value", float(self.value))
+        value = float(self.value)
+        if not math.isfinite(value):  # an overflowing constant fold
+            raise DomainError(f"a constant overflows to {value}")
+        object.__setattr__(self, "value", value)
 
     def parity(self):
         return Parity.EVEN
@@ -553,7 +558,10 @@ def pow_int(base: Expr, k: int) -> Expr:
     if k == 1:
         return base
     if isinstance(base, Const):
-        return Const(base.value**k)
+        try:
+            return Const(base.value**k)
+        except OverflowError:
+            raise DomainError(f"{base.value:g}^{k} overflows") from None
     p = base.parity()
     if p is Parity.ODD:
         return Const(0.0)  # odd squares vanish
@@ -581,7 +589,10 @@ def fun(name: str, arg: Expr) -> Expr:
         spec = FUNCTIONS[name]
         if not spec.domain(arg.value):
             raise DomainError(f"{name} undefined at {arg.value}")
-        return Const(spec.derivative_at(0, arg.value))
+        try:
+            return Const(spec.derivative_at(0, arg.value))
+        except OverflowError:
+            raise DomainError(f"{name}({arg.value:g}) overflows") from None
     return Fun(name, arg)
 
 
@@ -832,12 +843,18 @@ def _tokenize(text: str):
     return tokens
 
 
+# the deepest nesting of parentheses the parser accepts; a chart whose
+# metric entries nest this deep still builds its kernel and steps
+_MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, text: str, sig: ChartSignature):
         self.text = text
         self.sig = sig
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -926,9 +943,22 @@ class _Parser:
             self.expect_op(")")
         return -k if neg else k
 
+    def parse_group(self) -> Expr:
+        """The sum after an opening parenthesis, and its closing one."""
+        self.depth += 1
+        if self.depth > _MAX_NESTING:
+            raise ExpressionSyntaxError(f"parentheses nest deeper than "
+                                        f"{_MAX_NESTING} in {self.text!r}")
+        e = self.parse_sum()
+        self.expect_op(")")
+        self.depth -= 1
+        return e
+
     def parse_atom(self) -> Expr:
         kind, value = self.next()
         if kind == "number":
+            if not math.isfinite(float(value)):
+                raise ExpressionSyntaxError(f"number {value!r} is not finite")
             return Const(float(value))
         if kind == "name":
             pk, pv = self.peek()
@@ -936,9 +966,7 @@ class _Parser:
                 if value not in FUNCTIONS:
                     raise UnknownIdentifier(f"unknown function {value!r}")
                 self.next()
-                arg = self.parse_sum()
-                self.expect_op(")")
-                return fun(value, arg)
+                return fun(value, self.parse_group())
             if value in FUNCTIONS:
                 raise ExpressionSyntaxError(f"function {value!r} needs an argument")
             try:
@@ -947,9 +975,7 @@ class _Parser:
                 raise UnknownIdentifier(
                     f"{value!r} is not a coordinate of {self.sig.names}") from None
         if kind == "op" and value == "(":
-            e = self.parse_sum()
-            self.expect_op(")")
-            return e
+            return self.parse_group()
         raise ExpressionSyntaxError(f"unexpected {value!r} in {self.text!r}")
 
 

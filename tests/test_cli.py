@@ -10,6 +10,7 @@ import pytest
 from supergeodesics import expmap, geodesics, verify
 from supergeodesics.cli import main
 from supergeodesics.model import load_model
+from supergeodesics.superexpr import _MAX_NESTING
 from supergeodesics.verify import Fixtures
 
 
@@ -557,6 +558,82 @@ class TestMetricGate:
             assert 1e-9 < check["max_deviation"] < 2.1e-9
 
 
+class TestLimits:
+    """A grid or metric text past the documented limits ends in one typed
+    error line, never a traceback or a numpy warning."""
+
+    @pytest.mark.parametrize("argv", [
+        ("geodesic", "--t-end", "1e300", "--dt", "1e-300"),
+        ("geodesic", "--mode", "goertsches", "--t-end", "1e300",
+         "--dt", "1e-300"),
+        ("flow", "--t-end", "1e300", "--dt", "1e-300"),
+        ("exp", "--dt", "1e-310"),
+        # finite, but 1e300 samples: refused before the first step, not run
+        ("exp", "--dt", "1e-300"),
+    ], ids=" ".join)
+    def test_step_count_rule_exits_3(self, capsys, tmp_path, monkeypatch,
+                                     argv):
+        def refuse(*args):
+            raise AssertionError("a refused grid reached the stepper")
+
+        monkeypatch.setattr(geodesics, "_rk4", refuse)
+        out = tmp_path / "out"
+        code, stdout, err = run(capsys, *argv, "--model", "c1x_r12",
+                                "--ic", "run", "--out", str(out))
+        assert code == 3 and stdout == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err and not out.exists()
+
+    METRIC_TEXT = {
+        "nesting": "(" * 400 + "1" + ")" * 400,
+        "exp_constant": "exp(1000)",
+        "folded_overflow": "1 + 0*exp(1000)",
+        "infinite_literal": "1e400*x",
+        "overflowing_metric": "exp(1000*(x + 1))",
+    }
+
+    @pytest.mark.parametrize("case", METRIC_TEXT)
+    @pytest.mark.parametrize("argv", [
+        ("christoffel", "--ic", "run"),
+        ("geodesic", "--ic", "run", "--t-end", "0.01", "--dt", "0.01"),
+        ("verify", "--suite", "metric"),
+    ], ids=lambda argv: argv[0])
+    def test_metric_text_that_cannot_be_computed(self, capsys, tmp_path,
+                                                 case, argv):
+        doc = bundled_doc("c1x_r12")
+        doc["metric"][0][0] = self.METRIC_TEXT[case]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, *argv, "--model",
+                                 write_model(tmp_path, case, doc))
+        assert "Traceback" not in err and "RuntimeWarning" not in err
+        if case == "overflowing_metric" and argv[0] == "verify":
+            # the metric gate counts the overflowing samples as violations
+            check = strict_json(out)["suites"]["metric"][0]
+            assert code == 1 and err == ""
+            assert check["name"] == "metric_invariants"
+            assert check["passed"] is False
+            assert "metric is not finite" in check["details"]
+        else:
+            assert code == 2 and out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("depth, code", [(_MAX_NESTING, 0),
+                                             (_MAX_NESTING + 1, 2)])
+    def test_nesting_bound(self, capsys, tmp_path, depth, code):
+        # at the bound, the kernel differentiates the nested entry and steps
+        doc = bundled_doc("c1x_r12")
+        doc["metric"][0][0] = "1 + " + "x/(3 + " * depth + "x" + ")" * depth
+        out = tmp_path / "traj.csv"
+        got, _, err = run(capsys, "geodesic", "--model",
+                          write_model(tmp_path, "deep", doc), "--ic", "run",
+                          "--t-end", "0.01", "--dt", "0.01", "--out", str(out))
+        assert got == code and "Traceback" not in err
+        assert out.exists() == (code == 0)
+        if code:
+            assert f"parentheses nest deeper than {_MAX_NESTING}" in err
+
+
 def asymmetric_doc():
     """diag_x2 with g_xy = 0.1 x and g_yx = 0.100000001 x."""
     doc = bundled_doc("diag_x2")
@@ -653,6 +730,8 @@ class TestBadFlags:
     @pytest.mark.parametrize("pair, message", [
         ("metric_compatibilty=1",
          "--tol metric_compatibilty: unknown tolerance"),
+        # the determinism check is bitwise whatever a tolerance says
+        ("determinism=5", "--tol determinism: unknown tolerance"),
         ("roundtrip=-1e-6", "--tol roundtrip: expected a finite number >= 0"),
         ("roundtrip=nan", "--tol roundtrip: expected a finite number >= 0"),
         ("roundtrip=inf", "--tol roundtrip: expected a finite number >= 0"),

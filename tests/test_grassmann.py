@@ -1,6 +1,8 @@
 """Grassmann algebra: arithmetic examples, laws on random elements, errors."""
 
 import itertools
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -139,6 +141,13 @@ class TestParity:
                     assert prod.has_parity(
                         Parity.EVEN if expected == 0 else Parity.ODD)
 
+    def test_has_parity_is_exact(self):
+        tiny = G(2, [1.0, 5e-324, 0.0, 0.0])  # a subnormal on an odd mask
+        assert not tiny.has_parity(Parity.EVEN)
+        assert G(2, [0.0, 5e-324, -0.0, 0.0]).has_parity(Parity.ODD)
+        with pytest.raises(TypeError):
+            tiny.has_parity(Parity.EVEN, tol=1e-300)
+
     def test_graded_commutativity(self, rng):
         for L, pa, pb in itertools.product((3, 7, 8), (0, 1), (0, 1)):
             for _ in range(50):
@@ -255,3 +264,12 @@ class TestStripGenerator:
     def test_absent_generator(self):
         arr = G.basis(0b01, 2).coeffs
         assert not strip_generator(arr, 2, 1).any()
+
+
+def test_declared_numpy_floor_has_bitwise_count():
+    # the product kernel's parity and pair tables call np.bitwise_count,
+    # which numpy added in 2.0
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    floor = re.search(r'"numpy>=(\d+)\.(\d+)"', pyproject.read_text())
+    assert floor and (int(floor[1]), int(floor[2])) >= (2, 0)
+    assert hasattr(np, "bitwise_count")

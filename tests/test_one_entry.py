@@ -1,0 +1,71 @@
+"""One entry point for every graded run.
+
+Every graded integration reaches the RK4 loop `geodesics._rk4` through the
+entry point `geodesics._run`, which alone computes a graded run's grid
+(`geodesics._grid`); the classical oracle `verify._real_rk4` keeps a loop
+and a grid of its own.  So `_rk4` is used by one function of the package,
+and `_grid` by those two.  Like `test_one_judge.py`, this parses each
+module of `supergeodesics` with the standard `ast` module.
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "supergeodesics"
+TREES = {p.name: ast.parse(p.read_text(), filename=str(p))
+         for p in sorted(PACKAGE.glob("*.py"))}
+
+
+def functions(tree: ast.Module):
+    """(label, node) of each top-level function and each method."""
+    for stmt in tree.body:
+        if isinstance(stmt, ast.FunctionDef):
+            yield stmt.name, stmt
+        elif isinstance(stmt, ast.ClassDef):
+            for item in stmt.body:
+                if isinstance(item, ast.FunctionDef):
+                    yield f"{stmt.name}.{item.name}", item
+
+
+def users(trees: dict[str, ast.Module], name: str) -> list[str]:
+    """module:function of each function or method that uses `name`, as a
+    bare name or an attribute, called or passed on (`partial(_rk4, ...)`);
+    a use inside a nested function or lambda counts for the enclosing
+    one."""
+    return sorted(f"{module}:{label}" for module, tree in trees.items()
+                  for label, fn in functions(tree)
+                  if any((isinstance(node, ast.Name) and node.id == name)
+                         or (isinstance(node, ast.Attribute)
+                             and node.attr == name)
+                         for node in ast.walk(fn)))
+
+
+def test_rk4_has_one_caller():
+    assert users(TREES, "_rk4") == ["geodesics.py:_run"]
+
+
+def test_grid_computed_by_the_entry_point_and_the_oracle_only():
+    assert users(TREES, "_grid") == ["geodesics.py:_run",
+                                     "verify.py:_real_rk4"]
+
+
+def test_initial_rows_checked_once():
+    message = "initial condition lives on a different chart"
+    found = [node for tree in TREES.values() for node in ast.walk(tree)
+             if isinstance(node, ast.Constant) and node.value == message]
+    assert len(found) == 1
+
+
+def test_users_detected():
+    planted = ast.parse(
+        "from .geodesics import _rk4, _grid\n\n"
+        "def _run(chart):\n    return _rk4(chart)\n\n"
+        "def shoot(chart):\n    return partial(_rk4, chart)\n\n"
+        "def nested():\n    def inner():\n        return _grid(1.0, 0.1)\n"
+        "    return inner\n\n"
+        "class Table:\n    def run(self):\n"
+        "        return geodesics._rk4(self)\n\n"
+        "def unrelated():\n    return _rk4_name\n")
+    assert users({"planted.py": planted}, "_rk4") == [
+        "planted.py:Table.run", "planted.py:_run", "planted.py:shoot"]
+    assert users({"planted.py": planted}, "_grid") == ["planted.py:nested"]

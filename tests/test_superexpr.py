@@ -106,6 +106,30 @@ class TestParser:
             with pytest.raises(ExpressionSyntaxError):
                 parse_expression(text, sig)
 
+    def test_non_finite_number_rejected(self, sig):
+        for text in ("1e400", "1e400*x", "x + 2e308"):
+            with pytest.raises(ExpressionSyntaxError, match="not finite"):
+                parse_expression(text, sig)
+
+    @pytest.mark.parametrize("shape", ["({})", "sin({})", "x*(1 + {})"])
+    def test_nesting_bound(self, sig, shape):
+        def nested(depth):
+            text = "x"
+            for _ in range(depth):
+                text = shape.format(text)
+            return text
+
+        parse_expression(nested(superexpr._MAX_NESTING), sig)
+        with pytest.raises(ExpressionSyntaxError, match="nest deeper"):
+            parse_expression(nested(superexpr._MAX_NESTING + 1), sig)
+
+    @pytest.mark.parametrize("text", ["exp(1000)", "1 + 0*exp(1000)",
+                                      "10^400", "1e300*1e300", "1/1e-320",
+                                      "1e308 + 1e308"])
+    def test_overflowing_constant_fold(self, sig, text):
+        with pytest.raises(DomainError, match="overflows"):
+            parse_expression(text, sig)
+
     def test_unknown_identifier(self, sig):
         with pytest.raises(UnknownIdentifier):
             parse_expression("z + 1", sig)
