@@ -71,7 +71,7 @@ class FlowState(_Samples):
 
 
 def _energy(kern: _Kernel, pos: np.ndarray, mom: np.ndarray) -> np.ndarray:
-    ginv = kern.metric_inverse(pos)
+    ginv = kern.fields(pos)[0]
     t1 = batched_mul(mom[..., :, None, :], ginv, kern.L)  # [i,j] = p_i g^{ij}
     t2 = batched_mul(t1, mom[..., None, :, :], kern.L)    # [i,j] = p_i g^{ij} p_j
     return 0.5 * t2.sum(axis=(-3, -2))
@@ -173,7 +173,7 @@ def sharp(chart: MetricChart, pos: SuperPoint,
     """Raise momenta to a velocity: v_i = sum_j p_j * g^{ji} at the position."""
     chart.check_point(pos)
     kern = chart.kernel(pos.L)
-    ginv = kern.metric_inverse(pos.as_array())
+    ginv = kern.fields(pos.as_array())[0]
     v = _sharp_arrays(kern, ginv, chart.sig.pack(momenta))
     return chart.sig.unpack(pos.L, v)
 
@@ -220,7 +220,7 @@ def roundtrip_check(chart: MetricChart, traj: Trajectory,
         p = _flat_arrays(kern, traj.positions[c], traj.velocities[c])
         dev_b = max(dev_b, float(np.max(np.abs(p - flow.momenta[c]))))
 
-    ginv0 = kern.metric_inverse(traj.positions[0])
+    ginv0 = kern.fields(traj.positions[0])[0]
     v_back = _sharp_arrays(kern, ginv0, flow.momenta[0])
     dev_init = float(np.max(np.abs(v_back - traj.velocities[0])))
 

@@ -159,12 +159,17 @@ def geodesic_rhs(chart: MetricChart, pos: SuperPoint,
     return chart.sig.unpack(pos.L, acc)
 
 
+# The most steps one run may take: far above the bundled models' default
+# grids (1000 steps) and the benchmark's (2000), and about an hour at L <= 2.
+MAX_STEPS = 10**7
+
+
 def _grid(t_end: float, dt: float,
           shape: Sequence[int] = ()) -> tuple[int, float]:
     """(steps, h) of the fixed grid of (t_end, dt).  A step count that is
-    not finite, or whose steps + 1 float64 samples of `shape` numpy could
-    not describe (more bytes than `np.intp` counts), is `IntegrationFailure`
-    before anything is allocated or stepped."""
+    not finite, whose steps + 1 float64 samples of `shape` numpy could not
+    describe (more bytes than `np.intp` counts), or that exceeds `MAX_STEPS`
+    is `IntegrationFailure` before anything is allocated or stepped."""
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     if t_end <= 0.0:
@@ -177,6 +182,10 @@ def _grid(t_end: float, dt: float,
         raise IntegrationFailure(f"cannot record {steps + 1:.6g} samples of "
                                  f"shape {tuple(shape)}: the grid of "
                                  f"t_end={t_end:g}, dt={dt:g} is too fine")
+    if steps > MAX_STEPS:
+        raise IntegrationFailure(f"the grid of t_end={t_end:g}, dt={dt:g} "
+                                 f"has {steps:.6g} steps, more than the "
+                                 f"{MAX_STEPS:.0e} one run may take")
     return steps, t_end / steps
 
 
@@ -312,11 +321,8 @@ def _goertsches_rhs(kern: _Kernel, m: int, st: np.ndarray) -> np.ndarray:
                                    vel_even, vel_even)
     # odd: o_d' = -sum_{i even, b odd} o_b * f_i' * Gamma^d_ib
     if m < n:
-        # fo[b,i] = o_b f_i', gob[d,i,b] = Gamma^d_ib
-        fo = batched_mul(pos[..., m:, None, :], vel_even[..., None, :, :], kern.L)
-        gob = gamma[..., m:, :m, m:, :]
-        tmp = batched_mul(fo.swapaxes(-3, -2)[..., None, :, :, :], gob, kern.L)
-        out[..., m:n, :] = -tmp.sum(axis=(-3, -2))
+        out[..., m:n, :] = -_connection(kern, gamma[..., m:, :m, m:, :],
+                                        pos[..., m:, :], vel_even)
     return out
 
 

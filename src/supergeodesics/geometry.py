@@ -36,7 +36,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import InvalidPoint, LeftDomain, SingularBody
+from .errors import DomainError, InvalidPoint, LeftDomain, SingularBody
 from .grassmann import (
     _TENSOR_MAX,
     GrassmannElement,
@@ -152,15 +152,23 @@ class MetricChart:
         self._kernels: dict[int, _Kernel] = {}
 
     def dg(self) -> tuple:
-        """Symbolic partials dg[a][i][j] = d_{q_a} g_ij (cached)."""
+        """Symbolic partials dg[a][i][j] = d_{q_a} g_ij (cached); one that
+        cannot be formed (an overflowing fold) is a `DomainError` naming it."""
         if self._dg is None:
             names = self.sig.names
             self._dg = tuple(
-                tuple(tuple(partial_derivative(self.entries[i][j], a, self.sig)
-                            for j in range(len(names)))
+                tuple(tuple(self._partial(i, j, a) for j in range(len(names)))
                       for i in range(len(names)))
                 for a in names)
         return self._dg
+
+    def _partial(self, i: int, j: int, a: str) -> Expr:
+        try:
+            return partial_derivative(self.entries[i][j], a, self.sig)
+        except DomainError as exc:
+            names = self.sig.names
+            raise DomainError(f"model {self.name!r}: bad metric: d/d{a} of "
+                              f"entry ({names[i]},{names[j]}): {exc}") from exc
 
     def kernel(self, L: int) -> "_Kernel":
         k = self._kernels.get(L)
@@ -236,10 +244,10 @@ class _Kernel:
     axes are a batch of independent states (see the module docstring).
     Constant metric entries and constant partials are prebaked, unbatched;
     the non-constant ones, metric entries first, are compiled into one
-    `superexpr.Program`, and `fields` fills G and dG from one run of it per
-    right-hand side.  What never changes is built here once: the identity
-    of the Neumann series, and the inverse metric or the Christoffel bracket
-    when they are constant.
+    `superexpr.Program`; every evaluation fills G and dG from one full run
+    of it, and `fields`, the one source of g^{-1}, inverts that G.  What
+    never changes is built here once: the identity of the Neumann series,
+    and the inverse metric or the Christoffel bracket when they are constant.
     """
 
     def __init__(self, chart: MetricChart, L: int):
@@ -292,18 +300,19 @@ class _Kernel:
         for arr in (self._g_const, self._dg_const, self._eye):
             arr.flags.writeable = False
 
-    def _eval_live(self, pos: np.ndarray, count: int | None = None):
-        """(G, dG) at `pos` with the live entries filled in from one program
-        run over the first `count` live expressions (all by default); an
-        array with none of its entries run is its read-only constant."""
-        ng = len(self._g_live)
-        vals = (self._program.run(dict(zip(self.sig.names, pos.swapaxes(0, -2))),
-                                  self.L, count) if self._program.code else [])
-        return (_filled(self._g_const, self._g_live, vals[:ng]),
-                _filled(self._dg_const, self._dg_live, vals[ng:]))
+    def _eval_live(self, pos: np.ndarray):
+        """(G, dG) at `pos`, batched like it, with the live entries filled
+        in from one run of the program; an array without live entries is
+        its read-only constant."""
+        ng, rows = len(self._g_live), pos.shape[:-2]
+        vals = (self._program.run({name: pos[..., i, :] for i, name
+                                   in enumerate(self.sig.names)}, self.L)
+                if self._program.code else [])
+        return (_filled(self._g_const, self._g_live, vals[:ng], rows),
+                _filled(self._dg_const, self._dg_live, vals[ng:], rows))
 
     def eval_metric(self, pos: np.ndarray) -> np.ndarray:
-        return self._eval_live(pos, len(self._g_live))[0]
+        return self._eval_live(pos)[0]
 
     def eval_dmetric(self, pos: np.ndarray) -> np.ndarray:
         return self._eval_live(pos)[1]
@@ -345,11 +354,6 @@ class _Kernel:
         # right-multiply by the real body inverse
         return (X.swapaxes(-1, -2) @ body_inv[..., None, :, :]).swapaxes(-1, -2)
 
-    def metric_inverse(self, pos: np.ndarray) -> np.ndarray:
-        if self._ginv_const is not None:
-            return self._ginv_const
-        return self.inverse(self.eval_metric(pos))
-
     def _make_bracket(self, dG: np.ndarray) -> np.ndarray:
         """[i,j,l] = d_i g_jl + (-1)^{|i||j|} d_j g_il
         - (-1)^{|l|(|i|+|j|)} d_l g_ij, the bracket of the Christoffel
@@ -388,20 +392,13 @@ class _Kernel:
         return -tmp2.sum(axis=-3)
 
 
-def _filled(const: np.ndarray, live: list[tuple], vals: list) -> np.ndarray:
-    """`const` with the value of each live index filled in, batched like
-    the values; `const` itself if no value is given."""
-    if not vals:
+def _filled(const: np.ndarray, live: list, vals: list, rows) -> np.ndarray:
+    """`const` batched over `rows` with the value of each live index filled
+    in; `const` itself if it has no live index."""
+    if not live:
         return const
-    rows = ()
-    for v in vals:
-        if v.ndim > len(rows) + 1:
-            rows = v.shape[:-1]
-    if rows:
-        out = np.empty(rows + const.shape)
-        out[...] = const
-    else:
-        out = const.copy()
+    out = np.empty(rows + const.shape)
+    out[...] = const
     for idx, v in zip(live, vals):
         out[idx] = v
     return out
@@ -515,7 +512,7 @@ def metric_inverse_at(chart: MetricChart, p: SuperPoint) -> list[list[GrassmannE
     """Inverse metric at a point; sum_k G[i][k]*g_kj(p) = delta_ij exactly."""
     chart.check_point(p)
     kern = chart.kernel(p.L)
-    ginv = kern.metric_inverse(p.as_array())
+    ginv = kern.fields(p.as_array())[0]
     return [[GrassmannElement(p.L, ginv[i, j]) for j in range(kern.n)]
             for i in range(kern.n)]
 
@@ -535,8 +532,8 @@ class BodyGeometry:
     """The classical geometry underlying a chart: the even-even metric block
     with all odd coordinates and souls set to zero, plus its classical
     Christoffel symbols (computed with the ungraded formula).  One
-    `superexpr.Program` holds the m^2 entries, then the m^3 partials; `metric`
-    runs its prefix and `fields` all of it."""
+    `superexpr.Program` holds the m^2 entries, then the m^3 partials, and
+    `metric` and `fields` each read one full run of it."""
 
     def __init__(self, chart: MetricChart):
         sig = chart.sig
@@ -553,13 +550,13 @@ class BodyGeometry:
                                            for a in sig.even_names
                                            for e in entries])
 
-    def _run(self, x, count: int | None = None) -> np.ndarray:
+    def _run(self, x) -> np.ndarray:
         env = {name: np.array([float(x[i])])
                for i, name in enumerate(self.even_names)}
-        return np.array([v[0] for v in self._program.run(env, 0, count)])
+        return np.array([v[0] for v in self._program.run(env, 0)])
 
     def metric(self, x) -> np.ndarray:
-        return self._run(x, self.m ** 2).reshape(self.m, self.m)
+        return self._run(x)[:self.m ** 2].reshape(self.m, self.m)
 
     def fields(self, x) -> tuple[np.ndarray, np.ndarray]:
         """(g^{-1}, dG) at x from one program run; dG[a,i,j] = d_a g_ij."""

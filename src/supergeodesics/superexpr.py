@@ -19,7 +19,7 @@ Conventions fixed here and used everywhere downstream:
   node by node.  An elementary function of an even value b+s is the finite
   Taylor sum sum_k f^(k)(b) s^k / k!, exact because the soul s is
   nilpotent.  The metric kernel compiles all live metric entries and their
-  partials of one chart into one program.
+  partials of one chart into one program, and always runs all of it.
 
 Grammar accepted by the parser::
 
@@ -615,7 +615,7 @@ _MUL, _ADD, _VAR, _RECIP, _FUN = range(5)
 
 
 class Program:
-    """One straight-line program that evaluates a list of expressions.
+    """One straight-line program; every run evaluates all its expressions.
 
     An evaluation trace in the sense of Griewank & Walther, *Evaluating
     Derivatives* (2nd ed., 2008), ch. 2: every distinct node gets one slot,
@@ -637,8 +637,8 @@ class Program:
     order; `evaluate` checks them against the supplied values.
     """
 
-    __slots__ = ("code", "outputs", "variables", "_ends", "_consts",
-                 "_keys", "_templates")
+    __slots__ = ("code", "outputs", "variables", "_consts", "_keys",
+                 "_templates")
 
     def __init__(self, exprs: Iterable[Expr]):
         self.code: list[tuple] = []  # (slot, op, operand slot, operand)
@@ -646,11 +646,7 @@ class Program:
         self._consts: dict[int, float] = {}
         self._keys: dict[tuple, int] = {}
         self._templates: dict[int, list] = {}
-        self.outputs: list[int] = []
-        self._ends: list[int] = []  # instructions needed by outputs[:k + 1]
-        for e in exprs:
-            self.outputs.append(self._compile(e))
-            self._ends.append(len(self.code))
+        self.outputs = [self._compile(e) for e in exprs]
 
     def _slot(self, key: tuple, op: int | None = None, a=None, b=None) -> int:
         s = self._keys.get(key)
@@ -706,15 +702,11 @@ class Program:
             self._templates[L] = out
         return out
 
-    def run(self, env: Mapping[str, np.ndarray], L: int,
-            count: int | None = None) -> list[np.ndarray]:
-        """The values of the first `count` expressions (all by default),
-        running only the instructions they need; batched like `eval_dense`."""
+    def run(self, env: Mapping[str, np.ndarray], L: int) -> list[np.ndarray]:
+        """The values of all the expressions, from every instruction in
+        order; batched like `eval_dense`."""
         vals = self._template(L).copy()
-        code = self.code
-        if count is not None:
-            code = code[:self._ends[count - 1]] if count else ()
-        for s, op, a, b in code:
+        for s, op, a, b in self.code:
             if op == _MUL:
                 v = mul_dense(vals[a], vals[b], L)
             elif op == _ADD:
@@ -733,7 +725,7 @@ class Program:
             else:
                 v = _fun_value(b, vals[a], L)
             vals[s] = v
-        return [vals[s] for s in self.outputs[:count]]
+        return [vals[s] for s in self.outputs]
 
 
 def _fun_value(name: str, v: np.ndarray, L: int) -> np.ndarray:

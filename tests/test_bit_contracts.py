@@ -5,6 +5,10 @@
   and first stages `_rk4` records for one row;
 * the Neumann series of `_Kernel.inverse`, whose first term is -N, matches
   an oracle that computes that term as the product by the identity;
+* the metric fields come from one evaluation: G and dG are batched like the
+  positions on a chart whose entries depend on the point, and are the
+  read-only constants themselves on a constant chart, and the g^{-1} of
+  `_Kernel.fields` is the inverse of `eval_metric`, bit for bit;
 * the program of `superexpr` matches a node-by-node tree evaluation.
 
 Hypothesis runs derandomized; each example draws one integer seed for numpy.
@@ -207,6 +211,57 @@ def test_l0_residue_adds_no_term(curved_r22):
 
 
 # ---------------------------------------------------------------------------
+# the metric fields: one evaluation, the one source of the inverse metric
+
+
+def random_positions(chart, L, batch, rng):
+    """Parity-correct positions of batch shape `batch`."""
+    rows = [random_superpoint(chart, L, rng).as_array()
+            for _ in range(int(np.prod(batch)))]
+    return np.reshape(rows, batch + rows[0].shape)
+
+
+@FAST
+@given(L=st.integers(0, 4), batch=st.sampled_from([(), (1,), (3,), (2, 3)]),
+       seed=seeds)
+def test_live_fields_batched_like_positions(curved_r22, L, batch, seed):
+    kern = curved_r22.kernel(L)
+    n, D = kern.n, kern.D
+    pos = random_positions(curved_r22, L, batch, np.random.default_rng(seed))
+    assert kern.eval_metric(pos).shape == batch + (n, n, D)
+    assert kern.eval_dmetric(pos).shape == batch + (n, n, n, D)
+    ginv, dG = kern.fields(pos)
+    assert ginv.shape == batch + (n, n, D)
+    assert dG.shape == batch + (n, n, n, D)
+
+
+@FAST
+@given(L=st.integers(0, 4), batch=st.sampled_from([(), (3,), (2, 3)]),
+       seed=seeds)
+def test_constant_fields_are_the_constants(flat_r22, L, batch, seed):
+    kern = flat_r22.kernel(L)
+    pos = random_positions(flat_r22, L, batch, np.random.default_rng(seed))
+    G, dG = kern.eval_metric(pos), kern.eval_dmetric(pos)
+    assert G is kern._g_const and dG is kern._dg_const
+    assert not G.flags.writeable and not dG.flags.writeable
+    ginv, dG = kern.fields(pos)
+    assert ginv is kern._ginv_const and dG is kern._dg_const
+
+
+@FAST
+@given(L=st.integers(0, 4), batch=st.sampled_from([(), (3,)]), seed=seeds,
+       curved=st.booleans())
+def test_fields_inverse_is_inverse_of_metric(c1x_r12, curved_r22, L, batch,
+                                             seed, curved):
+    chart = curved_r22 if curved else c1x_r12
+    kern = chart.kernel(L)
+    pos = random_positions(chart, L, batch, np.random.default_rng(seed))
+    ginv, dG = kern.fields(pos)
+    assert ginv.tobytes() == kern.inverse(kern.eval_metric(pos)).tobytes()
+    assert dG.tobytes() == kern.eval_dmetric(pos).tobytes()
+
+
+# ---------------------------------------------------------------------------
 # the expression program against a node-by-node evaluation
 
 
@@ -287,7 +342,4 @@ def test_program_matches_tree_evaluation(exprs, seed, L, rows):
     got = program.run(env, L)
     assert len(got) == len(want)
     for g, w in zip(got, want):
-        assert np.array_equal(np.broadcast_to(g, w.shape), w)
-    # a prefix run computes the same leading values
-    for g, w in zip(program.run(env, L, 1), want):
         assert np.array_equal(np.broadcast_to(g, w.shape), w)

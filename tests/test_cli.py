@@ -570,6 +570,9 @@ class TestLimits:
         ("exp", "--dt", "1e-310"),
         # finite, but 1e300 samples: refused before the first step, not run
         ("exp", "--dt", "1e-300"),
+        # samples numpy could describe, but 1e9 steps, past MAX_STEPS
+        ("exp", "--dt", "1e-9"),
+        ("geodesic", "--dt", "1e-9"),
     ], ids=" ".join)
     def test_step_count_rule_exits_3(self, capsys, tmp_path, monkeypatch,
                                      argv):
@@ -590,6 +593,8 @@ class TestLimits:
         "folded_overflow": "1 + 0*exp(1000)",
         "infinite_literal": "1e400*x",
         "overflowing_metric": "exp(1000*(x + 1))",
+        # loads, but the constant fold of its partial d/dx overflows
+        "overflowing_partial": "1 + (1e200*x)^2",
     }
 
     @pytest.mark.parametrize("case", METRIC_TEXT)
@@ -617,6 +622,9 @@ class TestLimits:
         else:
             assert code == 2 and out == ""
             assert err.startswith("error: ") and err.count("\n") == 1
+        if case == "overflowing_partial":
+            assert err == ("error: model 'c1x_r12': bad metric: d/dx of entry "
+                           "(x,x): a constant overflows to inf\n")
 
     @pytest.mark.parametrize("depth, code", [(_MAX_NESTING, 0),
                                              (_MAX_NESTING + 1, 2)])

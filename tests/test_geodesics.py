@@ -224,6 +224,16 @@ class TestStepperGuard:
                            match=r"^cannot record 1e\+300 samples of shape \(4,\)"):
             oracle(reduce_body(diag_x2), [2.0, 0.0], [0.0, 1.0], 1.0, 1e-300)
 
+    def test_step_count_capped(self, diag_x2):
+        cap = geodesics.MAX_STEPS
+        assert geodesics._grid(1.0, 1.0 / cap)[0] == cap
+        message = r"has 1e\+09 steps, more than the 1e\+07 one run may take$"
+        with pytest.raises(IntegrationFailure, match=message):
+            geodesics._grid(1.0, 1e-9)
+        with pytest.raises(IntegrationFailure, match=message):
+            classical_geodesic(reduce_body(diag_x2), [2.0, 0.0], [0.0, 1.0],
+                               1.0, 1e-9)
+
     @pytest.fixture(scope="class")
     def blowup(self):
         # g_yy = exp(x^2) overflows math.exp once |x| passes about 26.6

@@ -4,8 +4,10 @@ Every graded integration reaches the RK4 loop `geodesics._rk4` through the
 entry point `geodesics._run`, which alone computes a graded run's grid
 (`geodesics._grid`); the classical oracle `verify._real_rk4` keeps a loop
 and a grid of its own.  So `_rk4` is used by one function of the package,
-and `_grid` by those two.  Like `test_one_judge.py`, this parses each
-module of `supergeodesics` with the standard `ast` module.
+and `_grid` by those two.  Likewise the inverse metric of a point comes
+from one place: `_Kernel.inverse` is used only by `_Kernel.fields` and, for
+a constant metric, the kernel's constructor.  Like `test_one_judge.py`, this
+parses each module of `supergeodesics` with the standard `ast` module.
 """
 
 import ast
@@ -69,3 +71,19 @@ def test_users_detected():
     assert users({"planted.py": planted}, "_rk4") == [
         "planted.py:Table.run", "planted.py:_run", "planted.py:shoot"]
     assert users({"planted.py": planted}, "_grid") == ["planted.py:nested"]
+
+
+def test_inverse_metric_from_fields_only():
+    assert users(TREES, "inverse") == ["geometry.py:_Kernel.__init__",
+                                       "geometry.py:_Kernel.fields"]
+
+
+def test_inverse_users_detected():
+    planted = ast.parse(
+        "class _Kernel:\n"
+        "    def fields(self, pos):\n        return self.inverse(pos)\n\n"
+        "    def metric_inverse(self, pos):\n"
+        "        return self.inverse(self.eval_metric(pos))\n\n"
+        "def sharp(kern, pos):\n    return kern.inverse_at(pos)\n")
+    assert users({"geometry.py": planted}, "inverse") == [
+        "geometry.py:_Kernel.fields", "geometry.py:_Kernel.metric_inverse"]

@@ -291,15 +291,6 @@ class TestProgram:
         assert len(calls) == 1
         assert np.array_equal(minus, mul_dense(np.r_[-1.0, 0, 0, 0], plus, 2))
 
-    def test_prefix_runs_only_what_it_needs(self, sig):
-        prog = Program([parse_expression("x + 1", sig),
-                        parse_expression("1/(y + 2)", sig)])
-        # no value for y: the first expression alone does not read it
-        (first,) = prog.run({"x": np.r_[0.5, 0.0]}, 1, 1)
-        assert np.array_equal(first, np.r_[1.5, 0.0])
-        with pytest.raises(UnknownCoordinate):
-            prog.run({"x": np.r_[0.5, 0.0]}, 1)
-
     def test_first_error_in_evaluation_order(self, sig):
         # both terms leave their domain; the left one is reported
         point = {"x": G.from_scalar(-1.0, 0), "y": G.from_scalar(-2.0, 0),
