@@ -297,8 +297,9 @@ class _Kernel:
         self._ginv_const = self.inverse(self._g_const) if not self._g_live else None
         self._bracket_const = (self._make_bracket(self._dg_const)
                                if not self._dg_live else None)
-        for arr in (self._g_const, self._dg_const, self._eye):
-            arr.flags.writeable = False
+        for arr in (self._g_const, self._dg_const, self._eye, self._ginv_const):
+            if arr is not None:
+                arr.flags.writeable = False
 
     def _eval_live(self, pos: np.ndarray):
         """(G, dG) at `pos`, batched like it, with the live entries filled

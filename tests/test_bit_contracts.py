@@ -6,9 +6,9 @@
 * the Neumann series of `_Kernel.inverse`, whose first term is -N, matches
   an oracle that computes that term as the product by the identity;
 * the metric fields come from one evaluation: G and dG are batched like the
-  positions on a chart whose entries depend on the point, and are the
-  read-only constants themselves on a constant chart, and the g^{-1} of
-  `_Kernel.fields` is the inverse of `eval_metric`, bit for bit;
+  positions on a chart whose entries depend on the point; on a constant
+  chart, they and g^{-1} are the read-only constants themselves; and the
+  g^{-1} of `_Kernel.fields` is the inverse of `eval_metric`, bit for bit;
 * the program of `superexpr` matches a node-by-node tree evaluation.
 
 Hypothesis runs derandomized; each example draws one integer seed for numpy.
@@ -246,6 +246,7 @@ def test_constant_fields_are_the_constants(flat_r22, L, batch, seed):
     assert not G.flags.writeable and not dG.flags.writeable
     ginv, dG = kern.fields(pos)
     assert ginv is kern._ginv_const and dG is kern._dg_const
+    assert not ginv.flags.writeable
 
 
 @FAST
