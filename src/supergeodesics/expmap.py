@@ -8,9 +8,9 @@ cotangent-flow construction is covered by the round-trip checks.
 The checks measure only: each returns its deviation, a float or a report of
 deviations, and takes no tolerance.  `verify` and the CLI judge every one
 against the tolerance a run reads through `model.ModelFile.tolerance`.  The
-one tolerance used here is that of the gate of `linearization_test`, which
-decides whether the test measures at all: its caller passes it, and the
-standalone test reads `model.TOLERANCES`.
+one tolerance used here is that of the gates of a linearization test,
+which decide whether it measures at all: `plan_linearization` takes it, and
+the standalone `linearization_test` reads `model.TOLERANCES`.
 
 The Jacobian of exp_q at 0 is assembled numerically: even directions by
 central differences of the body output, odd directions by reading the
@@ -18,23 +18,22 @@ coefficient linear in a single odd generator.  Nilpotent directions admit no
 epsilon limits, so the odd block is extracted exactly, never differenced.
 
 Batching: every check needs several exp values (2m + 1 per Jacobian point,
-v and T Phi v for naturality, v and +-v for linearization), each check's
-rows from one helper (`_jacobian_rows`, `_naturality_rows` or
-`_linearization_rows`).  It reads them from an `ExpTable`: the `exp` its
-caller passes, else a table of its own rows.  A table integrates each
-distinct row once, in one batched RK4 run per (L, t_end, dt) on
-(rows, 2n, 2^L) arrays (`_shoot`).  `verify` passes one table of the rows of
-every check it will run, with the suite geodesic as the one recorded row of
-the run it shares, and each run one job of its `jobs.Jobs`, so the runs may
-go to forked workers.  Every row keeps the bits of its serial
-`exp_at`, so a check reports the same numbers from either table.
+v and T Phi v for naturality, v and +-v for linearization), which only its
+builder (`plan_jacobians`, `plan_naturality`, `plan_linearization`) knows:
+an `ExpCheck` of the rows and the function that finishes their exp values
+into the measurement.  An `ExpTable` integrates each distinct row once, in
+one batched RK4 run per (L, t_end, dt) on (rows, 2n, 2^L) arrays
+(`_shoot`).  A public check reads a table of its own rows; `verify` one
+table of the rows of every check it runs (see there).  Every row keeps the
+bits of its serial `exp_at`, so a check reports the same numbers from
+either table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -231,10 +230,17 @@ class ExpTable:
             raise LookupError("an exp row was not planned") from None
 
 
-def _exp_values(chart: MetricChart, rows: Sequence[TangentFiberPoint],
-                dt: float, exp: ExpTable | None) -> list[SuperPoint]:
-    """exp of `rows`, read from `exp`, or else from a table of these rows."""
-    return (exp or ExpTable(chart, rows, dt))(chart, rows, dt)
+@dataclass(frozen=True)
+class ExpCheck:
+    """An exp-map check: the exp rows it reads and `finish`, which turns
+    their exp values, in row order, into its measurement."""
+
+    rows: tuple[TangentFiberPoint, ...]
+    finish: Callable[[list[SuperPoint]], Any]
+
+    def measure(self, chart: MetricChart, dt: float):
+        """The measurement, from one table of the check's own rows."""
+        return self.finish(ExpTable(chart, self.rows, dt)(chart, self.rows, dt))
 
 
 # ---------------------------------------------------------------------------
@@ -350,37 +356,44 @@ def _jacobian_rows(sig: ChartSignature, q: np.ndarray,
     return rows
 
 
-def _jacobian_report(sig: ChartSignature, q: np.ndarray, h: float, dt: float,
-                     outs: Sequence[SuperPoint]) -> ExpJacobianReport:
-    """Assemble the report from exp of the `_jacobian_rows`, in that order."""
+def _jacobian_reports(sig: ChartSignature, qs: Sequence[np.ndarray],
+                      h: float, dt: float, outs: Sequence[SuperPoint]
+                      ) -> list[ExpJacobianReport]:
+    """One report per body point of `qs`, from exp of the `_jacobian_rows`
+    of each, in that order."""
     m, n = sig.n_even, sig.n_odd
-    dim_total = sig.dimension
-    mat = np.zeros((dim_total, dim_total))
-    for i in range(m):
-        plus, minus = outs[2 * i], outs[2 * i + 1]
-        mat[i, :m] = (plus.body_even() - minus.body_even()) / (2.0 * h)
-    if n:
-        out = outs[2 * m]
-        for a in range(n):
-            mask = 1 << a
-            for b, odd_out in enumerate(sig.odd_names):
-                mat[m + a, m + b] = out.values[odd_out].coeffs[mask]
-    eye = np.eye(dim_total)
-    even_dev = float(np.max(np.abs(mat[:m] - eye[:m]))) if m else 0.0
-    odd_dev = float(np.max(np.abs(mat[m:] - eye[m:]))) if n else 0.0
-    return ExpJacobianReport(q, h, dt, mat, even_dev, odd_dev)
+    eye = np.eye(sig.dimension)
+    outs = iter(outs)
+    reports = []
+    for q in qs:
+        mat = np.zeros_like(eye)
+        for i in range(m):
+            plus, minus = next(outs), next(outs)
+            mat[i, :m] = (plus.body_even() - minus.body_even()) / (2.0 * h)
+        if n:
+            out = next(outs)
+            for a in range(n):
+                for b, odd_out in enumerate(sig.odd_names):
+                    mat[m + a, m + b] = out.values[odd_out].coeffs[1 << a]
+        even_dev = float(np.max(np.abs(mat[:m] - eye[:m]))) if m else 0.0
+        odd_dev = float(np.max(np.abs(mat[m:] - eye[m:]))) if n else 0.0
+        reports.append(ExpJacobianReport(q, h, dt, mat, even_dev, odd_dev))
+    return reports
+
+
+def plan_jacobians(chart: MetricChart, points, h: float, dt: float) -> ExpCheck:
+    """The check of `exp_jacobian_checks`: the `_jacobian_rows` of each
+    body point, finished into one report per point."""
+    qs = [np.asarray(q, dtype=float).reshape(-1) for q in points]
+    return ExpCheck(tuple(v for q in qs for v in _jacobian_rows(chart.sig, q, h)),
+                    partial(_jacobian_reports, chart.sig, qs, h, dt))
 
 
 def exp_jacobian_checks(chart: MetricChart, points, h: float = 1e-4,
-                        dt: float = 1e-3,
-                        exp: ExpTable | None = None) -> list[ExpJacobianReport]:
-    """`exp_jacobian_check` at each body point, with the exp values of all
-    the points read from `exp`, else from one table of their rows."""
-    qs = [np.asarray(q, dtype=float).reshape(-1) for q in points]
-    rows = [_jacobian_rows(chart.sig, q, h) for q in qs]
-    outs = iter(_exp_values(chart, [v for r in rows for v in r], dt, exp))
-    return [_jacobian_report(chart.sig, q, h, dt, [next(outs) for _ in r])
-            for q, r in zip(qs, rows)]
+                        dt: float = 1e-3) -> list[ExpJacobianReport]:
+    """`exp_jacobian_check` at each body point, from one table of the rows
+    of all the points."""
+    return plan_jacobians(chart, points, h, dt).measure(chart, dt)
 
 
 def exp_jacobian_check(chart: MetricChart, q, h: float = 1e-4,
@@ -390,8 +403,7 @@ def exp_jacobian_check(chart: MetricChart, q, h: float = 1e-4,
     Even directions: central differences of the body output at +/- h.  Odd
     directions: one combined run seeding a distinct generator on every odd
     slot; the single-generator coefficients isolate the linear response
-    exactly (products of two seeded generators land on other masks).  The
-    2m + 1 exp values are read from one table of their own.
+    exactly (products of two seeded generators land on other masks).
     """
     return exp_jacobian_checks(chart, [q], h, dt)[0]
 
@@ -474,31 +486,28 @@ def probe_points(chart: MetricChart, q, L: int) -> list[SuperPoint]:
 # naturality and faithful linearization
 
 
-def _naturality_rows(chart: MetricChart, phi: SuperMorphism, q,
-                     vectors: Sequence[TangentFiberPoint]
-                     ) -> list[TangentFiberPoint]:
-    """The exp arguments of `naturality_check`: the vectors v at q, then
-    T_q Phi v at Phi(q)."""
+def plan_naturality(chart: MetricChart, phi: SuperMorphism, q,
+                    vectors: Sequence[TangentFiberPoint]) -> ExpCheck:
+    """The check of `naturality_check`: the rows v at q, then T_q Phi v at
+    Phi(q), finished into the deviation."""
     T = numerical_tangent_map(phi, q)
     q_img = body_image(phi, q)
-    return [*vectors, *(TangentFiberPoint(chart.sig, v.L, q_img,
-                                          T.apply(v.vector, v.L))
-                        for v in vectors)]
+    return ExpCheck((*vectors, *(TangentFiberPoint(chart.sig, v.L, q_img,
+                                                   T.apply(v.vector, v.L))
+                                 for v in vectors)),
+                    partial(_image_dev, chart.sig, phi, count=len(vectors)))
 
 
 def naturality_check(chart: MetricChart, phi: SuperMorphism, q,
-                     vectors: Sequence[TangentFiberPoint], dt: float = 1e-3,
-                     exp: ExpTable | None = None) -> float:
+                     vectors: Sequence[TangentFiberPoint],
+                     dt: float = 1e-3) -> float:
     """The largest deviation of Phi(exp_q(v)) from exp_{Phi(q)}(T_q Phi v)
     over the test vectors.
 
     A measurement only: naturality presumes an isometry, and whether Phi is
-    one is decided by `isometry_check`.  The exp values are read from
-    `exp`, else from a table of the check's own rows.
+    one is decided by `isometry_check`.
     """
-    outs = _exp_values(chart, _naturality_rows(chart, phi, q, vectors), dt,
-                       exp)
-    return _image_dev(chart.sig, phi, outs, len(vectors))
+    return plan_naturality(chart, phi, q, vectors).measure(chart, dt)
 
 
 def _image_dev(sig: ChartSignature, phi: SuperMorphism,
@@ -517,52 +526,42 @@ class LinearizationReport:
     max_dev: float  # inf when the hypotheses fail
 
 
-def _linearization_rows(vectors: Sequence[TangentFiberPoint],
-                        tangent_sign: float) -> list[TangentFiberPoint]:
-    """The exp arguments of `linearization_test`: v, then tangent_sign * v."""
-    return [*vectors, *(v.scaled(tangent_sign) for v in vectors)]
+def plan_linearization(chart: MetricChart, phi: SuperMorphism, q,
+                       vectors: Sequence[TangentFiberPoint],
+                       tangent_sign: float, tolerance: float) -> ExpCheck:
+    """The check of `linearization_test`, its gates decided here, in order:
+    the isometry condition (within `tolerance`), the fixed body point, and
+    T_q Phi = tangent_sign * id.  If one fails, the check reads no rows and
+    reports why; else its rows are v, then tangent_sign * v."""
+    def failed(reason: str) -> ExpCheck:
+        return ExpCheck((), lambda _: LinearizationReport(False, reason, np.inf))
 
-
-def _linearization_gate(chart: MetricChart, phi: SuperMorphism, q,
-                        vectors: Sequence[TangentFiberPoint],
-                        tangent_sign: float, tolerance: float) -> str:
-    """Why the hypotheses of `linearization_test` fail, or "" if they hold.
-    Gates, in order: the isometry condition (within `tolerance`), the fixed
-    body point, and T_q Phi = tangent_sign * id."""
     L = vectors[0].L if vectors else 0
     samples = probe_points(chart, q, max(L, min(chart.sig.n_odd, 2)))
     iso_dev = isometry_check(chart, chart, phi, samples)
     if not iso_dev <= tolerance:
-        return f"isometry condition fails (dev {iso_dev:.3g})"
+        return failed(f"isometry condition fails (dev {iso_dev:.3g})")
     q_arr = np.asarray(q, dtype=float).reshape(-1)
     if np.max(np.abs(body_image(phi, q_arr) - q_arr)) > 1e-10:
-        return "base point is not fixed"
+        return failed("base point is not fixed")
     t_dev = numerical_tangent_map(phi, q_arr).deviation_from_identity(tangent_sign)
     if t_dev > 1e-9:
-        return f"tangent map differs from {tangent_sign:+g}*id (dev {t_dev:.3g})"
-    return ""
+        return failed(f"tangent map differs from {tangent_sign:+g}*id "
+                      f"(dev {t_dev:.3g})")
+    dev = partial(_image_dev, chart.sig, phi, count=len(vectors))
+    return ExpCheck((*vectors, *(v.scaled(tangent_sign) for v in vectors)),
+                    lambda outs: LinearizationReport(True, "", dev(outs)))
 
 
 def linearization_test(chart: MetricChart, phi: SuperMorphism, q,
                        vectors: Sequence[TangentFiberPoint], dt: float = 1e-3,
-                       tangent_sign: float = 1.0,
-                       exp: ExpTable | None = None,
-                       gate: str | None = None) -> LinearizationReport:
+                       tangent_sign: float = 1.0) -> LinearizationReport:
     """Computable content of faithful linearization on a single chart.
 
-    Gates first: `gate` if the caller has evaluated `_linearization_gate`
-    for these arguments, else that is evaluated here at the isometry
-    tolerance of `TOLERANCES`.  With sign +1 the check is
-    Phi(exp_q(v)) = exp_q(v); with sign -1 (a candidate geodesic symmetry)
-    it is Phi(exp_q(v)) = exp_q(-v).  The exp values are read from `exp`,
-    else from a table of the check's own rows.
+    Gates first (`plan_linearization`), at the isometry tolerance of
+    `TOLERANCES`.  With sign +1 the check is Phi(exp_q(v)) = exp_q(v); with
+    sign -1 (a candidate geodesic symmetry) it is Phi(exp_q(v)) = exp_q(-v).
     """
-    reason = (_linearization_gate(chart, phi, q, vectors, tangent_sign,
-                                  TOLERANCES["isometry_condition"])
-              if gate is None else gate)
-    if reason:
-        return LinearizationReport(False, reason, np.inf)
-    outs = _exp_values(chart, _linearization_rows(vectors, tangent_sign), dt,
-                       exp)
-    return LinearizationReport(True, "", _image_dev(chart.sig, phi, outs,
-                                                    len(vectors)))
+    return plan_linearization(chart, phi, q, vectors, tangent_sign,
+                              TOLERANCES["isometry_condition"]
+                              ).measure(chart, dt)

@@ -416,7 +416,11 @@ class GrassmannElement(_Frozen):
         return self.equals(other)
 
     def __hash__(self):
-        return hash((self.L, self.coeffs.tobytes()))
+        # as `==`: -0.0 is 0.0, and a soul-free element its body (not nan)
+        c = self.coeffs + 0.0
+        if c[1:].any() or np.isnan(c[0]):
+            return hash((self.L, c.tobytes()))
+        return hash(float(c[0]))
 
     # -- rendering ---------------------------------------------------------
 

@@ -29,9 +29,10 @@ Grammar accepted by the parser::
     power  := atom ('^' exponent)?       exponent: optionally signed integer,
     atom   := number | name | name '(' expr ')' | '(' expr ')'
 
-Functions: exp, sin, cos, log (of even arguments).  A number must be finite
-and parentheses nest at most `_MAX_NESTING` deep (`ExpressionSyntaxError`);
-a constant fold that overflows is a `DomainError`.
+Functions: exp, sin, cos, log (of even arguments).  A number must be finite,
+an exponent at most `_MAX_EXPONENT` in size, and parentheses nest at most
+`_MAX_NESTING` deep (`ExpressionSyntaxError`); a constant fold that
+overflows is a `DomainError`.
 """
 
 from __future__ import annotations
@@ -838,6 +839,8 @@ def _tokenize(text: str):
 # the deepest nesting of parentheses the parser accepts; a chart whose
 # metric entries nest this deep still builds its kernel and steps
 _MAX_NESTING = 100
+# the largest |exponent| accepted: a compiled power unrolls it into products
+_MAX_EXPONENT = 1000
 
 
 class _Parser:
@@ -931,6 +934,9 @@ class _Parser:
         except ValueError:
             raise ExpressionSyntaxError(
                 f"exponent must be an integer, got {value!r}") from None
+        if k > _MAX_EXPONENT:
+            raise ExpressionSyntaxError(f"exponent {value} exceeds "
+                                        f"{_MAX_EXPONENT} in {self.text!r}")
         if parens:
             self.expect_op(")")
         return -k if neg else k

@@ -35,15 +35,14 @@ This signed expansion is fixed here once and checked at random points.
 Verify as one plan
 ------------------
 `Fixtures` decodes a model's verify data before any suite runs.  On first
-use, `Fixtures.exp` decides every gate once (the isometry conditions pick
-whose naturality is measured, the linearization gates are handed to their
-tests) and lists every exp row the requested suites will read: the
-Jacobian rows of the exp suite, and the naturality and linearization rows
-of the isometry suite whose gates pass.  For the geodesic and flow suites
-it adds the suite geodesic.  It integrates each distinct row once, in one
-batched paper-mode run per (L, t_end, dt), with the suite geodesic as the
-one recorded row of the run it shares (`expmap.ExpTable`).  The checks read
-their exp values from that table.
+use, `Fixtures.checks` builds once each exp check the requested suites
+will measure (`expmap.ExpCheck`), deciding every gate on the way: the
+isometry conditions pick whose naturality is measured, and a linearization
+test whose gates fail reads no rows.  `Fixtures.exp` integrates each
+distinct row of those checks once, in one batched paper-mode run per
+(L, t_end, dt), with the suite geodesic of the geodesic and flow suites as
+the one recorded row of the run it shares (`expmap.ExpTable`).  Each suite
+measures its checks from that table (`Fixtures.measure`).
 
 Every integration of the plan is a job of `Fixtures.jobs` (`jobs.Jobs`):
 each run of the table, and (`Fixtures.runs`) the geodesic's determinism
@@ -74,17 +73,14 @@ from .cotangent import (
 )
 from .errors import ModelError, SuperGeometryError
 from .expmap import (
+    ExpCheck,
     ExpTable,
     TangentFiberPoint,
-    _jacobian_rows,
-    _linearization_gate,
-    _linearization_rows,
-    _naturality_rows,
-    exp_jacobian_checks,
     isometry_check,
-    linearization_test,
-    naturality_check,
     numerical_tangent_map,
+    plan_jacobians,
+    plan_linearization,
+    plan_naturality,
     probe_points,
     tangent_map_matrix,
 )
@@ -195,9 +191,10 @@ def vector_from_spec(raw, sig: ChartSignature, L: int, base,
 class Fixtures:
     """A model's verify fixtures for the `suites` that will run under the
     tolerance `overrides`, decoded before any suite runs (a bad one raises
-    `ModelError`); the body geometry, the gates and the planned integrations
-    (`runs`, `exp`, `geodesic`) are built on first use and shared by every
-    suite.  The integrations are jobs of `jobs` (module docstring)."""
+    `ModelError`); the body geometry, the gates, the exp checks (`checks`)
+    and the planned integrations (`runs`, `exp`, `geodesic`) are built on
+    first use and shared by every suite.  The integrations are jobs of
+    `jobs` (module docstring)."""
 
     def __init__(self, model: ModelFile, suites=SUITES,
                  overrides: dict | None = None):
@@ -266,15 +263,6 @@ class Fixtures:
                 for name in (*self.isometries, *self.negative_controls)}
 
     @cached_property
-    def linearization_gates(self) -> dict[str, str]:
-        """Why the hypotheses of each linearization test fail, or "" if
-        they hold (`expmap._linearization_gate`), by check name."""
-        tol = self.tol("isometry_condition")
-        return {name: _linearization_gate(self.chart, phi, self.base,
-                                          self.vectors, sign, tol)
-                for name, phi, sign in _linearizations(self)}
-
-    @cached_property
     def runs(self) -> dict[str, int]:
         """The jobs of the integrations the geodesic and flow suites read
         besides the suite geodesic, queued on first use (module
@@ -324,20 +312,40 @@ class Fixtures:
         return self.jobs.result(self.runs[name])
 
     @cached_property
-    def exp(self) -> ExpTable:
-        """Every exp row the planned suites will read, and the suite
-        geodesic if the geodesic or flow suite is planned, integrated once
-        (module docstring)."""
-        rows: list[TangentFiberPoint] = []
+    def checks(self) -> dict[str, ExpCheck]:
+        """The exp check of each measurement the planned suites read:
+        "exp_identity", the Jacobians at the exp points, "naturality[name]"
+        per `_naturality_names`, and each linearization test by check name."""
+        chart, base, vectors = self.chart, self.base, self.vectors
+        checks: dict[str, ExpCheck] = {}
         if "exp" in self.suites:
-            for q in self.exp_points:
-                rows += _jacobian_rows(self.chart.sig, q, _JACOBIAN_H)
+            checks["exp_identity"] = plan_jacobians(chart, self.exp_points,
+                                                    _JACOBIAN_H, self.dt)
         if "isometry" in self.suites:
-            rows += _isometry_rows(self)
+            natural, controls = _naturality_names(self)
+            for name in [*natural, *controls]:
+                checks[f"naturality[{name}]"] = plan_naturality(
+                    chart, self.model.morphism(name), base, vectors)
+            tol = self.tol("isometry_condition")
+            for name, phi, sign in _linearizations(self):
+                checks[name] = plan_linearization(chart, phi, base, vectors,
+                                                  sign, tol)
+        return checks
+
+    @cached_property
+    def exp(self) -> ExpTable:
+        """The rows of every check and, for the geodesic and flow suites,
+        the suite geodesic, integrated once (module docstring)."""
+        rows = [v for check in self.checks.values() for v in check.rows]
         curve = ((self.run_ic(), self.t_end, self.dt)
                  if self.suites & {"geodesic", "flow"} else None)
         self.runs  # queued first, so that one dispatch starts every job
         return ExpTable(self.chart, rows, self.dt, curve, self.jobs)
+
+    def measure(self, name: str):
+        """The measurement of the planned check `name`, read from `exp`."""
+        check = self.checks[name]
+        return check.finish(self.exp(self.chart, check.rows, self.dt))
 
     @property
     def geodesic(self) -> Trajectory:
@@ -361,20 +369,6 @@ def _linearizations(fx: Fixtures):
     for name in fx.point_symmetries:
         yield f"geodesic_symmetry[{name}]", fx.model.morphism(name), -1.0
     yield "identity_linearization", SuperMorphism.identity(fx.chart.sig), 1.0
-
-
-def _isometry_rows(fx: Fixtures) -> list[TangentFiberPoint]:
-    """The exp rows `run_isometry_suite` reads: those of each check whose
-    gates, shared with the check, pass."""
-    rows: list[TangentFiberPoint] = []
-    natural, controls = _naturality_names(fx)
-    for name in [*natural, *controls]:
-        rows += _naturality_rows(fx.chart, fx.model.morphism(name), fx.base,
-                                 fx.vectors)
-    for name, _, sign in _linearizations(fx):
-        if not fx.linearization_gates[name]:
-            rows += _linearization_rows(fx.vectors, sign)
-    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -550,11 +544,9 @@ def run_flow_suite(fx: Fixtures) -> list[Check]:
 
 
 def run_exp_suite(fx: Fixtures) -> list[Check]:
-    model, chart = fx.model, fx.chart
     checks: list[Check] = []
     even_dev = odd_dev = 0.0
-    for rep in exp_jacobian_checks(chart, fx.exp_points, h=_JACOBIAN_H,
-                                   dt=fx.dt, exp=fx.exp):
+    for rep in fx.measure("exp_identity"):
         even_dev = max(even_dev, rep.even_dev)
         odd_dev = max(odd_dev, rep.odd_dev)
     checks.append(fx.bounded("exp_identity_even", even_dev,
@@ -563,7 +555,7 @@ def run_exp_suite(fx: Fixtures) -> list[Check]:
                              "exact coefficient extraction"))
 
     agree_dev = 0.0
-    for name, phi in model.morphisms.items():
+    for name, phi in fx.model.morphisms.items():
         sym = tangent_map_matrix(phi, fx.base)
         num = numerical_tangent_map(phi, fx.base).matrix
         agree_dev = max(agree_dev, float(np.max(np.abs(sym - num))))
@@ -574,8 +566,7 @@ def run_exp_suite(fx: Fixtures) -> list[Check]:
 
 def run_isometry_suite(fx: Fixtures) -> list[Check]:
     natural, controls = _naturality_names(fx)
-    devs = {name: naturality_check(fx.chart, fx.model.morphism(name), fx.base,
-                                   fx.vectors, dt=fx.dt, exp=fx.exp)
+    devs = {name: fx.measure(f"naturality[{name}]")
             for name in [*natural, *controls]}
     neg_min = fx.tol("negative_control_min")
     checks: list[Check] = []
@@ -592,10 +583,8 @@ def run_isometry_suite(fx: Fixtures) -> list[Check]:
                             f"isometry condition dev {iso.max_deviation:.3g}; "
                             "naturality deviation must exceed tolerance"))
 
-    for name, phi, sign in _linearizations(fx):
-        rep = linearization_test(fx.chart, phi, fx.base, fx.vectors, dt=fx.dt,
-                                 tangent_sign=sign, exp=fx.exp,
-                                 gate=fx.linearization_gates[name])
+    for name, _, _ in _linearizations(fx):
+        rep = fx.measure(name)
         checks.append(fx.bounded(name, rep.max_dev, rep.reason))
     return checks
 

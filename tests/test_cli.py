@@ -10,7 +10,7 @@ import pytest
 from supergeodesics import expmap, geodesics, verify
 from supergeodesics.cli import main
 from supergeodesics.model import load_model
-from supergeodesics.superexpr import _MAX_NESTING
+from supergeodesics.superexpr import _MAX_EXPONENT, _MAX_NESTING
 from supergeodesics.verify import Fixtures
 
 
@@ -375,14 +375,14 @@ class TestVerifyCommand:
         # its isometry check and its linearization gate decide the same
         # condition, both at the run's isometry_condition tolerance
         reflection = load_model("flat_r12").morphism("point_reflection")
-        inner, seen = verify._linearization_gate, []
+        inner, seen = verify.plan_linearization, []
 
         def spy(chart, phi, q, vectors, sign, tolerance):
             if phi.pullbacks == reflection.pullbacks:
                 seen.append(tolerance)
             return inner(chart, phi, q, vectors, sign, tolerance)
 
-        monkeypatch.setattr(verify, "_linearization_gate", spy)
+        monkeypatch.setattr(verify, "plan_linearization", spy)
         model = write_model(tmp_path, "flat", coarse_doc("flat_r12"))
         code, out, err = run(capsys, "verify", "--model", model, "--suite",
                              "isometry", "--tol", "isometry_condition=1e-3")
@@ -595,6 +595,8 @@ class TestLimits:
         "overflowing_metric": "exp(1000*(x + 1))",
         # loads, but the constant fold of its partial d/dx overflows
         "overflowing_partial": "1 + (1e200*x)^2",
+        # past the bound, refused at load: a power compiles to |k| products
+        "huge_exponent": f"1 + x^{_MAX_EXPONENT + 1}",
     }
 
     @pytest.mark.parametrize("case", METRIC_TEXT)
@@ -625,6 +627,8 @@ class TestLimits:
         if case == "overflowing_partial":
             assert err == ("error: model 'c1x_r12': bad metric: d/dx of entry "
                            "(x,x): a constant overflows to inf\n")
+        if case == "huge_exponent":
+            assert f"exceeds {_MAX_EXPONENT}" in err
 
     @pytest.mark.parametrize("depth, code", [(_MAX_NESTING, 0),
                                              (_MAX_NESTING + 1, 2)])

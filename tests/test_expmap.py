@@ -456,6 +456,26 @@ class TestVerifyPlan:
             run_suites(coarse(name), ("isometry",))
         assert len(calls) == 16
 
+    def test_each_check_built_once(self, monkeypatch):
+        # the rows of 20 exp points (5 per model), 10 naturality checks (the
+        # isometries that pass their condition and the negative controls)
+        # and 6 linearization tests, each built once for plan and measure
+        calls = {}
+        for module, name in ((expmap, "_jacobian_rows"),
+                             (expmap, "plan_naturality"),
+                             (verify, "plan_naturality"),
+                             (expmap, "plan_linearization"),
+                             (verify, "plan_linearization")):
+            def counted(*args, inner=getattr(module, name), name=name):
+                calls[name] = calls.get(name, 0) + 1
+                return inner(*args)
+
+            monkeypatch.setattr(module, name, counted)
+        for name in bundled_models():
+            run_suites(coarse(name), ("all",))
+        assert calls == {"_jacobian_rows": 20, "plan_naturality": 10,
+                         "plan_linearization": 6}
+
     def test_metric_suite_integrates_nothing(self, monkeypatch):
         recorded = paper_runs(monkeypatch)
         for name in bundled_models():

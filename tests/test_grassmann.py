@@ -251,6 +251,15 @@ class TestSerialization:
         assert a != b
         assert a.equals(b, 1e-12)
 
+    def test_equal_elements_hash_alike(self):
+        # -0.0 == 0.0 in a soul coefficient, and a soul-free element equals
+        # its body as a float
+        a, b = G(1, [0.0, 1.0]), G(1, [-0.0, 1.0])
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        for two in (G.from_scalar(2.0, 0), G(2, [2.0, -0.0, 0.0, 0.0])):
+            assert two == 2.0 and hash(two) == hash(2.0) == hash(2)
+        assert G(1, [0.0, 1.0]) != G(1, [0.0, 2.0])
+
 
 class TestStripGenerator:
     def test_left_derivative_sign(self):

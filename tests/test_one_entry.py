@@ -6,8 +6,13 @@ entry point `geodesics._run`, which alone computes a graded run's grid
 and a grid of its own.  So `_rk4` is used by one function of the package,
 and `_grid` by those two.  Likewise the inverse metric of a point comes
 from one place: `_Kernel.inverse` is used only by `_Kernel.fields` and, for
-a constant metric, the kernel's constructor.  Like `test_one_judge.py`, this
-parses each module of `supergeodesics` with the standard `ast` module.
+a constant metric, the kernel's constructor.  And `expmap` alone knows which
+exp rows a check reads: each check's builder returns its rows with the
+function that finishes them, `verify` imports no private helper of
+`expmap`, builds its checks in `Fixtures.checks` and reads their rows in
+`Fixtures.exp` (the plan) and `Fixtures.measure` only.  Like
+`test_one_judge.py`, this parses each module of `supergeodesics` with the
+standard `ast` module.
 """
 
 import ast
@@ -87,3 +92,49 @@ def test_inverse_users_detected():
         "def sharp(kern, pos):\n    return kern.inverse_at(pos)\n")
     assert users({"geometry.py": planted}, "inverse") == [
         "geometry.py:_Kernel.fields", "geometry.py:_Kernel.metric_inverse"]
+
+
+def private_imports(tree: ast.Module, module: str) -> list[str]:
+    """The names starting with "_" that `tree` imports from the sibling
+    `module`."""
+    return sorted(alias.name for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom) and node.level == 1
+                  and node.module == module
+                  for alias in node.names if alias.name.startswith("_"))
+
+
+EXP_CHECK_HELPERS = ("_jacobian_rows", "_jacobian_reports", "_image_dev")
+EXP_CHECK_BUILDERS = ("plan_jacobians", "plan_naturality",
+                      "plan_linearization")
+
+
+def test_exp_rows_known_to_expmap_only():
+    for name in EXP_CHECK_HELPERS:
+        assert {u.partition(":")[0] for u in users(TREES, name)} \
+            == {"expmap.py"}, name
+    assert private_imports(TREES["verify.py"], "expmap") == []
+    verify = {"verify.py": TREES["verify.py"]}
+    for name in EXP_CHECK_BUILDERS:
+        assert users(verify, name) == ["verify.py:Fixtures.checks"], name
+    assert users(verify, "rows") == ["verify.py:Fixtures.exp",
+                                     "verify.py:Fixtures.measure"]
+
+
+def test_exp_row_users_detected():
+    planted = ast.parse(
+        "from .expmap import ExpTable, _jacobian_rows, plan_naturality\n"
+        "from .jobs import _cpus\n\n"
+        "class Fixtures:\n"
+        "    def exp(self):\n"
+        "        return [v for c in self.checks.values() for v in c.rows]\n\n"
+        "def _isometry_rows(fx):\n"
+        "    return _jacobian_rows(fx.chart.sig, fx.base, 1e-4)\n\n"
+        "def run_isometry_suite(fx):\n"
+        "    return plan_naturality(fx.chart, fx.phi, fx.base, fx.vectors)\n")
+    planted_trees = {"verify.py": planted}
+    assert private_imports(planted, "expmap") == ["_jacobian_rows"]
+    assert users(planted_trees, "_jacobian_rows") == [
+        "verify.py:_isometry_rows"]
+    assert users(planted_trees, "plan_naturality") == [
+        "verify.py:run_isometry_suite"]
+    assert users(planted_trees, "rows") == ["verify.py:Fixtures.exp"]

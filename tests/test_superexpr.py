@@ -123,6 +123,18 @@ class TestParser:
         with pytest.raises(ExpressionSyntaxError, match="nest deeper"):
             parse_expression(nested(superexpr._MAX_NESTING + 1), sig)
 
+    @pytest.mark.parametrize("base, sign", [
+        ("(1 + x)", ""), ("(1 + x)", "-"), ("(1 + x)", "(-"),
+        # nonhomogeneous: its power is a product of |exponent| factors
+        ("(x + th1)", "")])
+    def test_exponent_bound(self, sig, base, sign):
+        close = ")" if "(" in sign else ""
+        bound = superexpr._MAX_EXPONENT
+        parse_expression(f"{base}^{sign}{bound}{close}", sig)
+        with pytest.raises(ExpressionSyntaxError,
+                           match=f"exponent {bound + 1} exceeds {bound}"):
+            parse_expression(f"{base}^{sign}{bound + 1}{close}", sig)
+
     @pytest.mark.parametrize("text", ["exp(1000)", "1 + 0*exp(1000)",
                                       "10^400", "1e300*1e300", "1/1e-320",
                                       "1e308 + 1e308"])
