@@ -6,10 +6,8 @@ Outputs are pure functions of the model file and flags; repeated invocations
 produce byte-identical CSV/JSON.  Files are written to a temporary name and
 atomically renamed, so no partial output survives an error.
 
-Exit codes: 0 success, 1 verification failure, 2 model or usage error,
-3 integration failure: the integration left the chart domain or, at an RK4
-stage, the domain of a function in the metric, a stage overflowed, a step
-produced a non-finite state, or the metric body turned singular.
+Exit codes: 0 success, 1 verification failure, else the `exit_code` of the
+error's type (`errors.py`): 2 model or usage error, 3 failed integration.
 """
 
 from __future__ import annotations
@@ -26,8 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .cotangent import energy_series, integrate_flow, phase_from_ic
-from .errors import IntegrationFailure, LeftDomain, ModelError, SingularBody, \
-    SuperGeometryError
+from .errors import ModelError, SuperGeometryError
 from .expmap import exp_jacobian_check
 from .geodesics import Trajectory, integrate_geodesic, integrate_goertsches
 from .geometry import SuperPoint, christoffel_at, metric_validate
@@ -313,15 +310,9 @@ def main(argv=None) -> int:
         args.suite = ["all"]
     try:
         return args.func(args)
-    except ModelError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (LeftDomain, IntegrationFailure, SingularBody) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except SuperGeometryError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -2,7 +2,9 @@
 
 
 class SuperGeometryError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.  `exit_code` is the
+    CLI's exit status for a type: 3 for a failed integration, else 2."""
+    exit_code = 2
 
 
 class MismatchedGeneratorCount(SuperGeometryError):
@@ -47,6 +49,7 @@ class SignatureMismatch(SuperGeometryError):
 
 class SingularBody(SuperGeometryError):
     """The body of the metric matrix is not invertible at the point."""
+    exit_code = 3
 
 
 class InvalidPoint(SuperGeometryError):
@@ -56,10 +59,12 @@ class InvalidPoint(SuperGeometryError):
 class LeftDomain(SuperGeometryError):
     """Integration left the chart's coordinate box, or an RK4 stage left the
     domain of a function in the metric."""
+    exit_code = 3
 
 
 class IntegrationFailure(SuperGeometryError):
     """An RK4 stage overflowed, or a step produced a non-finite state."""
+    exit_code = 3
 
 
 class GridTooShort(SuperGeometryError):

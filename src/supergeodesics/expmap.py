@@ -461,8 +461,12 @@ _PROBE_OFFSETS = (0.0, 0.09, -0.07)  # body offsets from the body point
 
 
 def probe_points(chart: MetricChart, q, L: int) -> list[SuperPoint]:
-    """Deterministic sample points near a body point, with soul content."""
+    """Deterministic sample points near a body point, with soul content, that
+    probe the isometry condition for exp rows over L generators: over
+    max(L, min(n_odd, 2)) generators, so that a metric term in a product of
+    two odd coordinates, zero over one generator, is seen."""
     sig = chart.sig
+    L = max(L, min(sig.n_odd, 2))
     q_arr = np.asarray(q, dtype=float).reshape(-1)
     points = []
     for idx, off in enumerate(_PROBE_OFFSETS):
@@ -536,8 +540,7 @@ def plan_linearization(chart: MetricChart, phi: SuperMorphism, q,
     def failed(reason: str) -> ExpCheck:
         return ExpCheck((), lambda _: LinearizationReport(False, reason, np.inf))
 
-    L = vectors[0].L if vectors else 0
-    samples = probe_points(chart, q, max(L, min(chart.sig.n_odd, 2)))
+    samples = probe_points(chart, q, vectors[0].L if vectors else 0)
     iso_dev = isometry_check(chart, chart, phi, samples)
     if not iso_dev <= tolerance:
         return failed(f"isometry condition fails (dev {iso_dev:.3g})")

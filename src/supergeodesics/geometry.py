@@ -38,12 +38,12 @@ import numpy as np
 
 from .errors import DomainError, InvalidPoint, LeftDomain, SingularBody
 from .grassmann import (
-    _TENSOR_MAX,
     GrassmannElement,
     Parity,
     _Frozen,
     batched_mul,
     dim,
+    product_temporary,
 )
 from .superexpr import (
     ChartSignature,
@@ -227,12 +227,9 @@ def _chunks(total: int, n: int, D: int) -> Iterator[slice]:
     """Slices of `total` points for batched kernel calls over n coordinates
     and D = 2^L coefficients, sized so that a call's largest temporary, the
     products of the (rows, n, n, n, n) outer product of a Christoffel
-    contraction, stays near 256 KB.  A product's temporary is the dense
-    (2^L)^2 outer product up to `grassmann._TENSOR_MAX` and the 3^L gathered
-    mask pairs above it.  Slicing changes no bits (module docstring)."""
-    L = D.bit_length() - 1
-    per_product = D * D if L <= _TENSOR_MAX else 3 ** L
-    step = max(1, (1 << 18) // (8 * n ** 4 * per_product))
+    contraction, stays near 256 KB (`grassmann.product_temporary`).
+    Slicing changes no bits (module docstring)."""
+    step = max(1, (1 << 18) // (8 * n ** 4 * product_temporary(D.bit_length() - 1)))
     for start in range(0, total, step):
         yield slice(start, start + step)
 

@@ -112,6 +112,12 @@ def _pairs(L: int):
     return table
 
 
+def product_temporary(L: int) -> int:
+    """Elements of one product's temporary in `_mul`: the (2^L)^2 outer
+    product up to `_TENSOR_MAX`, the 3^L gathered mask pairs above it."""
+    return dim(L) ** 2 if L <= _TENSOR_MAX else 3 ** L
+
+
 @lru_cache(maxsize=None)
 def _dense_tensor(L: int) -> np.ndarray:
     """Structure tensor T[i * 2^L + j, i | j] = merge_sign(i, j), (D^2, D)."""
@@ -140,14 +146,14 @@ def _mul(a: np.ndarray, b: np.ndarray, L: int, rowwise: bool = False) -> np.ndar
         return (outer.reshape(rows) @ _dense_tensor(L)).reshape(shape[:-1])
     I, J, S, starts = _pairs(L)
     # rows(a) * rows(b) bounds the broadcast row count from above
-    if a.size * b.size // dim(L) ** 2 * len(I) <= _CHUNK_ELEMENTS:
+    if a.size * b.size // dim(L) ** 2 * product_temporary(L) <= _CHUNK_ELEMENTS:
         return np.add.reduceat(np.take(a, I, -1) * S * np.take(b, J, -1),
                                starts, axis=-1)
     shape = np.broadcast_shapes(a.shape, b.shape)
     flat_a = np.broadcast_to(a, shape).reshape(-1, shape[-1])
     flat_b = np.broadcast_to(b, shape).reshape(-1, shape[-1])
     out = np.empty(flat_a.shape)
-    step = max(1, _CHUNK_ELEMENTS // len(I))
+    step = max(1, _CHUNK_ELEMENTS // product_temporary(L))
     for r in range(0, len(out), step):
         out[r:r + step] = np.add.reduceat(
             np.take(flat_a[r:r + step], I, -1) * S

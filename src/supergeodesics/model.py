@@ -93,10 +93,8 @@ def grassmann_value(raw, L: int, where: str) -> GrassmannElement:
     if not all(map(math.isfinite, sums.values())):
         raise ModelError(f"{where}: the coefficients of a mask sum to a "
                          f"number that is not finite in {raw!r}")
-    try:
-        return GrassmannElement.from_pairs(sums.items(), L)
-    except ValueError as exc:
-        raise ModelError(f"{where}: bad Grassmann value {raw!r}: {exc}") from exc
+    return decoded(f"{where}: bad Grassmann value {raw!r}",
+                   GrassmannElement.from_pairs, sums.items(), L)
 
 
 @dataclass
@@ -206,6 +204,17 @@ def tolerance_override(name: str, raw, where: str) -> float:
     return _finite(raw, where, 0.0)
 
 
+def decoded(where: str, build, *args):
+    """`build(*args)`, decoding model data found at `where`: a failure is a
+    `ModelError` naming `where`; a `ModelError` passes through unchanged."""
+    try:
+        return build(*args)
+    except ModelError:
+        raise
+    except (SuperGeometryError, ValueError, TypeError) as exc:
+        raise ModelError(f"{where}: {exc}") from exc
+
+
 def _section(data: Mapping, key: str, where: str, kind: type = dict):
     """The object under `key` ({} if absent), or with `kind=list` the array
     ([] if absent), else a `ModelError`."""
@@ -231,11 +240,8 @@ def _build_ic(name: str, raw: Mapping, sig: ChartSignature,
                 for n, v in _section(raw, "position", where).items()}
     velocity = {n: grassmann_value(v, L, f"{where}.velocity.{n}")
                 for n, v in _section(raw, "velocity", where).items()}
-    try:
-        return InitialCondition(
-            L, SuperPoint(sig, L, sig.graded(L, position, "position")), velocity)
-    except SuperGeometryError as exc:
-        raise ModelError(f"{where}: {exc}") from exc
+    return decoded(where, lambda: InitialCondition(
+        L, SuperPoint(sig, L, sig.graded(L, position, "position")), velocity))
 
 
 def load_model(spec: str | Path) -> ModelFile:
@@ -256,19 +262,15 @@ def load_model(spec: str | Path) -> ModelFile:
     _require(data, "signature", name)
     sig_raw = _section(data, "signature", where)
     sig_where = f"{where}: signature"
-    try:
-        sig = ChartSignature(_section(sig_raw, "even", sig_where, list),
-                             _section(sig_raw, "odd", sig_where, list))
-    except (ValueError, TypeError) as exc:
-        raise ModelError(f"model {name!r}: bad signature: {exc}") from exc
+    sig = decoded(f"{where}: bad signature", ChartSignature,
+                  _section(sig_raw, "even", sig_where, list),
+                  _section(sig_raw, "odd", sig_where, list))
 
     metric_raw = _require(data, "metric", name)
     domain = {k: _bounds(v, f"{where}: domain.{k}")
               for k, v in _section(data, "domain", where).items()}
-    try:
-        chart = MetricChart(sig, metric_raw, domain, name=name)
-    except (SuperGeometryError, ValueError, TypeError) as exc:
-        raise ModelError(f"model {name!r}: bad metric: {exc}") from exc
+    chart = decoded(f"{where}: bad metric", MetricChart, sig, metric_raw,
+                    domain, name)
 
     L = _generator_count(data.get("L", 0), f"{where}: L")
     ics_raw = _section(data, "initial_conditions", where)
@@ -282,11 +284,8 @@ def load_model(spec: str | Path) -> ModelFile:
         m_where = f"morphisms[{m_name!r}]"
         m_raw = _section(ms_raw, m_name, "morphisms")
         _require(m_raw, "pullbacks", m_where)
-        pullbacks = _section(m_raw, "pullbacks", m_where)
-        try:
-            morphisms[m_name] = SuperMorphism(sig, sig, pullbacks)
-        except SuperGeometryError as exc:
-            raise ModelError(f"{m_where}: {exc}") from exc
+        morphisms[m_name] = decoded(m_where, SuperMorphism, sig, sig,
+                                    _section(m_raw, "pullbacks", m_where))
 
     defaults = {"dt": 1e-3, "t_end": 1.0}
     for k, v in _section(data, "defaults", where).items():

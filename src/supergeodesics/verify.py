@@ -71,7 +71,7 @@ from .cotangent import (
     phase_from_ic,
     roundtrip_check,
 )
-from .errors import ModelError, SuperGeometryError
+from .errors import ModelError
 from .expmap import (
     ExpCheck,
     ExpTable,
@@ -98,7 +98,7 @@ from .geometry import BodyGeometry, MetricChart, SuperPoint, _chunks, \
     _last_axes, metric_validate, reduce_body
 from .grassmann import GrassmannElement, batched_mul, dim, mask_parity
 from .jobs import Jobs
-from .model import ModelFile, _section, grassmann_value
+from .model import ModelFile, _section, decoded, grassmann_value
 from .superexpr import ChartSignature, SuperMorphism
 
 SUITES = ("metric", "geodesic", "flow", "exp", "isometry")
@@ -182,10 +182,7 @@ def vector_from_spec(raw, sig: ChartSignature, L: int, base,
     if not isinstance(raw, dict):
         raise ModelError(f"{where}: expected an object, got {raw!r}")
     vec = {n: grassmann_value(v, L, f"{where}.{n}") for n, v in raw.items()}
-    try:
-        return TangentFiberPoint(sig, L, base, vec)
-    except SuperGeometryError as exc:
-        raise ModelError(f"{where}: {exc}") from exc
+    return decoded(where, TangentFiberPoint, sig, L, base, vec)
 
 
 class Fixtures:
@@ -222,8 +219,8 @@ class Fixtures:
                                    for off in (-0.2, -0.1, 0.0, 0.1, 0.2)]
         self.exp_points = [_body_point(chart, p, f"{key['exp_points']}[{i}]")
                            for i, p in enumerate(lists["exp_points"])]
-        L = max(model.L, 1) if sig.n_odd else model.L
-        self.vectors = [vector_from_spec(v, sig, L, self.base,
+        self.L = max(model.L, 1) if sig.n_odd else model.L
+        self.vectors = [vector_from_spec(v, sig, self.L, self.base,
                                          f"verify.vectors[{i}]")
                         for i, v in enumerate(lists["vectors"])]
         self.isometries = lists["isometries"]
@@ -252,10 +249,9 @@ class Fixtures:
     @cached_property
     def isometry(self) -> dict[str, Check]:
         """The isometry condition check of every morphism listed under
-        `isometries` or `negative_controls`, at probe points around the base
-        point; the gate of its naturality check."""
-        L = self.vectors[0].L if self.vectors else max(self.model.L, 1)
-        probes = probe_points(self.chart, self.base, L)
+        `isometries` or `negative_controls`, probed for the rows' `L` around
+        the base point; the gate of its naturality check."""
+        probes = probe_points(self.chart, self.base, self.L)
         return {name: self.bounded(
                     f"isometry_condition[{name}]",
                     isometry_check(self.chart, self.chart,
