@@ -246,16 +246,20 @@ class ExpCheck:
 # ---------------------------------------------------------------------------
 # tangent maps of morphisms
 
-_FIBER_PREFIX = "v_"  # the fiber coordinate of q on a doubled chart: v_q
+def fiber_names(sig: ChartSignature) -> dict[str, str]:
+    """The fiber coordinate of each coordinate q on the doubled chart: v_q,
+    or with the first of the prefixes vv_, vvv_, ... whose names all miss
+    the coordinates of `sig`."""
+    prefix = "v_"
+    while any(prefix + n in sig.names for n in sig.names):
+        prefix = "v" + prefix
+    return {n: prefix + n for n in sig.names}
 
 
 def tangent_signature(sig: ChartSignature) -> ChartSignature:
-    fiber_even = tuple(_FIBER_PREFIX + n for n in sig.even_names)
-    fiber_odd = tuple(_FIBER_PREFIX + n for n in sig.odd_names)
-    clash = (set(fiber_even) | set(fiber_odd)) & set(sig.names)
-    if clash:
-        raise ValueError(f"fiber names collide with coordinates: {sorted(clash)}")
-    return ChartSignature(sig.even_names + fiber_even, sig.odd_names + fiber_odd)
+    fiber = fiber_names(sig)
+    return ChartSignature(sig.even_names + tuple(map(fiber.get, sig.even_names)),
+                          sig.odd_names + tuple(map(fiber.get, sig.odd_names)))
 
 
 def tangent_map(phi: SuperMorphism) -> SuperMorphism:
@@ -266,14 +270,15 @@ def tangent_map(phi: SuperMorphism) -> SuperMorphism:
     """
     src_t = tangent_signature(phi.source)
     tgt_t = tangent_signature(phi.target)
+    src_v, tgt_v = fiber_names(phi.source), fiber_names(phi.target)
     pullbacks: dict[str, Expr] = {}
     for name in phi.target.names:
         pullbacks[name] = phi.pullbacks[name]
         terms = []
         for qi in phi.source.names:
             d = partial_derivative(phi.pullbacks[name], qi, phi.source)
-            terms.append(mul(src_t.variable(_FIBER_PREFIX + qi), d))
-        pullbacks[_FIBER_PREFIX + name] = add(*terms)
+            terms.append(mul(src_t.variable(src_v[qi]), d))
+        pullbacks[tgt_v[name]] = add(*terms)
     return SuperMorphism(src_t, tgt_t, pullbacks)
 
 
@@ -286,18 +291,18 @@ def tangent_map_matrix(phi: SuperMorphism, q) -> np.ndarray:
     """
     tphi = tangent_map(phi)
     src, tgt = phi.source, phi.target
+    src_v, tgt_v = fiber_names(src), fiber_names(tgt)
     mat = np.zeros((src.dimension, tgt.dimension))
     q_arr = np.asarray(q, dtype=float).reshape(-1)
     for i, qi in enumerate(src.names):
         odd_dir = src.parity_of(qi) == 1
         L = 1 if odd_dir else 0
         values = dict(SuperPoint.body_point(src, L, q_arr).values)
-        values.update({_FIBER_PREFIX + name: GrassmannElement.zero(L)
-                       for name in src.names})
-        values[_FIBER_PREFIX + qi] = (GrassmannElement.generator(0, 1) if odd_dir
-                                      else GrassmannElement.from_scalar(1.0, 0))
+        values.update({v: GrassmannElement.zero(L) for v in src_v.values()})
+        values[src_v[qi]] = (GrassmannElement.generator(0, 1) if odd_dir
+                             else GrassmannElement.from_scalar(1.0, 0))
         for j, qj in enumerate(tgt.names):
-            out = evaluate(tphi.pullbacks[_FIBER_PREFIX + qj], values, L)
+            out = evaluate(tphi.pullbacks[tgt_v[qj]], values, L)
             mat[i, j] = out.coeffs[1] if odd_dir else out.body
     return mat
 

@@ -215,8 +215,16 @@ def _record(cls, chart: MetricChart, L: int, t_end: float, dt: float,
 
 
 # what a stage may raise: a function evaluated outside its domain, or a
-# floating-point overflow (math.exp, or numpy under np.errstate(raise))
+# floating-point overflow (math.exp, or numpy under `_raising`)
 _STAGE_ERRORS = (DomainError, OverflowError, FloatingPointError)
+
+
+def _raising() -> np.errstate:
+    """The numpy error state of a graded step: each floating-point error
+    that numpy would warn of (by default overflow, invalid and divide)
+    raises `FloatingPointError` instead; a caller's other setting stands."""
+    return np.errstate(**{k: "raise" for k, v in np.geterr().items()
+                          if v == "warn"})
 
 
 def _stage_error(exc: Exception, t: float) -> SuperGeometryError:
@@ -256,18 +264,19 @@ def _rk4(rhs, state: np.ndarray, h: float, steps: int, chart: MetricChart,
     half, sixth = 0.5 * h, h / 6.0
     s = 0
     try:
-        for s in range(steps):
-            k1 = rhs(state)
-            k2 = rhs(state + half * k1)
-            k3 = rhs(state + half * k2)
-            k4 = rhs(state + h * k3)
-            state = state + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not np.isfinite(state).all():
-                raise IntegrationFailure(
-                    f"the step from t={s * h:g} produced a non-finite state")
-            chart.check_state(state, (s + 1) * h)
-            if record is not None:
-                samples[s + 1], k1s[s] = state[record], k1[record]
+        with _raising():
+            for s in range(steps):
+                k1 = rhs(state)
+                k2 = rhs(state + half * k1)
+                k3 = rhs(state + half * k2)
+                k4 = rhs(state + h * k3)
+                state = state + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                if not np.isfinite(state).all():
+                    raise IntegrationFailure(
+                        f"the step from t={s * h:g} produced a non-finite state")
+                chart.check_state(state, (s + 1) * h)
+                if record is not None:
+                    samples[s + 1], k1s[s] = state[record], k1[record]
     except _STAGE_ERRORS as exc:
         raise _stage_error(exc, s * h) from exc
     return state, samples, k1s
@@ -341,7 +350,8 @@ def integrate_goertsches(chart: MetricChart, ic: InitialCondition,
         chart, (ic.position, ic.velocity_array()[:m]),
         lambda kern, st: _goertsches_rhs(kern, m, st), t_end, dt)
     try:
-        k1_end = _goertsches_rhs(chart.kernel(ic.L), m, final)
+        with _raising():
+            k1_end = _goertsches_rhs(chart.kernel(ic.L), m, final)
     except _STAGE_ERRORS as exc:
         raise _stage_error(exc, (steps - 1) * h) from exc
     # the odd velocities after the even ones, in signature order

@@ -179,6 +179,14 @@ def _finite(raw, where: str, least: float = -math.inf,
     return float(raw)
 
 
+def _name(raw, where: str) -> str:
+    """A name in a model file: a JSON string, else a `ModelError` naming
+    `where`."""
+    if not isinstance(raw, str):
+        raise ModelError(f"{where}: expected a name, got {raw!r}")
+    return raw
+
+
 def _generator_count(raw, where: str) -> int:
     if isinstance(raw, bool) or not isinstance(raw, int) \
             or not 0 <= raw <= MAX_GENERATORS:
@@ -256,7 +264,7 @@ def load_model(spec: str | Path) -> ModelFile:
     version = data.get("schema_version", SCHEMA_VERSION)
     if version != SCHEMA_VERSION:
         raise ModelError(f"model {name!r}: unsupported schema_version {version}")
-    name = data.get("name", name)
+    name = _name(data.get("name", name), f"model {name!r}: name")
     where = f"model {name!r}"
 
     _require(data, "signature", name)

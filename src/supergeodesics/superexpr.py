@@ -466,7 +466,7 @@ FUNCTIONS: dict[str, _Function] = {
 def as_expr(x) -> Expr:
     if isinstance(x, Expr):
         return x
-    if isinstance(x, (int, float)):
+    if isinstance(x, (int, float)) and not isinstance(x, bool):
         return Const(float(x))
     raise TypeError(f"cannot treat {x!r} as an expression")
 

@@ -98,7 +98,8 @@ from .geometry import BodyGeometry, MetricChart, SuperPoint, _chunks, \
     _last_axes, metric_validate, reduce_body
 from .grassmann import GrassmannElement, batched_mul, dim, mask_parity
 from .jobs import Jobs
-from .model import ModelFile, _section, decoded, grassmann_value
+from .model import ModelFile, _finite, _name, _section, decoded, \
+    grassmann_value
 from .superexpr import ChartSignature, SuperMorphism
 
 SUITES = ("metric", "geodesic", "flow", "exp", "isometry")
@@ -163,13 +164,14 @@ def random_superpoint(chart: MetricChart, L: int,
 
 
 def _body_point(chart: MetricChart, value, key: str) -> np.ndarray:
-    """`value` as a body point of `chart`, or a `ModelError` naming `key`."""
+    """`value` as a body point of `chart`, a list of numbers of the model
+    rule (`model._finite`), or a `ModelError` naming `key`."""
     try:
-        q = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
+        q = np.array([_finite(v, key) for v in value]
+                     if isinstance(value, list) else [])
+    except ModelError:
         q = np.empty(0)
-    if (q.shape != (chart.sig.n_even,) or not np.isfinite(q).all()
-            or not chart.domain_contains(q)):
+    if q.shape != (chart.sig.n_even,) or not chart.domain_contains(q):
         raise ModelError(f"{key} {value!r} is not a body point: it needs "
                          f"{chart.sig.n_even} finite coordinates strictly "
                          "inside the chart domain")
@@ -200,7 +202,7 @@ class Fixtures:
         self.suites = frozenset(suites)
         self.overrides = overrides or {}
         self.jobs = Jobs()
-        name = cfg.get("ic")
+        name = _name(cfg.get("ic", ""), "verify.ic")
         self.ic: InitialCondition | None = (
             model.initial_condition(name) if name
             else next(iter(model.initial_conditions.values()), None))
@@ -223,9 +225,9 @@ class Fixtures:
         self.vectors = [vector_from_spec(v, sig, self.L, self.base,
                                          f"verify.vectors[{i}]")
                         for i, v in enumerate(lists["vectors"])]
-        self.isometries = lists["isometries"]
-        self.negative_controls = lists["negative_controls"]
-        self.point_symmetries = lists["point_symmetries"]
+        self.isometries, self.negative_controls, self.point_symmetries = (
+            [_name(v, f"verify.{k}[{i}]") for i, v in enumerate(lists[k])]
+            for k in ("isometries", "negative_controls", "point_symmetries"))
 
     def tol(self, key: str) -> float:
         return self.model.tolerance(key, self.overrides)

@@ -7,7 +7,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from supergeodesics import expmap, geodesics, verify
+from supergeodesics import cli, errors, expmap, geodesics, verify
 from supergeodesics.cli import main
 from supergeodesics.model import load_model
 from supergeodesics.superexpr import _MAX_EXPONENT, _MAX_NESTING
@@ -919,3 +919,139 @@ class TestStrictJson:
         code, out, _ = run(capsys, *argv)
         assert code == 0
         strict_json(out)
+
+
+# A 1|2 chart whose metric has a term in th1*th2, which vanishes at every
+# point over one generator: only probes over two generators see that the
+# shift x -> x + 0.1 is no isometry (deviation 0.012 at x = 0.09).
+ODD_PRODUCT_CHART = {
+    "schema_version": 1,
+    "name": "odd_product",
+    "signature": {"even": ["x"], "odd": ["th1", "th2"]},
+    "metric": [["1 + x*th1*th2", "0", "0"], ["0", "0", "1"], ["0", "-1", "0"]],
+    "domain": {"x": [-1, 1]},
+    "L": 1,
+    "initial_conditions": {
+        "run": {"position": {"x": 0.0}, "velocity": {"x": 0.1}}},
+    "morphisms": {"shift": {"pullbacks": {"x": "x + 0.1", "th1": "th1",
+                                          "th2": "th2"}}},
+    "verify": {"isometries": ["shift"]},
+}
+
+# a flat 2|0 chart with a coordinate named like the fiber of the other
+FIBER_NAMED_CHART = {
+    "schema_version": 1,
+    "name": "fiber_named",
+    "signature": {"even": ["x", "v_x"], "odd": []},
+    "metric": [["1", "0"], ["0", "1"]],
+    "domain": {"x": [-5, 5], "v_x": [-5, 5]},
+    "morphisms": {"swap": {"pullbacks": {"x": "v_x", "v_x": "x"}}},
+}
+
+
+def c1x_with(*path_value):
+    """c1x_r12 with the value at each (key, ..., value) path replaced."""
+    doc = bundled_doc("c1x_r12")
+    for *keys, value in path_value:
+        node = doc
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = value
+    return doc
+
+
+class TestOneErrorLine:
+    # (model, argv after the model, exit code, text of the error line, or
+    # of stdout when the code is 0 or 1)
+    @pytest.mark.parametrize("doc, argv, code, text", [
+        (c1x_with(("verify", "point_symmetries", [[1]])), ("verify",), 2,
+         "verify.point_symmetries[0]: expected a name, got [1]"),
+        (c1x_with(("verify", "negative_controls", [{"a": 1}])), ("verify",), 2,
+         "verify.negative_controls[0]: expected a name, got {'a': 1}"),
+        (c1x_with(("verify", "ic", [1])), ("verify",), 2,
+         "verify.ic: expected a name, got [1]"),
+        (c1x_with(("name", 5)), ("verify",), 2,
+         "model 'model': name: expected a name, got 5"),
+        (c1x_with(("name", None)), ("verify",), 2,
+         "name: expected a name, got None"),
+        (c1x_with(("name", ["a"])), ("verify",), 2,
+         "name: expected a name, got ['a']"),
+        (c1x_with(("metric", 0, 0, True)), ("christoffel", "--point", "x=0"),
+         2, "bad metric: cannot treat True as an expression"),
+        (c1x_with(("morphisms", "odd_scaling", "pullbacks", "x", True)),
+         ("christoffel", "--point", "x=0"), 2,
+         "morphisms['odd_scaling']: cannot treat True as an expression"),
+        (c1x_with(("morphisms", "odd_scaling", "pullbacks", "x", [1])),
+         ("christoffel", "--point", "x=0"), 2,
+         "morphisms['odd_scaling']: cannot treat [1] as an expression"),
+        (c1x_with(("verify", "exp_points", [["0.1"]])),
+         ("verify", "--suite", "exp"), 2,
+         "verify.exp_points[0] ['0.1'] is not a body point"),
+        (c1x_with(("verify", "exp_points", [[True]])),
+         ("verify", "--suite", "exp"), 2,
+         "verify.exp_points[0] [True] is not a body point"),
+        (c1x_with(("initial_conditions", "run", "velocity", "x", 1e200)),
+         ("geodesic", "--ic", "run"), 3,
+         "the step from t=0 failed: FloatingPointError: overflow"),
+        (FIBER_NAMED_CHART, ("verify", "--suite", "exp"), 0,
+         '"name": "tangent_map_agreement",\n        "passed": true'),
+        (ODD_PRODUCT_CHART, ("verify", "--suite", "isometry"), 1,
+         '"name": "isometry_condition[shift]",\n        "passed": false,\n'
+         '        "max_deviation": 0.012,'),
+    ], ids=["point_symmetry", "negative_control", "ic", "name_number",
+            "name_null", "name_list", "metric_bool", "pullback_bool",
+            "pullback_list", "exp_point_string", "exp_point_bool",
+            "stage_overflow", "fiber_named_coordinate", "isometry_at_L1"])
+    def test_bad_input(self, capsys, tmp_path, doc, argv, code, text):
+        model = write_model(tmp_path, "model", doc)
+        got, out, err = run(capsys, argv[0], "--model", model, *argv[1:])
+        assert got == code
+        assert err.count("error:") == (code > 1) and err.count("\n") == \
+            (code > 1)
+        assert "Traceback" not in err and "Warning" not in err
+        assert text in (err if code > 1 else out)
+
+
+ERROR_TYPES = [cls for cls in vars(errors).values() if isinstance(cls, type)
+               and issubclass(cls, errors.SuperGeometryError)]
+
+
+@pytest.mark.parametrize("error", ERROR_TYPES, ids=lambda cls: cls.__name__)
+def test_exit_code_declared_by_the_error(capsys, monkeypatch, error):
+    # exit 3 on a failed integration, else 2, for every command
+    failed = {errors.LeftDomain, errors.IntegrationFailure, errors.SingularBody}
+    assert error.exit_code == (3 if error in failed else 2)
+
+    def fail(args):
+        raise error("the message")
+
+    for command, argv in [("christoffel", ()), ("geodesic", ("--ic", "run")),
+                          ("flow", ("--ic", "run")), ("exp", ()),
+                          ("verify", ())]:
+        monkeypatch.setattr(cli, f"cmd_{command}", fail)
+        got, out, err = run(capsys, command, "--model", "c1x_r12", *argv)
+        assert (got, out, err) == (error.exit_code, "", "error: the message\n")
+
+
+@pytest.mark.parametrize("name", ["c1x_r12", "diag_x2", "flat_r12",
+                                  "flat_r22", "odd_product"])
+def test_isometry_gates_probe_at_one_L(monkeypatch, tmp_path, name):
+    # the isometry checks of verify and the linearization gate decide the
+    # same condition, so they probe it over the same generator count
+    inner, seen = expmap.probe_points, {}
+
+    def spy(caller):
+        def probe(chart, q, L):
+            points = inner(chart, q, L)
+            seen.setdefault(caller, set()).update(p.L for p in points)
+            return points
+        return probe
+
+    monkeypatch.setattr(verify, "probe_points", spy("isometry"))
+    monkeypatch.setattr(expmap, "probe_points", spy("linearization"))
+    model = (write_model(tmp_path, name, ODD_PRODUCT_CHART)
+             if name == "odd_product" else name)
+    fx = Fixtures(load_model(model), ("isometry",))
+    fx.isometry, fx.checks
+    assert len(seen["isometry"]) == 1
+    assert seen["isometry"] == seen["linearization"]

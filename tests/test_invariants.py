@@ -63,6 +63,12 @@ def test_geodesic_keeps_parity(c1x_r12, curved_r22, L, goertsches, seed,
 @given(rows=st.lists(st.integers(2, 9), min_size=2, max_size=5),
        inner=st.sampled_from([(), (1,), (3,), (2, 2)]), seed=seeds)
 def test_stacked_products_keep_their_bits(L, rows, inner, seed):
+    """The rows of a batched product of M >= 2 rows have the same bits for
+    every M.  This holds for the gemm of OpenBLAS's SkylakeX kernel family
+    (OpenBLAS 0.3.31 as numpy 2.4.6 bundles it), not for every BLAS: under
+    `OPENBLAS_CORETYPE=Haswell` it fails at L = 2 and 3, where a product is
+    a BLAS call.  A failure on another host may be that kernel difference,
+    not a regression."""
     rng = np.random.default_rng(seed)
     pairs = [(rng.uniform(-1.0, 1.0, (M, *inner, dim(L))),
               rng.uniform(-1.0, 1.0, (M, *inner, dim(L)))) for M in rows]

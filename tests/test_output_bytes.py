@@ -12,10 +12,14 @@ inline or in forked workers.  Only this report shows the
 classical oracles, the body geometry and every check's deviation, so a
 change to any of them that moves a bit fails here.
 
-The digests were recorded with numpy 2.4.6 on scipy-openblas (OpenBLAS
-0.3.31, DYNAMIC_ARCH, Haswell kernels), single- and two-threaded.  Another
-BLAS build may associate a product's sums differently; re-record them there
-only from a commit whose outputs are trusted.
+The digests hold with numpy 2.4.6 on scipy-openblas (OpenBLAS 0.3.31,
+DYNAMIC_ARCH) when OpenBLAS picks its SkylakeX kernel family at run time
+(`scipy_openblas_get_corename64_` in numpy's bundled library names it),
+single- and two-threaded.  Another kernel family may associate a product's
+sums differently: under `OPENBLAS_CORETYPE=Sandybridge` the three
+`curved_r22_L6` CSV digests fail.  So a failure on another host may be a
+BLAS kernel difference, not a regression; re-record the digests there only
+from a commit whose outputs are trusted.
 """
 
 import hashlib
