@@ -923,7 +923,7 @@ class TestStrictJson:
 
 # A 1|2 chart whose metric has a term in th1*th2, which vanishes at every
 # point over one generator: only probes over two generators see that the
-# shift x -> x + 0.1 is no isometry (deviation 0.012 at x = 0.09).
+# shift x -> x + 0.1 is no isometry (deviation 0.012).
 ODD_PRODUCT_CHART = {
     "schema_version": 1,
     "name": "odd_product",
@@ -949,14 +949,13 @@ FIBER_NAMED_CHART = {
 }
 
 
-def c1x_with(*path_value):
-    """c1x_r12 with the value at each (key, ..., value) path replaced."""
+def c1x_with(*keys, value):
+    """c1x_r12 with `value` at the path `keys`."""
     doc = bundled_doc("c1x_r12")
-    for *keys, value in path_value:
-        node = doc
-        for key in keys[:-1]:
-            node = node[key]
-        node[keys[-1]] = value
+    node = doc
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = value
     return doc
 
 
@@ -964,33 +963,35 @@ class TestOneErrorLine:
     # (model, argv after the model, exit code, text of the error line, or
     # of stdout when the code is 0 or 1)
     @pytest.mark.parametrize("doc, argv, code, text", [
-        (c1x_with(("verify", "point_symmetries", [[1]])), ("verify",), 2,
+        (c1x_with("verify", "point_symmetries", value=[[1]]), ("verify",), 2,
          "verify.point_symmetries[0]: expected a name, got [1]"),
-        (c1x_with(("verify", "negative_controls", [{"a": 1}])), ("verify",), 2,
+        (c1x_with("verify", "negative_controls", value=[{"a": 1}]),
+         ("verify",), 2,
          "verify.negative_controls[0]: expected a name, got {'a': 1}"),
-        (c1x_with(("verify", "ic", [1])), ("verify",), 2,
+        (c1x_with("verify", "ic", value=[1]), ("verify",), 2,
          "verify.ic: expected a name, got [1]"),
-        (c1x_with(("name", 5)), ("verify",), 2,
+        (c1x_with("name", value=5), ("verify",), 2,
          "model 'model': name: expected a name, got 5"),
-        (c1x_with(("name", None)), ("verify",), 2,
+        (c1x_with("name", value=None), ("verify",), 2,
          "name: expected a name, got None"),
-        (c1x_with(("name", ["a"])), ("verify",), 2,
+        (c1x_with("name", value=["a"]), ("verify",), 2,
          "name: expected a name, got ['a']"),
-        (c1x_with(("metric", 0, 0, True)), ("christoffel", "--point", "x=0"),
-         2, "bad metric: cannot treat True as an expression"),
-        (c1x_with(("morphisms", "odd_scaling", "pullbacks", "x", True)),
+        (c1x_with("metric", 0, 0, value=True),
+         ("christoffel", "--point", "x=0"), 2,
+         "bad metric: cannot treat True as an expression"),
+        (c1x_with("morphisms", "odd_scaling", "pullbacks", "x", value=True),
          ("christoffel", "--point", "x=0"), 2,
          "morphisms['odd_scaling']: cannot treat True as an expression"),
-        (c1x_with(("morphisms", "odd_scaling", "pullbacks", "x", [1])),
+        (c1x_with("morphisms", "odd_scaling", "pullbacks", "x", value=[1]),
          ("christoffel", "--point", "x=0"), 2,
          "morphisms['odd_scaling']: cannot treat [1] as an expression"),
-        (c1x_with(("verify", "exp_points", [["0.1"]])),
+        (c1x_with("verify", "exp_points", value=[["0.1"]]),
          ("verify", "--suite", "exp"), 2,
          "verify.exp_points[0] ['0.1'] is not a body point"),
-        (c1x_with(("verify", "exp_points", [[True]])),
+        (c1x_with("verify", "exp_points", value=[[True]]),
          ("verify", "--suite", "exp"), 2,
          "verify.exp_points[0] [True] is not a body point"),
-        (c1x_with(("initial_conditions", "run", "velocity", "x", 1e200)),
+        (c1x_with("initial_conditions", "run", "velocity", "x", value=1e200),
          ("geodesic", "--ic", "run"), 3,
          "the step from t=0 failed: FloatingPointError: overflow"),
         (FIBER_NAMED_CHART, ("verify", "--suite", "exp"), 0,
@@ -1006,8 +1007,7 @@ class TestOneErrorLine:
         model = write_model(tmp_path, "model", doc)
         got, out, err = run(capsys, argv[0], "--model", model, *argv[1:])
         assert got == code
-        assert err.count("error:") == (code > 1) and err.count("\n") == \
-            (code > 1)
+        assert err.count("error:") == err.count("\n") == (1 if code > 1 else 0)
         assert "Traceback" not in err and "Warning" not in err
         assert text in (err if code > 1 else out)
 
@@ -1052,6 +1052,7 @@ def test_isometry_gates_probe_at_one_L(monkeypatch, tmp_path, name):
     model = (write_model(tmp_path, name, ODD_PRODUCT_CHART)
              if name == "odd_product" else name)
     fx = Fixtures(load_model(model), ("isometry",))
-    fx.isometry, fx.checks
+    fx.isometry  # probes for the isometry checks
+    fx.checks  # and for each linearization gate
     assert len(seen["isometry"]) == 1
     assert seen["isometry"] == seen["linearization"]
