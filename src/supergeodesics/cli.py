@@ -17,7 +17,7 @@ import json
 import os
 import sys
 import tempfile
-from functools import partial
+from functools import lru_cache, partial
 from itertools import product
 from pathlib import Path
 
@@ -241,7 +241,11 @@ def cmd_verify(args) -> int:
 # entry point
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing keeps no
+    state in it, and every call of `main` gets a namespace of its own.
+    `main` runs the handler `cmd_<command>` it finds in this module then."""
     parser = argparse.ArgumentParser(
         prog="supergeodesics",
         description="Supergeodesics, the geodesic flow and the exponential "
@@ -263,7 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--ic", help="use the position of a named initial condition")
     sp.add_argument("--tol", type=_nonnegative, default=1e-12,
                     help="threshold below which entries count as zero")
-    sp.set_defaults(func=cmd_christoffel)
 
     sp = sub.add_parser("geodesic", help="integrate a supergeodesic to CSV")
     common(sp, ic_required=True)
@@ -271,14 +274,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--t-end", dest="t_end", type=_positive, default=None)
     sp.add_argument("--dt", type=_positive, default=None)
     sp.add_argument("--out", help="output CSV path (stdout if omitted)")
-    sp.set_defaults(func=cmd_geodesic)
 
     sp = sub.add_parser("flow", help="integrate the cotangent flow to CSV")
     common(sp, ic_required=True)
     sp.add_argument("--t-end", dest="t_end", type=_positive, default=None)
     sp.add_argument("--dt", type=_positive, default=None)
     sp.add_argument("--out", help="output CSV path (stdout if omitted)")
-    sp.set_defaults(func=cmd_flow)
 
     sp = sub.add_parser("exp", help="Jacobian check of the exponential map")
     common(sp)
@@ -288,7 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="finite-difference step for even directions")
     sp.add_argument("--dt", type=_positive, default=None)
     sp.add_argument("--out", help="output JSON path (stdout if omitted)")
-    sp.set_defaults(func=cmd_exp)
 
     sp = sub.add_parser("verify", help="run verification suites to JSON")
     common(sp)
@@ -298,7 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--tol", action="append", metavar="NAME=VALUE",
                     help="override a tolerance (repeatable)")
     sp.add_argument("--out", help="output JSON path (stdout if omitted)")
-    sp.set_defaults(func=cmd_verify)
 
     return parser
 
@@ -309,7 +308,7 @@ def main(argv=None) -> int:
     if getattr(args, "suite", None) is None and args.command == "verify":
         args.suite = ["all"]
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except SuperGeometryError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

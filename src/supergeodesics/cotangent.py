@@ -27,7 +27,8 @@ import numpy as np
 
 from .geodesics import InitialCondition, Trajectory, _record, _run, _Samples
 from .geometry import MetricChart, SuperPoint, _chunks, _Kernel
-from .grassmann import GrassmannElement, _Frozen, batched_mul, mask_parity
+from .grassmann import GrassmannElement, Prepared, _Frozen, batched_mul, \
+    mask_parity, prepare
 
 
 # ---------------------------------------------------------------------------
@@ -88,6 +89,7 @@ def energy_at(chart: MetricChart, s: PhasePoint) -> GrassmannElement:
 def _xh(kern: _Kernel, pos: np.ndarray, mom: np.ndarray):
     """Component equations of the Hamiltonian field at a phase point."""
     ginv, dG = kern.fields(pos)
+    ginv = prepare(ginv, kern.L)  # the right factor of qdot and of dginv
     qdot = _sharp_arrays(kern, ginv, mom)  # dq_i = sum_j p_j * g^{ji}
     if kern.is_flat:
         return qdot, np.zeros_like(mom)
@@ -154,7 +156,8 @@ def _flat_arrays(kern: _Kernel, pos: np.ndarray, vel: np.ndarray) -> np.ndarray:
     return t.sum(axis=-3)
 
 
-def _sharp_arrays(kern: _Kernel, ginv: np.ndarray, mom: np.ndarray) -> np.ndarray:
+def _sharp_arrays(kern: _Kernel, ginv: np.ndarray | Prepared,
+                  mom: np.ndarray) -> np.ndarray:
     t = batched_mul(mom[..., :, None, :], ginv, kern.L)  # [j,i] = p_j g^{ji}
     return t.sum(axis=-3)
 

@@ -41,7 +41,7 @@ from .errors import SignatureMismatch
 from .geodesics import InitialCondition, Trajectory, _paper_rhs, _record, \
     _run, integrate_geodesic
 from .geometry import MetricChart, SuperPoint, _chunks
-from .grassmann import GrassmannElement, _Frozen, dim
+from .grassmann import MAX_GENERATORS, GrassmannElement, _Frozen, dim
 from .jobs import Jobs
 from .model import TOLERANCES
 from .superexpr import (
@@ -468,10 +468,11 @@ _PROBE_OFFSETS = (0.0, 0.09, -0.07)  # body offsets from the body point
 def probe_points(chart: MetricChart, q, L: int) -> list[SuperPoint]:
     """Deterministic sample points near a body point, with soul content, that
     probe the isometry condition for exp rows over L generators: over
-    max(L, min(n_odd, 2)) generators, so that a metric term in a product of
-    two odd coordinates, zero over one generator, is seen."""
+    max(L, n_odd) generators, at most `MAX_GENERATORS`, so that odd
+    coordinate a gets generator a of its own and a metric term in a product
+    of two odd coordinates, zero where they share a generator, is seen."""
     sig = chart.sig
-    L = max(L, min(sig.n_odd, 2))
+    L = min(max(L, sig.n_odd), MAX_GENERATORS)
     q_arr = np.asarray(q, dtype=float).reshape(-1)
     points = []
     for idx, off in enumerate(_PROBE_OFFSETS):

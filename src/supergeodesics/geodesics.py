@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -316,6 +316,15 @@ def integrate_geodesic(chart: MetricChart, ic: InitialCondition,
                    mode="paper")
 
 
+@lru_cache(maxsize=None)
+def _goertsches_blocks(m: int, n: int) -> tuple:
+    """The blocks of Gamma[k, i, j] that Goertsches mode reads, as (k, i, j)
+    slices: [even, even, even], then [odd, even, odd] if there are odd
+    coordinates."""
+    even, odd = slice(None, m), slice(m, None)
+    return ((even, even, even),) + (((odd, even, odd),) if m < n else ())
+
+
 def _goertsches_rhs(kern: _Kernel, m: int, st: np.ndarray) -> np.ndarray:
     """d/dt of the Goertsches state (pos, vel_even): mixed 2nd/1st order."""
     n = kern.n
@@ -324,14 +333,13 @@ def _goertsches_rhs(kern: _Kernel, m: int, st: np.ndarray) -> np.ndarray:
     out[..., :m, :] = vel_even
     if kern.is_flat:
         return out
-    gamma = kern.christoffel(pos)
+    gamma = kern.christoffel(pos, _goertsches_blocks(m, n))
     # even: f_k'' = -sum_{i,j even} f_i' * f_j' * Gamma^k_ji
-    out[..., n:, :] = -_connection(kern, gamma[..., :m, :m, :m, :],
-                                   vel_even, vel_even)
+    out[..., n:, :] = -_connection(kern, gamma[0], vel_even, vel_even)
     # odd: o_d' = -sum_{i even, b odd} o_b * f_i' * Gamma^d_ib
     if m < n:
-        out[..., m:n, :] = -_connection(kern, gamma[..., m:, :m, m:, :],
-                                        pos[..., m:, :], vel_even)
+        out[..., m:n, :] = -_connection(kern, gamma[1], pos[..., m:, :],
+                                        vel_even)
     return out
 
 

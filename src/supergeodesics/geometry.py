@@ -12,6 +12,18 @@ Christoffel symbols are evaluated pointwise:
 
 with the factor order exactly as written.
 
+Structural zeros: a partial d_a g_ij whose expression is a constant zero
+vanishes at every point, and so does a bracket entry [i,j,l] made only of
+such partials.  `_Kernel` records once which of them can be nonzero.  Above
+`grassmann._TENSOR_MAX` the Christoffel contraction and the first product
+of `_Kernel.dginv` multiply only the rows that can be nonzero, and leave
++0.0 in the rows they skip, in front of the same sum.  A skipped row is an
+exact zero, and adding a zero changes no nonzero bit of a sum, only, at
+most, the sign of a coefficient that is zero anyway; the RK4 state absorbs
+that sign, since +0 + -0 = +0.  At or below the cutoff every row is
+multiplied: the products there are BLAS calls, whose rows keep their bits
+only while their count stays the same.
+
 The chart owns its coordinate box: `check_state` guards the stepper, and
 `window` places the default and random points of `verify`.
 
@@ -38,11 +50,14 @@ import numpy as np
 
 from .errors import DomainError, InvalidPoint, LeftDomain, SingularBody
 from .grassmann import (
+    _TENSOR_MAX,
     GrassmannElement,
     Parity,
+    Prepared,
     _Frozen,
     batched_mul,
     dim,
+    prepare,
     product_temporary,
 )
 from .superexpr import (
@@ -226,9 +241,12 @@ def _last_axes(ndim: int, order: tuple[int, ...]) -> tuple[int, ...]:
 def _chunks(total: int, n: int, D: int) -> Iterator[slice]:
     """Slices of `total` points for batched kernel calls over n coordinates
     and D = 2^L coefficients, sized so that a call's largest temporary, the
-    products of the (rows, n, n, n, n) outer product of a Christoffel
-    contraction, stays near 256 KB (`grassmann.product_temporary`).
-    Slicing changes no bits (module docstring)."""
+    pair products of an (rows, n, n, n, n) product, stays near 256 KB
+    (`grassmann.product_temporary` per product).  That product is the
+    Christoffel contraction, or, where the contraction skips its
+    structurally zero rows (module docstring), the second product of
+    `_Kernel.dginv`, which skips none.  Slicing changes no bits (module
+    docstring)."""
     step = max(1, (1 << 18) // (8 * n ** 4 * product_temporary(D.bit_length() - 1)))
     for start in range(0, total, step):
         yield slice(start, start + step)
@@ -244,7 +262,11 @@ class _Kernel:
     `superexpr.Program`; every evaluation fills G and dG from one full run
     of it, and `fields`, the one source of g^{-1}, inverts that G.  What
     never changes is built here once: the identity of the Neumann series,
-    and the inverse metric or the Christoffel bracket when they are constant.
+    the inverse metric or the Christoffel bracket when they are constant,
+    and the structural-zero plan (module docstring): the bracket entries
+    that can be nonzero, the rows of each Christoffel block that
+    `_block_rows` derives from them, and the rows of `dginv`'s first
+    product.
     """
 
     def __init__(self, chart: MetricChart, L: int):
@@ -289,6 +311,21 @@ class _Kernel:
                         self._dg_const[a, i, j] = eval_dense(e, {}, L)
         self._program = Program(live)
         self.is_flat = not self._dg_live and not self._dg_const.any()
+        # the structural-zero plan: the partials d_a g_ij that can be
+        # nonzero, and the bracket entries [i,j,l] built from them
+        dg_nz = self._dg_const.any(axis=-1)
+        for idx in self._dg_live:
+            dg_nz[idx[1:-1]] = True
+        self._bracket_nz = (dg_nz | dg_nz.transpose(1, 0, 2)
+                            | dg_nz.transpose(1, 2, 0))
+        self._blocks: dict = {}
+        self._table_rows = self._block_rows(slice(None), slice(None))
+        self._dginv_rows = None
+        a, k, b = np.nonzero(dg_nz)
+        if L > _TENSOR_MAX and len(a) < n ** 3:
+            # [r, i] = s3[a_r, i, k_r], the sign of row r = (a, k, b) of the
+            # first product of `dginv`, and where the row goes among (a, kb)
+            self._dginv_rows = (a, k, b, self.s3[a, :, k][..., None], k * n + b)
         self._eye = np.zeros((n, n, self.D))  # the identity matrix
         self._eye[np.arange(n), np.arange(n), 0] = 1.0
         self._ginv_const = self.inverse(self._g_const) if not self._g_live else None
@@ -342,9 +379,9 @@ class _Kernel:
         if self.L and np.count_nonzero(N):
             term = -N
             X = X + term
+            right = prepare(N[..., None, :, :, :], self.L)  # of every term
             for _ in range(self.L - 1):
-                tmp = batched_mul(term[..., :, :, None, :], N[..., None, :, :, :],
-                                  self.L)
+                tmp = batched_mul(term[..., :, :, None, :], right, self.L)
                 term = -tmp.sum(axis=-3)
                 if not np.count_nonzero(term):
                     break
@@ -360,31 +397,100 @@ class _Kernel:
         t3 = dG.transpose(_last_axes(dG.ndim, (1, 2, 0, 3)))  # [i,j,l] <- d_l g_ij
         return dG + self.s1[:, :, None, None] * t2 - self.s2[:, :, :, None] * t3
 
-    def christoffel(self, pos: np.ndarray) -> np.ndarray:
-        """Christoffel table as a (..., n, n, n, 2^L) array indexed [k, i, j]."""
-        if self.is_flat:
-            return np.zeros((self.n, self.n, self.n, self.D))
-        ginv, dG = self.fields(pos)
-        bracket = self._bracket_const
-        if bracket is None:
-            bracket = self._make_bracket(dG)
-        tmp = batched_mul(bracket[..., None, :], ginv[..., None, None, :, :, :],
-                          self.L)
+    def _block_rows(self, i: slice, j: slice):
+        """The skip plan of the Christoffel block over rows `i`, columns `j`:
+        above `_TENSOR_MAX`, the flat indices into its (i, j, l) bracket
+        entries that can be nonzero and the l of each; None where every
+        entry can be nonzero, or at L <= `_TENSOR_MAX`, whose products run
+        as BLAS calls that must keep their row counts."""
+        if self.L <= _TENSOR_MAX:
+            return None
+        key = (i.indices(self.n), j.indices(self.n))
+        if key not in self._blocks:
+            live = self._bracket_nz[i, j, :].reshape(-1)
+            rows = np.flatnonzero(live)
+            self._blocks[key] = (rows, rows % self.n) if len(rows) < len(live) else None
+        return self._blocks[key]
+
+    def _contract(self, b: np.ndarray, g: np.ndarray | Prepared,
+                  plan) -> np.ndarray:
+        """Gamma[k, i, j] = 1/2 sum_l b[i,j,l] * g[l,k] (module docstring)
+        for a block b of the bracket and g of g^{-1}, [k, i, j]-indexed.
+        With a `_block_rows` plan, rows whose bracket entry is a structural
+        zero are not multiplied; they are +0.0 in the table the sum runs
+        over (module docstring)."""
+        if plan is None:
+            tmp = batched_mul(b[..., None, :], g[..., None, None, :, :, :],
+                              self.L)
+        else:
+            rows, ls = plan
+            flat = b.reshape(b.shape[:-4] + (-1, self.D))
+            prod = batched_mul(flat[..., rows, None, :], g[..., ls, :, :],
+                               self.L)
+            tmp = np.zeros(prod.shape[:-3] + (flat.shape[-2],)
+                           + prod.shape[-2:])
+            tmp[..., rows, :, :] = prod
+            tmp = tmp.reshape(prod.shape[:-3] + b.shape[-4:-1]
+                              + prod.shape[-2:])
         gamma = 0.5 * tmp.sum(axis=-3)  # [i,j,k,D]
         return gamma.transpose(_last_axes(gamma.ndim, (2, 0, 1, 3)))
 
-    def dginv(self, ginv: np.ndarray, dG: np.ndarray) -> np.ndarray:
+    def christoffel(self, pos: np.ndarray, blocks=None):
+        """Christoffel table as a (..., n, n, n, 2^L) array indexed [k, i, j];
+        with `blocks`, a sequence of (k, i, j) index slices, the list of
+        those blocks of it instead, from one evaluation of the fields.
+        Above `_TENSOR_MAX` only the blocks are contracted; at or below it
+        the table is contracted whole and sliced, one BLAS call whose rows
+        have the bits of the table's in every other caller."""
+        if self.is_flat:
+            table = np.zeros((self.n, self.n, self.n, self.D))
+        else:
+            ginv, dG = self.fields(pos)
+            bracket = self._bracket_const
+            if bracket is None:
+                bracket = self._make_bracket(dG)
+            ginv = prepare(ginv, self.L)
+            if blocks is not None and self.L > _TENSOR_MAX:
+                return [self._contract(bracket[..., i, j, :, :],
+                                       ginv[..., :, k, :],
+                                       self._block_rows(i, j))
+                        for k, i, j in blocks]
+            table = self._contract(bracket, ginv, self._table_rows)
+        if blocks is None:
+            return table
+        return [table[..., k, i, j, :] for k, i, j in blocks]
+
+    def dginv(self, ginv: np.ndarray | Prepared, dG: np.ndarray) -> np.ndarray:
         """Partials of the inverse metric, [a,i,j] = d_a g^{ij}, from the
-        inverse metric and dG at the same points (`fields`).
+        inverse metric (plain or `Prepared`) and dG at the same points
+        (`fields`).
 
         Obtained by differentiating sum_k g^{ik} g_{kj} = delta_ij:
         d_a g^{ij} = -sum_{k,b} (-1)^{|a|(|i|+|k|)} g^{ik} * d_a(g_kb) * g^{bj}.
+        Above `_TENSOR_MAX` the first product multiplies only the rows whose
+        d_a g_kb can be nonzero (module docstring).
         """
         if self.is_flat:
             return np.zeros((self.n, self.n, self.n, self.D))
-        tmp = batched_mul(ginv[..., None, :, :, None, :],
-                          dG[..., :, None, :, :, :], self.L)
-        step1 = (self.s3[:, :, :, None, None] * tmp).sum(axis=-3)  # [a,i,b,D]
+        if isinstance(ginv, Prepared):
+            g = ginv.coeffs
+        else:
+            g, ginv = ginv, prepare(ginv, self.L)
+        if self._dginv_rows is None:
+            tmp = batched_mul(g[..., None, :, :, None, :],
+                              dG[..., :, None, :, :, :], self.L)
+            tmp = self.s3[:, :, :, None, None] * tmp  # [a,i,k,b,D]
+        else:
+            a, k, b, sign, kb = self._dginv_rows
+            prod = batched_mul(g.swapaxes(-3, -2)[..., k, :, :],  # g^{i k_r}
+                               dG[..., a, k, b, None, :], self.L)
+            n = self.n
+            tmp = np.zeros(prod.shape[:-3] + (n, n, n, n, self.D))
+            # row r goes to [a_r, :, k_r, b_r] through an (a, kb, i) view
+            view = np.moveaxis(tmp.reshape(tmp.shape[:-3] + (n * n, self.D)),
+                               -3, -2)
+            view[..., a, kb, :, :] = sign * prod
+        step1 = tmp.sum(axis=-3)  # [a,i,b,D]
         tmp2 = batched_mul(step1[..., :, :, :, None, :],
                            ginv[..., None, None, :, :, :], self.L)
         return -tmp2.sum(axis=-3)

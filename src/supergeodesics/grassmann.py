@@ -18,10 +18,19 @@ is scattered into that dense tensor, reshaped to (4^L, 2^L), and a product
 is one contraction, which is faster there than the gather.  A stack of
 products whose pair temporaries would exceed `_CHUNK_ELEMENTS` elements
 (32 MB of float64) is computed in chunks of its flattened leading axes.
+
+A pair term is a_I * S * b_J, and since S = +-1 the sign may sit on either
+gathered factor without changing a bit: it goes on the smaller of the two.
+A right factor that many products share (N across the terms of a Neumann
+series, g^{-1} across one right-hand side) can be `prepare`d once, as
+S * take(b, J) above `_TENSOR_MAX` (operand packing, as in Goto & van de
+Geijn, "Anatomy of High-Performance Matrix Multiplication", ACM TOMS 34(3),
+2008); its products then gather only the left factor.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 from enum import Enum
 from functools import lru_cache
@@ -129,8 +138,52 @@ def _dense_tensor(L: int) -> np.ndarray:
     return T2
 
 
-def _mul(a: np.ndarray, b: np.ndarray, L: int, rowwise: bool = False) -> np.ndarray:
-    """Grassmann product of stacked coefficient arrays (leading axes broadcast).
+class Prepared:
+    """A right factor b of many products over L > `_TENSOR_MAX` generators,
+    prepared once by `prepare`: `coeffs` is b, and `pairs` is S * take(b, J),
+    the signed gathered coefficients of its pair terms.  Index it like b on
+    every axis but the last, which stays whole."""
+
+    __slots__ = ("coeffs", "pairs")
+
+    def __init__(self, coeffs: np.ndarray, pairs: np.ndarray):
+        self.coeffs, self.pairs = coeffs, pairs
+
+    def __getitem__(self, idx) -> "Prepared":
+        return Prepared(self.coeffs[idx], self.pairs[idx])
+
+
+def prepare(b: np.ndarray, L: int) -> np.ndarray | Prepared:
+    """b as the right factor of many products over L generators: `Prepared`
+    above `_TENSOR_MAX`, b itself at or below it, where a product gathers
+    nothing.  Each product with it has the bits of the same product with b."""
+    if L <= _TENSOR_MAX:
+        return b
+    _, J, S, _ = _pairs(L)
+    pairs = b.take(J, -1)
+    pairs *= S
+    return Prepared(b, pairs)
+
+
+def _pair_terms(a: np.ndarray, b: np.ndarray | Prepared, L: int) -> np.ndarray:
+    """The pair terms a_I * S * b_J of a product above `_TENSOR_MAX`, with
+    the sign on the smaller gathered factor unless b is prepared."""
+    I, J, S, _ = _pairs(L)
+    left = a.take(I, -1)
+    if isinstance(b, Prepared):
+        return left * b.pairs
+    right = b.take(J, -1)
+    if left.size <= right.size:
+        left *= S
+    else:
+        right *= S
+    return left * right
+
+
+def _mul(a: np.ndarray, b: np.ndarray | Prepared, L: int,
+         rowwise: bool = False) -> np.ndarray:
+    """Grassmann product of stacked coefficient arrays (leading axes
+    broadcast); b may be `Prepared` (above `_TENSOR_MAX`).
 
     Up to `_TENSOR_MAX` all leading axes are flattened into one
     (rows, 4^L) @ (4^L, 2^L) BLAS call.  With `rowwise` each row is a call of
@@ -144,36 +197,51 @@ def _mul(a: np.ndarray, b: np.ndarray, L: int, rowwise: bool = False) -> np.ndar
         K = shape[-1] * shape[-1]
         rows = shape[:-2] + (1, K) if rowwise else (-1, K)
         return (outer.reshape(rows) @ _dense_tensor(L)).reshape(shape[:-1])
-    I, J, S, starts = _pairs(L)
     # rows(a) * rows(b) bounds the broadcast row count from above
-    if a.size * b.size // dim(L) ** 2 * product_temporary(L) <= _CHUNK_ELEMENTS:
-        return np.add.reduceat(np.take(a, I, -1) * S * np.take(b, J, -1),
-                               starts, axis=-1)
-    shape = np.broadcast_shapes(a.shape, b.shape)
-    flat_a = np.broadcast_to(a, shape).reshape(-1, shape[-1])
-    flat_b = np.broadcast_to(b, shape).reshape(-1, shape[-1])
-    out = np.empty(flat_a.shape)
+    coeffs = b.coeffs if isinstance(b, Prepared) else b
+    if a.size * coeffs.size // dim(L) ** 2 * product_temporary(L) > _CHUNK_ELEMENTS:
+        rows = np.broadcast_shapes(a.shape[:-1], coeffs.shape[:-1])
+        if math.prod(rows) * product_temporary(L) > _CHUNK_ELEMENTS:
+            return _mul_chunks(a, b, L, rows)
+    return np.add.reduceat(_pair_terms(a, b, L), _pairs(L)[3], axis=-1)
+
+
+def _mul_chunks(a: np.ndarray, b: np.ndarray | Prepared, L: int,
+                rows: tuple) -> np.ndarray:
+    """`_mul` above `_TENSOR_MAX` in chunks of the flattened broadcast
+    `rows`, each gathered from the rows of a and b (or of b's pairs) behind
+    it; a row has the bits it has unchunked."""
+    coeffs = b.coeffs if isinstance(b, Prepared) else b
+    ia, ib = (np.broadcast_to(np.arange(math.prod(x.shape[:-1])).reshape(
+        x.shape[:-1]), rows).reshape(-1) for x in (a, coeffs))
+    flat_a = a.reshape(-1, a.shape[-1])
+    flat_b = (Prepared(coeffs.reshape(-1, coeffs.shape[-1]),
+                       b.pairs.reshape(-1, b.pairs.shape[-1]))
+              if isinstance(b, Prepared) else coeffs.reshape(-1, coeffs.shape[-1]))
+    out = np.empty((len(ia), a.shape[-1]))
     step = max(1, _CHUNK_ELEMENTS // product_temporary(L))
     for r in range(0, len(out), step):
         out[r:r + step] = np.add.reduceat(
-            np.take(flat_a[r:r + step], I, -1) * S
-            * np.take(flat_b[r:r + step], J, -1), starts, axis=-1)
-    return out.reshape(shape)
+            _pair_terms(flat_a[ia[r:r + step]], flat_b[ib[r:r + step]], L),
+            _pairs(L)[3], axis=-1)
+    return out.reshape(rows + (a.shape[-1],))
 
 
-def mul_dense(a: np.ndarray, b: np.ndarray, L: int) -> np.ndarray:
+def mul_dense(a: np.ndarray, b: np.ndarray | Prepared, L: int) -> np.ndarray:
     """Product of two coefficient vectors over the L-generator algebra.
 
     Leading axes, if any, are rows of independent products (they broadcast);
-    each row has the bits of the same product of two single vectors.
+    each row has the bits of the same product of two single vectors.  The
+    right factor may be `Prepared`.
     """
     return _mul(a, b, L, rowwise=True)
 
 
-def batched_mul(a: np.ndarray, b: np.ndarray, L: int) -> np.ndarray:
+def batched_mul(a: np.ndarray, b: np.ndarray | Prepared, L: int) -> np.ndarray:
     """Elementwise Grassmann product of stacked coefficient arrays.
 
-    Leading axes broadcast; the trailing axis has length 2^L.
+    Leading axes broadcast; the trailing axis has length 2^L.  The right
+    factor may be `Prepared`.
     """
     return _mul(a, b, L)
 
@@ -196,6 +264,7 @@ def invert_dense(a: np.ndarray, L: int, check_even: bool = True) -> np.ndarray:
     out = np.zeros(a.shape)
     out[..., 0] = 1.0
     term = out
+    step = prepare(step, L)  # the right factor of every term
     for _ in range(L):
         term = mul_dense(term, step, L)
         if not term.any():

@@ -168,8 +168,7 @@ def test_ac7_isometry_naturality(models):
                    for s in cfg["vectors"]]
         # the isometry condition of each fixture, at probe points around
         # the base point
-        probes = probe_points(model.chart, base,
-                              max(L, min(model.sig.n_odd, 2)))
+        probes = probe_points(model.chart, base, L)
         for iso_name in cfg["isometries"]:
             phi = model.morphism(iso_name)
             assert isometry_check(model.chart, model.chart, phi,

@@ -938,6 +938,27 @@ ODD_PRODUCT_CHART = {
     "verify": {"isometries": ["shift"]},
 }
 
+# A 1|4 chart with a term in th1*th3 and "L": 2: over two generators the
+# probes would give th1 and th3 the same one, and the term would vanish at
+# every probe; over one generator per odd coordinate the shift x -> x + 0.1
+# fails the isometry condition.
+ODD_PAIRS_CHART = {
+    "schema_version": 1,
+    "name": "odd_pairs",
+    "signature": {"even": ["x"], "odd": ["th1", "th2", "th3", "th4"]},
+    "metric": [["1 + x*th1*th3", "0", "0", "0", "0"],
+               ["0", "0", "1", "0", "0"], ["0", "-1", "0", "0", "0"],
+               ["0", "0", "0", "0", "1"], ["0", "0", "0", "-1", "0"]],
+    "domain": {"x": [-1, 1]},
+    "L": 2,
+    "initial_conditions": {
+        "run": {"position": {"x": 0.0}, "velocity": {"x": 0.1}}},
+    "morphisms": {"shift": {"pullbacks": {
+        "x": "x + 0.1", "th1": "th1", "th2": "th2", "th3": "th3",
+        "th4": "th4"}}},
+    "verify": {"isometries": ["shift"]},
+}
+
 # a flat 2|0 chart with a coordinate named like the fiber of the other
 FIBER_NAMED_CHART = {
     "schema_version": 1,
@@ -999,10 +1020,14 @@ class TestOneErrorLine:
         (ODD_PRODUCT_CHART, ("verify", "--suite", "isometry"), 1,
          '"name": "isometry_condition[shift]",\n        "passed": false,\n'
          '        "max_deviation": 0.012,'),
+        (ODD_PAIRS_CHART, ("verify", "--suite", "isometry"), 1,
+         '"name": "isometry_condition[shift]",\n        "passed": false,\n'
+         '        "max_deviation": 0.015,'),
     ], ids=["point_symmetry", "negative_control", "ic", "name_number",
             "name_null", "name_list", "metric_bool", "pullback_bool",
             "pullback_list", "exp_point_string", "exp_point_bool",
-            "stage_overflow", "fiber_named_coordinate", "isometry_at_L1"])
+            "stage_overflow", "fiber_named_coordinate", "isometry_at_L1",
+            "isometry_at_L2_four_odd"])
     def test_bad_input(self, capsys, tmp_path, doc, argv, code, text):
         model = write_model(tmp_path, "model", doc)
         got, out, err = run(capsys, argv[0], "--model", model, *argv[1:])
@@ -1056,3 +1081,23 @@ def test_isometry_gates_probe_at_one_L(monkeypatch, tmp_path, name):
     fx.checks  # and for each linearization gate
     assert len(seen["isometry"]) == 1
     assert seen["isometry"] == seen["linearization"]
+
+
+def test_parser_built_once_and_calls_do_not_leak(monkeypatch, tmp_path):
+    # one parser per process; a repeatable flag of one call is not seen by
+    # the next call (argparse copies the list it appends to)
+    assert cli.build_parser() is cli.build_parser()
+    seen = []
+    monkeypatch.setattr(cli, "run_suites", lambda model, suites, overrides:
+                        seen.append((suites, overrides)) or {"passed": True})
+    out = str(tmp_path / "report.json")
+    for argv in (["--suite", "metric", "--suite", "geodesic",
+                  "--tol", "metric_invariants=1e-9",
+                  "--tol", "geodesic_residual=1e-6"],
+                 ["--suite", "flow", "--tol", "metric_invariants=1e-7"],
+                 []):
+        assert main(["verify", "--model", "c1x_r12", "--out", out, *argv]) == 0
+    assert seen == [(("metric", "geodesic"), {"metric_invariants": 1e-9,
+                                              "geodesic_residual": 1e-6}),
+                    (("flow",), {"metric_invariants": 1e-7}),
+                    (("all",), {})]
