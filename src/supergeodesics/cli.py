@@ -7,7 +7,8 @@ produce byte-identical CSV/JSON.  Files are written to a temporary name and
 atomically renamed, so no partial output survives an error.
 
 Exit codes: 0 success, 1 verification failure, else the `exit_code` of the
-error's type (`errors.py`): 2 model or usage error, 3 failed integration.
+error's type (`errors.py`): 2 model or usage error or an output path that
+cannot be written, 3 failed integration.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .cotangent import energy_series, integrate_flow, phase_from_ic
-from .errors import ModelError, SuperGeometryError
+from .errors import ModelError, OutputError, SuperGeometryError
 from .expmap import exp_jacobian_check
 from .geodesics import Trajectory, integrate_geodesic, integrate_goertsches
 from .geometry import SuperPoint, christoffel_at, metric_validate
@@ -44,18 +45,26 @@ def _mask_str(mask: int, L: int) -> str:
 
 
 def _atomic_write(path: str | Path, text: str) -> None:
+    """Write `text` to a temporary file beside `path` and rename it there.
+    The temporary file never survives; an OS error on the way is an
+    `OutputError` naming the path."""
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name,
-                               suffix=".tmp")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."),
+                                   prefix=path.name, suffix=".tmp")
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
+    except BaseException as exc:
+        if tmp is not None:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+        if isinstance(exc, OSError):
+            raise OutputError(
+                f"cannot write {path}: {exc.strerror or exc}") from exc
         raise
 
 

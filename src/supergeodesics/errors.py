@@ -77,3 +77,7 @@ class NonHomogeneousField(SuperGeometryError):
 
 class ModelError(SuperGeometryError):
     """Malformed or inconsistent model file."""
+
+
+class OutputError(SuperGeometryError):
+    """An output file could not be written."""

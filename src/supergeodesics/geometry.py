@@ -363,20 +363,26 @@ class _Kernel:
         """Pointwise inverse metric: body inverse plus Neumann series.
 
         The series is 1 + sum_{k=1..L} (-N)^k for N = body^-1 G - 1 and
-        stops early once a term vanishes; at L = 0 it is 1 even if N keeps a
-        rounding residue of the body.  The first term is -N itself: the
+        stops early once a term vanishes.  The first term is -N itself: the
         product by the identity is exact and could only flip signed zeros,
-        which never reach the sum."""
+        which never reach the sum.
+
+        At L = 0 the series is 1 even if N keeps a rounding residue of the
+        body, so the inverse is the body inverse, as (..., n, n, 1): no N is
+        built and the identity product is skipped.  That product's only
+        effect on bits is to turn -0.0 into +0.0, which `+ 0.0` does."""
         body = G[..., 0]
         try:
             body_inv = np.linalg.inv(body)
         except np.linalg.LinAlgError as exc:
             raise SingularBody(f"metric body is singular: {exc}") from exc
+        if not self.L:
+            return body_inv[..., None] + 0.0
         # N = body^-1 G - 1; subtracting the identity's zeros changes no bit
         flat = G.reshape(G.shape[:-2] + (self.n * self.D,))
         N = (body_inv @ flat).reshape(G.shape) - self._eye
         X = self._eye
-        if self.L and np.count_nonzero(N):
+        if np.count_nonzero(N):
             term = -N
             X = X + term
             right = prepare(N[..., None, :, :, :], self.L)  # of every term

@@ -8,16 +8,23 @@ the scalar ("body") coefficient; everything else is the nilpotent soul.
 Basis products carry the sign of the transpositions needed to merge the two
 sorted generator lists; products of masks sharing a generator vanish.
 
-Products are computed from one cached, read-only table per L: the 3^L
-disjoint mask pairs (i, j) with their signs, grouped by the result mask
-i | j.  Above `_TENSOR_MAX` (L > 3) a product gathers the two factors'
-coefficients at the pairs, multiplies them with the signs and sums each
-group (`np.add.reduceat`): 3^L multiply-adds, where a contraction with the
-dense (2^L)^3 structure tensor does 8^L.  For L <= `_TENSOR_MAX` the table
-is scattered into that dense tensor, reshaped to (4^L, 2^L), and a product
-is one contraction, which is faster there than the gather.  A stack of
-products whose pair temporaries would exceed `_CHUNK_ELEMENTS` elements
-(32 MB of float64) is computed in chunks of its flattened leading axes.
+Products are computed in one of three regimes, by L:
+
+* L = 0: the algebra is the reals (Lambda_0 = R), and a product is one
+  real multiply per row, `a * b`.
+* 0 < L <= `_TENSOR_MAX` (3): one cached, read-only table per L, the 3^L
+  disjoint mask pairs (i, j) with their signs grouped by the result mask
+  i | j, is scattered into the dense (2^L)^3 structure tensor, reshaped to
+  (4^L, 2^L), and a product is one contraction with it, a BLAS call.
+* L > `_TENSOR_MAX`: a product gathers the two factors' coefficients at
+  the pairs of that table, multiplies them with the signs and sums each
+  group (`np.add.reduceat`): 3^L multiply-adds, where the contraction
+  does 8^L.  A stack of products whose pair temporaries would exceed
+  `_CHUNK_ELEMENTS` elements (32 MB of float64) is computed in chunks of
+  its flattened leading axes.
+
+The real product has the bits of the contraction's one term a * 1 * b,
+except that it keeps the sign of a zero product where BLAS may write +0.0.
 
 A pair term is a_I * S * b_J, and since S = +-1 the sign may sit on either
 gathered factor without changing a bit: it goes on the smaller of the two.
@@ -185,12 +192,16 @@ def _mul(a: np.ndarray, b: np.ndarray | Prepared, L: int,
     """Grassmann product of stacked coefficient arrays (leading axes
     broadcast); b may be `Prepared` (above `_TENSOR_MAX`).
 
-    Up to `_TENSOR_MAX` all leading axes are flattened into one
+    Three regimes (module docstring).  At L = 0 it is the real product
+    a * b.  Up to `_TENSOR_MAX` all leading axes are flattened into one
     (rows, 4^L) @ (4^L, 2^L) BLAS call.  With `rowwise` each row is a call of
     its own, (1, 4^L) @ (4^L, 2^L), which BLAS runs as the gemv a single
     vector gets: its sums associate differently from gemm, and a row must
-    not change its bits with the number of rows beside it.
+    not change its bits with the number of rows beside it.  Above it the
+    pair terms are gathered and summed per result mask.
     """
+    if L == 0:
+        return a * b
     if L <= _TENSOR_MAX:
         outer = a[..., :, None] * b[..., None, :]
         shape = outer.shape

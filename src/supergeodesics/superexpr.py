@@ -611,8 +611,8 @@ def partial_derivative(expr: Expr, coord: str, sig: ChartSignature) -> Expr:
 # the expression program
 
 # instruction opcodes; a constant is not an instruction, its value sits in
-# the slot template of each L
-_MUL, _ADD, _VAR, _RECIP, _FUN = range(5)
+# the slot template of each L; _SCALE is a product with a constant factor
+_MUL, _ADD, _VAR, _RECIP, _FUN, _SCALE = range(6)
 
 
 class Program:
@@ -633,6 +633,14 @@ class Program:
     elementary function goes through `_fun_value`.  Instructions come in the
     order a left-to-right recursive evaluation first reaches each node, so
     the first error raised is the same as well.
+
+    The one exception: a partial product with a constant factor c is the
+    real product c * x, at every L.  Of the pair terms of c * e_0 * x, only
+    (0, K), with sign +1, can be nonzero at coefficient K, so every nonzero
+    coefficient has the bits of `mul_dense`.  A coefficient that is exactly
+    zero may carry the other sign, since `mul_dense` sums zero pair terms
+    there; a sum with any nonzero term, and the RK4 state (+0 + -0 = +0),
+    absorb that sign.
 
     `variables` lists the (name, parity) of every variable node in that
     order; `evaluate` checks them against the supplied values.
@@ -658,6 +666,9 @@ class Program:
         return s
 
     def _binary(self, op: int, a: int, b: int) -> int:
+        if op == _MUL and (a in self._consts or b in self._consts):
+            c, x = (a, b) if a in self._consts else (b, a)
+            return self._slot((op, a, b), _SCALE, x, self._consts[c])
         return self._slot((op, a, b), op, a, b)
 
     def _compile(self, e: Expr) -> int:
@@ -710,6 +721,8 @@ class Program:
         for s, op, a, b in self.code:
             if op == _MUL:
                 v = mul_dense(vals[a], vals[b], L)
+            elif op == _SCALE:
+                v = b * vals[a]
             elif op == _ADD:
                 v = vals[a] + vals[b]
             elif op == _VAR:

@@ -1023,18 +1023,37 @@ class TestOneErrorLine:
         (ODD_PAIRS_CHART, ("verify", "--suite", "isometry"), 1,
          '"name": "isometry_condition[shift]",\n        "passed": false,\n'
          '        "max_deviation": 0.015,'),
+        # {tmp} is the test's temporary directory
+        (bundled_doc("diag_x2"), ("geodesic", "--ic", "orbit", "--t-end",
+                                  "0.01", "--out", "{tmp}/missing/x.csv"), 2,
+         "cannot write {tmp}/missing/x.csv: No such file or directory"),
+        (bundled_doc("diag_x2"), ("geodesic", "--ic", "orbit", "--t-end",
+                                  "0.01", "--out", "{tmp}"), 2,
+         "cannot write {tmp}: Is a directory"),
+        (bundled_doc("diag_x2"), ("verify", "--suite", "metric", "--out",
+                                  "{tmp}/missing/r.json"), 2,
+         "cannot write {tmp}/missing/r.json: No such file or directory"),
+        (bundled_doc("diag_x2"), ("verify", "--suite", "metric", "--out",
+                                  "{tmp}"), 2,
+         "cannot write {tmp}: Is a directory"),
     ], ids=["point_symmetry", "negative_control", "ic", "name_number",
             "name_null", "name_list", "metric_bool", "pullback_bool",
             "pullback_list", "exp_point_string", "exp_point_bool",
             "stage_overflow", "fiber_named_coordinate", "isometry_at_L1",
-            "isometry_at_L2_four_odd"])
+            "isometry_at_L2_four_odd", "geodesic_out_missing_dir",
+            "geodesic_out_is_dir", "verify_out_missing_dir",
+            "verify_out_is_dir"])
     def test_bad_input(self, capsys, tmp_path, doc, argv, code, text):
         model = write_model(tmp_path, "model", doc)
+        argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
         got, out, err = run(capsys, argv[0], "--model", model, *argv[1:])
         assert got == code
         assert err.count("error:") == err.count("\n") == (1 if code > 1 else 0)
         assert "Traceback" not in err and "Warning" not in err
-        assert text in (err if code > 1 else out)
+        assert text.replace("{tmp}", str(tmp_path)) in (err if code > 1 else out)
+        # no temporary output file is left beside the output
+        for where in (tmp_path, tmp_path.parent):
+            assert not list(where.glob("*.tmp"))
 
 
 ERROR_TYPES = [cls for cls in vars(errors).values() if isinstance(cls, type)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from supergeodesics import grassmann
+from supergeodesics.cli import main
 from supergeodesics.errors import MismatchedGeneratorCount, OddElement, ZeroBody
 from supergeodesics.grassmann import (
     MAX_GENERATORS,
@@ -205,6 +206,24 @@ class TestProductKernel:
         for r in range(25):
             assert np.array_equal(rows[r], mul_dense(a[r], b[r], L))
             assert np.array_equal(bcast[r], mul_dense(a[3], b[r], L))
+
+    def test_l0_product_is_the_real_product(self, rng):
+        # Lambda_0 = R: both kernels multiply the bodies, leading axes
+        # broadcast
+        a = rng.uniform(-1.0, 1.0, (3, 1, 1))
+        b = rng.uniform(-1.0, 1.0, (1, 4, 1))
+        a[0] = 0.0
+        for mul in (batched_mul, mul_dense):
+            out = mul(a, b, 0)
+            assert out.shape == (3, 4, 1)
+            assert np.array_equal(out, a * b)
+
+    def test_l0_run_requests_no_dense_tensor(self, capsys):
+        grassmann._dense_tensor.cache_clear()
+        assert main(["geodesic", "--model", "diag_x2", "--ic", "orbit",
+                     "--t-end", "0.005"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 1 + 6 * 2
+        assert grassmann._dense_tensor.cache_info().misses == 0
 
     def test_chunked_batch_equals_unchunked_rows(self, rng):
         L = MAX_GENERATORS

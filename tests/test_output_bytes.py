@@ -6,6 +6,11 @@ L = 6 must write CSVs with the sha256 recorded below.  A change to the
 right-hand sides, the stepper, the inverse metric or the expression
 evaluation that moves a single bit of any coefficient fails here.
 
+The same three commands at real points must write the sha256 recorded in
+`REAL_POINT_EXPECTED`: `c1x_r12` and `flat_r22` at L = 0, and `diag_x2`
+from a velocity of signed zeros.  There the sign of a zero coefficient
+reaches the CSV, so a real-product shortcut that moved one fails here.
+
 `verify --suite all` on the four bundled models at `dt = 1e-2` must write
 the report with the sha256 recorded below, whether its integrations run
 inline or in forked workers.  Only this report shows the
@@ -125,6 +130,60 @@ def digest(tmp_path, model, ic, cmd):
 @pytest.mark.parametrize("model, ic, cmd", list(cases()))
 def test_csv_bytes_unchanged(tmp_path, model, ic, cmd):
     assert digest(tmp_path, model, ic, cmd) == EXPECTED[f"{cmd}:{model}"]
+
+
+def bundled_doc(model, **changes):
+    doc = json.loads((resources.files("supergeodesics.models")
+                      / f"{model}.json").read_text())
+    doc.update(changes)
+    return doc
+
+
+# real points, where the sign of a zero coefficient could show: two charts
+# with odd coordinates at L = 0 (no soul), and a velocity of signed zeros
+REAL_POINT = {
+    "c1x_r12_L0": bundled_doc(
+        "c1x_r12", name="c1x_r12_L0", L=0, initial_conditions={"real": {
+            "position": {"x": 0.0}, "velocity": {"x": 1.0}}}),
+    "flat_r22_L0": bundled_doc(
+        "flat_r22", name="flat_r22_L0", L=0, initial_conditions={"real": {
+            "position": {"x": 0.1, "y": -0.2},
+            "velocity": {"x": 0.7, "y": 0.4}}}),
+    "diag_x2_minus_zero": bundled_doc(
+        "diag_x2", name="diag_x2_minus_zero", initial_conditions={"real": {
+            "position": {"x": 2.0, "y": 0.0},
+            "velocity": {"x": -0.0, "y": -0.0}}}),
+}
+
+REAL_POINT_EXPECTED = {
+    "paper:c1x_r12_L0":
+        "1fff112332809218baa4a506893af09d2ddffdd04b04ada4de030b88ddb6e911",
+    "goertsches:c1x_r12_L0":
+        "4080eaa3607af94456b4ab114db801e8138d43bef5f2a6a6a20f8ab825c60846",
+    "flow:c1x_r12_L0":
+        "3a6fb206f48ab078922d786a90a9e2106ea1e31783de9ccc21322f0cf2e42583",
+    "paper:flat_r22_L0":
+        "cb2c7253446cf92583845a70b0be642272b1b7e2c0bf00d7901418e9985ef541",
+    "goertsches:flat_r22_L0":
+        "cb2c7253446cf92583845a70b0be642272b1b7e2c0bf00d7901418e9985ef541",
+    "flow:flat_r22_L0":
+        "8fda7ee2f550ec955d246e92ccfee72c77c9fac9ea64771a9fcbb974dc047e36",
+    "paper:diag_x2_minus_zero":
+        "009ffadcbd164b0bb9dbdb22b560365d55f2cc59361778ff272a6e8605a7e96b",
+    "goertsches:diag_x2_minus_zero":
+        "009ffadcbd164b0bb9dbdb22b560365d55f2cc59361778ff272a6e8605a7e96b",
+    "flow:diag_x2_minus_zero":
+        "ebf5102d912a61c72463e778bffc7c8dd3f6c9924aa34de89a3d96e940bfc802",
+}
+
+
+@pytest.mark.parametrize("cmd", list(COMMANDS))
+@pytest.mark.parametrize("model", list(REAL_POINT))
+def test_real_point_csv_bytes_unchanged(tmp_path, model, cmd):
+    path = tmp_path / f"{model}.json"
+    path.write_text(json.dumps(REAL_POINT[model]))
+    assert (digest(tmp_path, str(path), "real", cmd)
+            == REAL_POINT_EXPECTED[f"{cmd}:{model}"])
 
 
 VERIFY_EXPECTED = {

@@ -289,19 +289,43 @@ class TestEvaluation:
 
 class TestProgram:
     def test_shared_subtree_evaluated_once(self, sig, monkeypatch):
-        # x + 1 inside -(x + 1) is one instruction; the product by -1 is
-        # the only Grassmann product of a run
+        # x + 1 inside -(x + 1) is one instruction, which the product by -1
+        # reads; that product is a real one and issues no Grassmann product
         prog = Program([parse_expression(t, sig) for t in ("1 + x", "-(1 + x)")])
-        ops = [op for _, op, _, _ in prog.code]
-        assert len(ops) == 3 and len(set(ops)) == 3
+        (add_slot,) = [s for s, op, _, _ in prog.code if op == superexpr._ADD]
+        assert len(prog.code) == 3
+        assert prog.code[-1][1:3] == (superexpr._SCALE, add_slot)
         calls = []
-        inner = superexpr.mul_dense
-        monkeypatch.setattr(superexpr, "mul_dense",
-                            lambda *a: calls.append(a) or inner(*a))
+        monkeypatch.setattr(superexpr, "mul_dense", lambda *a: calls.append(a))
         x = np.array([[0.5, 0.1, 0.0, 0.2]])
         plus, minus = prog.run({"x": x}, 2)
-        assert len(calls) == 1
-        assert np.array_equal(minus, mul_dense(np.r_[-1.0, 0, 0, 0], plus, 2))
+        assert not calls
+        assert np.array_equal(minus, -plus)
+
+    @pytest.mark.parametrize("L", [0, 2, 4, 6])
+    def test_constant_factor_is_a_real_product(self, sig, monkeypatch, L):
+        # c * x keeps every nonzero coefficient of the Grassmann product of
+        # c's element with x, and issues no Grassmann product
+        rng = np.random.default_rng(L)
+        env = {}
+        for name in ("x", "y"):
+            v = rng.uniform(-1.0, 1.0, (5, dim(L)))
+            v[rng.random(v.shape) < 0.4] = 0.0
+            v[rng.random(v.shape) < 0.2] = -0.0
+            env[name] = v
+        cases = [(2.5, "2.5*x"), (-1.0, "-(x + y)"), (-0.75, "-0.75*y")]
+        prog = Program([parse_expression(t, sig) for _, t in cases])
+        operands = [env["x"], env["x"] + env["y"], env["y"]]
+        calls = []
+        monkeypatch.setattr(superexpr, "mul_dense", lambda *a: calls.append(a))
+        got = prog.run(env, L)
+        monkeypatch.undo()
+        assert not calls
+        for (c, _), x, out in zip(cases, operands, got):
+            want = mul_dense(np.r_[c, np.zeros(dim(L) - 1)], x, L)
+            nz = want != 0.0
+            assert np.array_equal(out, want)
+            assert out[nz].tobytes() == want[nz].tobytes()
 
     def test_first_error_in_evaluation_order(self, sig):
         # both terms leave their domain; the left one is reported
