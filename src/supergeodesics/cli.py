@@ -114,6 +114,8 @@ def _parse_point(model: ModelFile, args) -> SuperPoint:
                                  "expected name=value")
             key, _, val = part.partition("=")
             key = key.strip()
+            if key in values:
+                raise ModelError(f"--point gives {key!r} more than once")
             try:
                 values[key] = _finite(float(val), f"--point {key}")
             except ValueError:

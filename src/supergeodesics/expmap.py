@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import SignatureMismatch
 from .geodesics import InitialCondition, Trajectory, _paper_rhs, _record, \
-    _run, integrate_geodesic
+    _run, _run_cost, integrate_geodesic
 from .geometry import MetricChart, SuperPoint, _chunks
 from .grassmann import MAX_GENERATORS, GrassmannElement, _Frozen, dim
 from .jobs import Jobs
@@ -170,10 +170,9 @@ def _shoot(chart: MetricChart, vectors: Sequence[TangentFiberPoint],
         L, t_end, run_dt = key
         rows = [r for r, k in enumerate(keys) if k == key]
         record = rows.index(curve_row) if curve_row in rows else None
-        steps = t_end / run_dt if run_dt > 0.0 else 0.0
         runs.append((L, rows, f"the exp run of {len(rows)} rows at L={L}, "
                      f"t_end={t_end:g}, dt={run_dt:g}",
-                     steps * (len(rows) * dim(L) + 8),
+                     _run_cost(t_end, run_dt, len(rows) * dim(L)),
                      partial(_exp_run, chart, [ics[r] for r in rows], t_end,
                              run_dt, record)))
     if jobs is None:

@@ -189,6 +189,12 @@ def _grid(t_end: float, dt: float,
     return steps, t_end / steps
 
 
+def _run_cost(t_end: float, dt: float, coefficients: int) -> float:
+    """The `jobs.Jobs` cost of a graded run over (t_end, dt) whose state has
+    `coefficients` coefficients: per step, those plus 8 for the calls."""
+    return (t_end / dt if dt > 0.0 else 0.0) * (coefficients + 8)
+
+
 def _sample_times(steps: int, h: float) -> np.ndarray:
     return np.arange(steps + 1) * h
 

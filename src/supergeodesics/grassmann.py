@@ -8,23 +8,22 @@ the scalar ("body") coefficient; everything else is the nilpotent soul.
 Basis products carry the sign of the transpositions needed to merge the two
 sorted generator lists; products of masks sharing a generator vanish.
 
-Products are computed in one of three regimes, by L:
+Products run in one of three regimes.  `mul_dense` is the row-independent
+product (and so are `invert_dense`, `GrassmannElement` and the programs of
+`superexpr`); `batched_mul` is the contraction kernel of the right-hand sides.
 
-* L = 0: the algebra is the reals (Lambda_0 = R), and a product is one
-  real multiply per row, `a * b`.
-* 0 < L <= `_TENSOR_MAX` (3): one cached, read-only table per L, the 3^L
-  disjoint mask pairs (i, j) with their signs grouped by the result mask
-  i | j, is scattered into the dense (2^L)^3 structure tensor, reshaped to
-  (4^L, 2^L), and a product is one contraction with it, a BLAS call.
-* L > `_TENSOR_MAX`: a product gathers the two factors' coefficients at
-  the pairs of that table, multiplies them with the signs and sums each
-  group (`np.add.reduceat`): 3^L multiply-adds, where the contraction
-  does 8^L.  A stack of products whose pair temporaries would exceed
-  `_CHUNK_ELEMENTS` elements (32 MB of float64) is computed in chunks of
-  its flattened leading axes.
-
-The real product has the bits of the contraction's one term a * 1 * b,
-except that it keeps the sign of a zero product where BLAS may write +0.0.
+* L = 0, both: Lambda_0 = R, and a product is the real `a * b`, the bits of
+  its one pair term a * 1 * b.
+* L >= 1 in `mul_dense`, L > `_TENSOR_MAX` (3) in `batched_mul`: gather the
+  two factors' coefficients at the pairs of one cached, read-only table per
+  L (the 3^L disjoint mask pairs (i, j) with their signs, grouped by i | j),
+  multiply with the signs and sum each group (`np.add.reduceat`): 3^L
+  multiply-adds, no BLAS call, and a row's bits do not depend on the rows
+  beside it.  A stack whose pair temporaries would exceed `_CHUNK_ELEMENTS`
+  elements (32 MB of float64) runs in chunks of its flattened leading axes.
+* 0 < L <= `_TENSOR_MAX` in `batched_mul`: one (rows, 4^L) @ (4^L, 2^L)
+  BLAS call with the dense (2^L)^3 structure tensor, faster there than the
+  gather; its sums associate as the BLAS kernel chooses.
 
 A pair term is a_I * S * b_J, and since S = +-1 the sign may sit on either
 gathered factor without changing a bit: it goes on the smaller of the two.
@@ -129,8 +128,8 @@ def _pairs(L: int):
 
 
 def product_temporary(L: int) -> int:
-    """Elements of one product's temporary in `_mul`: the (2^L)^2 outer
-    product up to `_TENSOR_MAX`, the 3^L gathered mask pairs above it."""
+    """Elements of one product's temporary in `batched_mul`: the (2^L)^2
+    outer product up to `_TENSOR_MAX`, the 3^L mask pairs above it."""
     return dim(L) ** 2 if L <= _TENSOR_MAX else 3 ** L
 
 
@@ -162,8 +161,8 @@ class Prepared:
 
 def prepare(b: np.ndarray, L: int) -> np.ndarray | Prepared:
     """b as the right factor of many products over L generators: `Prepared`
-    above `_TENSOR_MAX`, b itself at or below it, where a product gathers
-    nothing.  Each product with it has the bits of the same product with b."""
+    above `_TENSOR_MAX`, b itself at or below it.  Each product with it has
+    the bits of the same product with b."""
     if L <= _TENSOR_MAX:
         return b
     _, J, S, _ = _pairs(L)
@@ -173,8 +172,8 @@ def prepare(b: np.ndarray, L: int) -> np.ndarray | Prepared:
 
 
 def _pair_terms(a: np.ndarray, b: np.ndarray | Prepared, L: int) -> np.ndarray:
-    """The pair terms a_I * S * b_J of a product above `_TENSOR_MAX`, with
-    the sign on the smaller gathered factor unless b is prepared."""
+    """The pair terms a_I * S * b_J of a gathered product, with the sign on
+    the smaller gathered factor unless b is prepared."""
     I, J, S, _ = _pairs(L)
     left = a.take(I, -1)
     if isinstance(b, Prepared):
@@ -187,41 +186,27 @@ def _pair_terms(a: np.ndarray, b: np.ndarray | Prepared, L: int) -> np.ndarray:
     return left * right
 
 
-def _mul(a: np.ndarray, b: np.ndarray | Prepared, L: int,
-         rowwise: bool = False) -> np.ndarray:
-    """Grassmann product of stacked coefficient arrays (leading axes
-    broadcast); b may be `Prepared` (above `_TENSOR_MAX`).
-
-    Three regimes (module docstring).  At L = 0 it is the real product
-    a * b.  Up to `_TENSOR_MAX` all leading axes are flattened into one
-    (rows, 4^L) @ (4^L, 2^L) BLAS call.  With `rowwise` each row is a call of
-    its own, (1, 4^L) @ (4^L, 2^L), which BLAS runs as the gemv a single
-    vector gets: its sums associate differently from gemm, and a row must
-    not change its bits with the number of rows beside it.  Above it the
-    pair terms are gathered and summed per result mask.
-    """
+def _mul(a: np.ndarray, b: np.ndarray | Prepared, L: int) -> np.ndarray:
+    """Grassmann product of stacked coefficient arrays, row by row (leading
+    axes broadcast); b may be `Prepared` (above `_TENSOR_MAX`).  The real
+    product a * b at L = 0, the gathered pair terms summed per result mask
+    at every L >= 1 (module docstring)."""
     if L == 0:
         return a * b
-    if L <= _TENSOR_MAX:
-        outer = a[..., :, None] * b[..., None, :]
-        shape = outer.shape
-        K = shape[-1] * shape[-1]
-        rows = shape[:-2] + (1, K) if rowwise else (-1, K)
-        return (outer.reshape(rows) @ _dense_tensor(L)).reshape(shape[:-1])
     # rows(a) * rows(b) bounds the broadcast row count from above
     coeffs = b.coeffs if isinstance(b, Prepared) else b
-    if a.size * coeffs.size // dim(L) ** 2 * product_temporary(L) > _CHUNK_ELEMENTS:
+    if a.size * coeffs.size // dim(L) ** 2 * 3 ** L > _CHUNK_ELEMENTS:
         rows = np.broadcast_shapes(a.shape[:-1], coeffs.shape[:-1])
-        if math.prod(rows) * product_temporary(L) > _CHUNK_ELEMENTS:
+        if math.prod(rows) * 3 ** L > _CHUNK_ELEMENTS:
             return _mul_chunks(a, b, L, rows)
     return np.add.reduceat(_pair_terms(a, b, L), _pairs(L)[3], axis=-1)
 
 
 def _mul_chunks(a: np.ndarray, b: np.ndarray | Prepared, L: int,
                 rows: tuple) -> np.ndarray:
-    """`_mul` above `_TENSOR_MAX` in chunks of the flattened broadcast
-    `rows`, each gathered from the rows of a and b (or of b's pairs) behind
-    it; a row has the bits it has unchunked."""
+    """`_mul` at L >= 1 in chunks of the flattened broadcast `rows`, each
+    gathered from the rows of a and b (or of b's pairs) behind it; a row has
+    the bits it has unchunked."""
     coeffs = b.coeffs if isinstance(b, Prepared) else b
     ia, ib = (np.broadcast_to(np.arange(math.prod(x.shape[:-1])).reshape(
         x.shape[:-1]), rows).reshape(-1) for x in (a, coeffs))
@@ -230,7 +215,7 @@ def _mul_chunks(a: np.ndarray, b: np.ndarray | Prepared, L: int,
                        b.pairs.reshape(-1, b.pairs.shape[-1]))
               if isinstance(b, Prepared) else coeffs.reshape(-1, coeffs.shape[-1]))
     out = np.empty((len(ia), a.shape[-1]))
-    step = max(1, _CHUNK_ELEMENTS // product_temporary(L))
+    step = max(1, _CHUNK_ELEMENTS // 3 ** L)
     for r in range(0, len(out), step):
         out[r:r + step] = np.add.reduceat(
             _pair_terms(flat_a[ia[r:r + step]], flat_b[ib[r:r + step]], L),
@@ -239,21 +224,27 @@ def _mul_chunks(a: np.ndarray, b: np.ndarray | Prepared, L: int,
 
 
 def mul_dense(a: np.ndarray, b: np.ndarray | Prepared, L: int) -> np.ndarray:
-    """Product of two coefficient vectors over the L-generator algebra.
+    """Product of two coefficient vectors over the L-generator algebra, a
+    gather at every L >= 1 (module docstring).
 
     Leading axes, if any, are rows of independent products (they broadcast);
     each row has the bits of the same product of two single vectors.  The
     right factor may be `Prepared`.
     """
-    return _mul(a, b, L, rowwise=True)
+    return _mul(a, b, L)
 
 
 def batched_mul(a: np.ndarray, b: np.ndarray | Prepared, L: int) -> np.ndarray:
     """Elementwise Grassmann product of stacked coefficient arrays.
 
     Leading axes broadcast; the trailing axis has length 2^L.  The right
-    factor may be `Prepared`.
+    factor may be `Prepared`.  One BLAS call at 0 < L <= `_TENSOR_MAX`.
     """
+    if 0 < L <= _TENSOR_MAX:
+        outer = a[..., :, None] * b[..., None, :]
+        shape = outer.shape
+        flat = outer.reshape(-1, shape[-1] * shape[-1])
+        return (flat @ _dense_tensor(L)).reshape(shape[:-1])
     return _mul(a, b, L)
 
 
@@ -262,7 +253,7 @@ def invert_dense(a: np.ndarray, L: int, check_even: bool = True) -> np.ndarray:
 
     Finite Neumann series a^-1 = (1/body) * sum_k (-soul/body)^k, which
     terminates because the soul is nilpotent.  Leading axes are rows, each
-    inverted with its own body.
+    inverted with its own body, with the bits it has inverted alone.
     """
     a = np.asarray(a, dtype=float)
     body = a[..., :1]

@@ -632,7 +632,8 @@ class Program:
     one instruction per partial product; a reciprocal is `invert_dense`; an
     elementary function goes through `_fun_value`.  Instructions come in the
     order a left-to-right recursive evaluation first reaches each node, so
-    the first error raised is the same as well.
+    the first error raised is the same as well.  A batch row has the bits of
+    that row run alone: `grassmann` gathers these at every L >= 1, no BLAS.
 
     The one exception: a partial product with a constant factor c is the
     real product c * x, at every L.  Of the pair terms of c * e_0 * x, only

@@ -88,6 +88,7 @@ from .geodesics import (
     InitialCondition,
     Trajectory,
     _grid,
+    _run_cost,
     _sample_array,
     _sample_times,
     covariant_derivative_t,
@@ -271,11 +272,9 @@ class Fixtures:
             return runs
         ic = self.run_ic()
         m = chart.sig.n_even
-        # relative costs, per step: coefficients of the graded state plus 8
-        # for the calls around them; a flow right-hand side costs about 1.5
-        # of a geodesic one, a classical one about 6
+        # a flow step costs about 1.5 geodesic steps, a classical one 6
         steps = t_end / dt if dt > 0 else 0.0
-        graded = steps * (dim(ic.L) + 8)
+        graded = _run_cost(t_end, dt, dim(ic.L))
 
         def flow():
             return integrate_flow(chart, phase_from_ic(chart, ic), t_end, dt)

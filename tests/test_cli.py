@@ -1036,13 +1036,18 @@ class TestOneErrorLine:
         (bundled_doc("diag_x2"), ("verify", "--suite", "metric", "--out",
                                   "{tmp}"), 2,
          "cannot write {tmp}: Is a directory"),
+        (bundled_doc("c1x_r12"), ("christoffel", "--point", "x=0.5,x=0.7"), 2,
+         "--point gives 'x' more than once"),
+        (bundled_doc("c1x_r12"), ("exp", "--point", "x=0.5, x =0.5"), 2,
+         "--point gives 'x' more than once"),
     ], ids=["point_symmetry", "negative_control", "ic", "name_number",
             "name_null", "name_list", "metric_bool", "pullback_bool",
             "pullback_list", "exp_point_string", "exp_point_bool",
             "stage_overflow", "fiber_named_coordinate", "isometry_at_L1",
             "isometry_at_L2_four_odd", "geodesic_out_missing_dir",
             "geodesic_out_is_dir", "verify_out_missing_dir",
-            "verify_out_is_dir"])
+            "verify_out_is_dir", "christoffel_point_repeated",
+            "exp_point_repeated"])
     def test_bad_input(self, capsys, tmp_path, doc, argv, code, text):
         model = write_model(tmp_path, "model", doc)
         argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]

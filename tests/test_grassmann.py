@@ -22,6 +22,7 @@ from supergeodesics.grassmann import (
     mul_dense,
     strip_generator,
 )
+from supergeodesics.superexpr import ChartSignature, Program, parse_expression
 
 
 def random_element(rng, L, parity=None, body_min=None):
@@ -199,8 +200,10 @@ class TestProductKernel:
 
     @pytest.mark.parametrize("L", range(7))
     def test_mul_dense_rows_equal_single_products(self, rng, L):
-        # At L = 2 a coefficient of a mixed-parity product sums four terms,
-        # which a gemm over many rows associates unlike a single gemv.
+        # mul_dense gathers at every L >= 1 and sums each row's pair terms
+        # on their own, so a row's bits do not depend on the rows beside it;
+        # batched_mul's gemm at L <= 3 keeps them only for row counts >= 2,
+        # and only under some BLAS kernels (test_invariants)
         a, b = rng.uniform(-1.0, 1.0, (2, 25, dim(L)))
         rows, bcast = mul_dense(a, b, L), mul_dense(a[3], b, L)
         for r in range(25):
@@ -224,6 +227,23 @@ class TestProductKernel:
                      "--t-end", "0.005"]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 1 + 6 * 2
         assert grassmann._dense_tensor.cache_info().misses == 0
+
+    @pytest.mark.parametrize("L", [1, 2, 3])
+    def test_program_run_requests_no_dense_tensor(self, rng, L):
+        # a product, a reciprocal and a Taylor sum gather at every L >= 1:
+        # a batched run builds no structure tensor, and each row has the
+        # bits of the same row run alone
+        sig = ChartSignature(("x", "y"), ("th1", "th2"))
+        prog = Program([parse_expression(t, sig) for t in
+                        ("x*y*th1", "1/(2 + x*y)", "exp(x*th1*th2 + y)")])
+        env = {name: rng.uniform(-1.0, 1.0, (5, dim(L))) for name in sig.names}
+        grassmann._dense_tensor.cache_clear()
+        rows = prog.run(env, L)
+        assert grassmann._dense_tensor.cache_info().misses == 0
+        for r in range(5):
+            alone = prog.run({name: v[r] for name, v in env.items()}, L)
+            for got, want in zip(rows, alone):
+                assert got[r].tobytes() == want.tobytes()
 
     def test_chunked_batch_equals_unchunked_rows(self, rng):
         L = MAX_GENERATORS

@@ -64,7 +64,7 @@ def chart(request):
     return request.getfixturevalue(request.param)
 
 
-def reference_mul(a, b, L, rowwise=False):
+def reference_mul(a, b, L):
     """The product above `_TENSOR_MAX` as one pair-term expression, with the
     sign on the left factor and nothing prepared."""
     I, J, S, starts = _pairs(L)
@@ -162,8 +162,8 @@ def test_layers_equal_dense_reference(chart, L, batch):
 
 
 def test_skip_is_off_up_to_the_tensor_cutoff(chart):
-    # at L <= 3 every product is a BLAS call, whose rows keep their bits
-    # only while their count does not change
+    # at L <= 3 every `batched_mul` product is a BLAS call, whose rows keep
+    # their bits only while their count does not change
     for L in range(grassmann._TENSOR_MAX + 1):
         kern = chart.kernel(L)
         assert kern._dginv_rows is None
@@ -271,10 +271,10 @@ def test_product_rows_per_rhs_at_l6(curved_r22, monkeypatch):
     st = np.concatenate((pos[0], vel[0]))
     rows, inner = [0], grassmann._mul
 
-    def counting(a, b, L, rowwise=False):
+    def counting(a, b, L):
         b_shape = getattr(b, "coeffs", b).shape
         rows[0] += int(np.prod(np.broadcast_shapes(a.shape[:-1], b_shape[:-1])))
-        return inner(a, b, L, rowwise)
+        return inner(a, b, L)
 
     monkeypatch.setattr(grassmann, "_mul", counting)
     for rhs, state, most in ((_paper_rhs, st, 501),

@@ -1,6 +1,9 @@
 """Every name a package module imports is used in that module, every
 module-level private function or class is used somewhere in the package,
-and no module imports inside a function (a deferred import hides a cycle).
+every parameter of a module-level function is read in its body (so a
+deleted option cannot linger as a dead parameter; methods, which may ignore
+an argument their interface passes, are left out), and no module imports
+inside a function (a deferred import hides a cycle).
 
 No linter ships with the test dependencies, so this parses each module of
 `supergeodesics` with the standard `ast` module.  A name counts as used when
@@ -127,3 +130,35 @@ def test_import_inside_a_function_detected():
                         "        from .expmap import TangentFiberPoint\n\n"
                         "def g():\n    def h():\n        import os\n")
     assert imports_in_functions(planted) == [5, 9]
+
+
+def unread_parameters(tree: ast.Module) -> list[str]:
+    """function:parameter of each parameter of a module-level function that
+    its body never reads."""
+    out = []
+    for stmt in tree.body:
+        if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = stmt.args
+        params = [arg.arg for arg in (*args.posonlyargs, *args.args,
+                                      args.vararg, *args.kwonlyargs, args.kwarg)
+                  if arg is not None]
+        read = {node.id for body in stmt.body for node in ast.walk(body)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        out += [f"{stmt.name}:{p}" for p in params if p not in read]
+    return out
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_parameter_is_read(path):
+    assert unread_parameters(TREES[path.name]) == [], path.name
+
+
+def test_unread_parameter_detected():
+    # a parameter only written, or only in an annotation, is not read; a
+    # method's and a nested function's parameters are not checked
+    planted = ast.parse("def f(a, b: int, *rest, c=1, **kw):\n"
+                        "    b = 2\n    def g(unused):\n        return a\n"
+                        "    return g(kw)\n\n"
+                        "class A:\n    def m(self, unused):\n        pass\n")
+    assert unread_parameters(planted) == ["f:b", "f:rest", "f:c"]
