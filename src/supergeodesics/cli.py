@@ -104,9 +104,11 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _parse_point(model: ModelFile, args) -> SuperPoint:
-    if getattr(args, "ic", None):
+    if args.ic and args.point:
+        raise ModelError("give --point or --ic, not both")
+    if args.ic:
         return model.initial_condition(args.ic).position
-    if getattr(args, "point", None):
+    if args.point:
         values = {}
         for part in args.point.split(","):
             if "=" not in part:
@@ -141,6 +143,8 @@ def _parse_tols(pairs) -> dict[str, float]:
             value = float(val)
         except ValueError:
             raise ModelError(f"bad --tol value {val!r}") from None
+        if key in out:
+            raise ModelError(f"--tol gives {key!r} more than once")
         out[key] = tolerance_override(key, value, f"--tol {key}")
     return out
 

@@ -48,10 +48,9 @@ from .superexpr import (
     ChartSignature,
     Const,
     Expr,
+    Program,
     SuperMorphism,
     add,
-    eval_dense,
-    evaluate,
     mul,
     partial_derivative,
     substitute,
@@ -284,13 +283,14 @@ def tangent_map(phi: SuperMorphism) -> SuperMorphism:
 def tangent_map_matrix(phi: SuperMorphism, q) -> np.ndarray:
     """Jacobian blocks read off the symbolic tangent map.
 
-    Evaluates the fiber pullbacks at unit fiber seeds over the body point;
-    odd directions are seeded with a single generator and the linear
-    coefficient extracted exactly.  Cross-checks numerical_tangent_map.
+    Runs one program of the fiber pullbacks per unit fiber seed over the
+    body point; odd directions are seeded with a single generator and the
+    linear coefficient extracted exactly.  Cross-checks numerical_tangent_map.
     """
     tphi = tangent_map(phi)
     src, tgt = phi.source, phi.target
     src_v, tgt_v = fiber_names(src), fiber_names(tgt)
+    fibers = Program(tphi.pullbacks[tgt_v[qj]] for qj in tgt.names)
     mat = np.zeros((src.dimension, tgt.dimension))
     q_arr = np.asarray(q, dtype=float).reshape(-1)
     for i, qi in enumerate(src.names):
@@ -300,23 +300,21 @@ def tangent_map_matrix(phi: SuperMorphism, q) -> np.ndarray:
         values.update({v: GrassmannElement.zero(L) for v in src_v.values()})
         values[src_v[qi]] = (GrassmannElement.generator(0, 1) if odd_dir
                              else GrassmannElement.from_scalar(1.0, 0))
-        for j, qj in enumerate(tgt.names):
-            out = evaluate(tphi.pullbacks[tgt_v[qj]], values, L)
-            mat[i, j] = out.coeffs[1] if odd_dir else out.body
+        mat[i] = [out.coeffs[1] if odd_dir else out.body
+                  for out in fibers.evaluate(values, L)]
     return mat
 
 
 def numerical_tangent_map(phi: SuperMorphism, q) -> LinearTangentMap:
-    """Jacobian blocks of the morphism at a body point (odd entries are zero
-    automatically: odd superfunctions have vanishing body)."""
-    point = SuperPoint.body_point(phi.source, 0, q)
-    ns, nt = phi.source.dimension, phi.target.dimension
-    mat = np.zeros((ns, nt))
-    for i, qi in enumerate(phi.source.names):
-        for j, qj in enumerate(phi.target.names):
-            d = partial_derivative(phi.pullbacks[qj], qi, phi.source)
-            mat[i, j] = evaluate(d, point).body
-    return LinearTangentMap(phi.source, phi.target, mat)
+    """Jacobian blocks of the morphism at a body point from one program run
+    (odd entries are zero: odd superfunctions have vanishing body)."""
+    src, tgt = phi.source, phi.target
+    point = SuperPoint.body_point(src, 0, q)
+    partials = Program(partial_derivative(phi.pullbacks[qj], qi, src)
+                       for qi in src.names for qj in tgt.names)
+    bodies = [d.body for d in partials.evaluate(point, 0)]
+    return LinearTangentMap(src, tgt, np.reshape(
+        bodies, (src.dimension, tgt.dimension)))
 
 
 def apply_morphism(phi: SuperMorphism, point: SuperPoint) -> SuperPoint:
@@ -423,6 +421,9 @@ def isometry_check(m_src: MetricChart, m_dst: MetricChart, phi: SuperMorphism,
 
         g^src_ij = sum_{k,l} (-1)^{|q_k|(|q_j|+|q_l|)}
                    d_i Phi*(q_k) * d_j Phi*(q_l) * Phi*(g^dst_kl)
+
+    The two sides of every (i, j), in row order, are one program, run once
+    per chunk of samples (`geometry._chunks`).
     """
     if phi.source != m_src.sig or phi.target != m_dst.sig:
         raise SignatureMismatch("morphism does not connect the two charts")
@@ -435,9 +436,8 @@ def isometry_check(m_src: MetricChart, m_dst: MetricChart, phi: SuperMorphism,
     pulled = [[substitute(m_dst.entries[k][l], phi.pullbacks)
                for l in range(dst.dimension)] for k in range(dst.dimension)]
 
-    rhs_exprs: list[list[Expr]] = []
+    sides: list[Expr] = []  # g^src_ij, then its right-hand side
     for i in range(src.dimension):
-        row = []
         for j in range(src.dimension):
             terms = []
             for k in range(dst.dimension):
@@ -445,19 +445,16 @@ def isometry_check(m_src: MetricChart, m_dst: MetricChart, phi: SuperMorphism,
                     sign = -1.0 if (pt[k] * (ps[j] + pt[l])) % 2 else 1.0
                     terms.append(mul(Const(sign), dphi[i][k], dphi[j][l],
                                      pulled[k][l]))
-            row.append(add(*terms))
-        rhs_exprs.append(row)
+            sides += [m_src.entries[i][j], add(*terms)]
+    program = Program(sides)
 
     dev = 0.0
     for L in sorted({p.L for p in samples}):
         pts = np.stack([p.as_array() for p in samples if p.L == L])
         for c in _chunks(len(pts), src.dimension, dim(L)):
-            env = dict(zip(src.names, pts[c].swapaxes(0, -2)))
-            for i in range(src.dimension):
-                for j in range(src.dimension):
-                    lhs = eval_dense(m_src.entries[i][j], env, L)
-                    rhs = eval_dense(rhs_exprs[i][j], env, L)
-                    dev = max(dev, float(np.max(np.abs(lhs - rhs))))
+            vals = program.run(dict(zip(src.names, pts[c].swapaxes(0, -2))), L)
+            for lhs, rhs in zip(vals[::2], vals[1::2]):
+                dev = max(dev, float(np.max(np.abs(lhs - rhs))))
     return dev
 
 

@@ -66,7 +66,6 @@ from .superexpr import (
     Expr,
     Program,
     as_expr,
-    eval_dense,
     parse_expression,
     partial_derivative,
     substitute,
@@ -257,16 +256,16 @@ class _Kernel:
 
     Positions/velocities are (..., n, 2^L) arrays in signature order; leading
     axes are a batch of independent states (see the module docstring).
-    Constant metric entries and constant partials are prebaked, unbatched;
-    the non-constant ones, metric entries first, are compiled into one
-    `superexpr.Program`; every evaluation fills G and dG from one full run
-    of it, and `fields`, the one source of g^{-1}, inverts that G.  What
-    never changes is built here once: the identity of the Neumann series,
-    the inverse metric or the Christoffel bracket when they are constant,
-    and the structural-zero plan (module docstring): the bracket entries
-    that can be nonzero, the rows of each Christoffel block that
-    `_block_rows` derives from them, and the rows of `dginv`'s first
-    product.
+    One pass sorts the metric entries and their partials into constant ones,
+    prebaked unbatched from one program run, and live ones, compiled,
+    metric entries first, into one `superexpr.Program`: every evaluation
+    fills G and dG from one full run of it, and `fields`, the one source of
+    g^{-1}, inverts that G.  What never changes is built here once: the
+    identity of the Neumann series, the inverse metric or the Christoffel
+    bracket when they are constant, and the structural-zero plan (module
+    docstring): the bracket entries that can be nonzero, the rows of each
+    Christoffel block that `_block_rows` derives from them, and the rows of
+    `dginv`'s first product.
     """
 
     def __init__(self, chart: MetricChart, L: int):
@@ -284,31 +283,25 @@ class _Kernel:
         e3 = par[:, None, None] * (par[None, :, None] + par[None, None, :])
         self.s3 = np.where(e3 % 2, -1.0, 1.0)
 
-        # live entries: their index behind any batch axes, and one program
-        # for all of their expressions, the metric's first
-        live: list[Expr] = []
         self._g_const = np.zeros((n, n, self.D))
-        self._g_live: list[tuple] = []
-        for i in range(n):
-            for j in range(n):
-                e = chart.entries[i][j]
+        self._dg_const = np.zeros((n, n, n, self.D))
+        # live: an index behind any batch axes, in `at`, and the expression;
+        # fixed: (array, index, expression) of a constant one
+        self._g_live, self._dg_live = [], []
+        live, fixed = [], []
+        entries = [e for row in chart.entries for e in row]
+        partials = [e for block in chart.dg() for row in block for e in row]
+        for const, exprs, at in ((self._g_const, entries, self._g_live),
+                                 (self._dg_const, partials, self._dg_live)):
+            for idx, e in zip(np.ndindex(const.shape[:-1]), exprs):
                 if e.free_vars():
-                    self._g_live.append((..., i, j, slice(None)))
+                    at.append((..., *idx, slice(None)))
                     live.append(e)
                 else:
-                    self._g_const[i, j] = eval_dense(e, {}, L)
-        dg = chart.dg()
-        self._dg_const = np.zeros((n, n, n, self.D))
-        self._dg_live: list[tuple] = []
-        for a in range(n):
-            for i in range(n):
-                for j in range(n):
-                    e = dg[a][i][j]
-                    if e.free_vars():
-                        self._dg_live.append((..., a, i, j, slice(None)))
-                        live.append(e)
-                    else:
-                        self._dg_const[a, i, j] = eval_dense(e, {}, L)
+                    fixed.append((const, idx, e))
+        values = Program(e for *_, e in fixed).run({}, L)
+        for (const, idx, _), v in zip(fixed, values):
+            const[idx] = v
         self._program = Program(live)
         self.is_flat = not self._dg_live and not self._dg_const.any()
         # the structural-zero plan: the partials d_a g_ij that can be

@@ -18,8 +18,9 @@ Conventions fixed here and used everywhere downstream:
   op and operand order, so the values are those of evaluating the tree
   node by node.  An elementary function of an even value b+s is the finite
   Taylor sum sum_k f^(k)(b) s^k / k!, exact because the soul s is
-  nilpotent.  The metric kernel compiles all live metric entries and their
-  partials of one chart into one program, and always runs all of it.
+  nilpotent.  Every site that evaluates several expressions at the same
+  points compiles them into one program and runs all of it once per set of
+  points; `evaluate` and `eval_dense` run one-expression programs.
 
 Grammar accepted by the parser::
 
@@ -644,7 +645,8 @@ class Program:
     absorb that sign.
 
     `variables` lists the (name, parity) of every variable node in that
-    order; `evaluate` checks them against the supplied values.
+    order; `evaluate`, the checked run at one point, checks them against
+    the supplied values, and `run` takes raw batched arrays unchecked.
     """
 
     __slots__ = ("code", "outputs", "variables", "_consts", "_keys",
@@ -742,6 +744,31 @@ class Program:
             vals[s] = v
         return [vals[s] for s in self.outputs]
 
+    def evaluate(self, values, L: int | None = None) -> list[GrassmannElement]:
+        """The values at a Grassmann-valued point: `values` maps coordinate
+        names to GrassmannElement, or has such a `.values` (e.g. SuperPoint).
+        Every value must be over L generators (by default the first value's)
+        and every variable node needs a value of its parity, all checked
+        before any instruction runs."""
+        mapping = values if isinstance(values, Mapping) else values.values
+        if L is None:
+            if not mapping:
+                raise ValueError("cannot infer L from an empty point")
+            L = next(iter(mapping.values())).L
+        for name, v in mapping.items():
+            if v.L != L:
+                raise MismatchedGeneratorCount(f"{name}: L={v.L}, expected {L}")
+        for name, want in self.variables:
+            v = mapping.get(name)
+            if v is None:
+                raise UnknownCoordinate(f"no value supplied for {name!r}")
+            if not v.has_parity(want):
+                raise ParityViolation(
+                    f"{name} is {'even' if want is Parity.EVEN else 'odd'} "
+                    f"but its value has parity {v.parity.name}")
+        env = {name: v.coeffs for name, v in mapping.items()}
+        return [GrassmannElement(L, v) for v in self.run(env, L)]
+
 
 def _fun_value(name: str, v: np.ndarray, L: int) -> np.ndarray:
     """The elementary function `name` of an even value (..., 2^L) as its
@@ -773,41 +800,12 @@ def _fun_value(name: str, v: np.ndarray, L: int) -> np.ndarray:
 
 
 def evaluate(expr: Expr, values, L: int | None = None) -> GrassmannElement:
-    """Evaluate at a Grassmann-valued point.
-
-    `values` is a mapping from coordinate names to GrassmannElement, or any
-    object with a `.values` mapping attribute (e.g. SuperPoint).  Parity of
-    every supplied value is checked against the variable nodes that use it.
-    """
-    if isinstance(values, Mapping):
-        mapping = values
-    else:
-        mapping = values.values
-    if L is None:
-        for v in mapping.values():
-            L = v.L
-            break
-        if L is None:
-            raise ValueError("cannot infer L from an empty point")
-    env: dict[str, np.ndarray] = {}
-    for name, v in mapping.items():
-        if v.L != L:
-            raise MismatchedGeneratorCount(f"{name}: L={v.L}, expected {L}")
-        env[name] = v.coeffs
-    prog = expr._program
-    for name, want in prog.variables:
-        v = mapping.get(name)
-        if v is None:
-            raise UnknownCoordinate(f"no value supplied for {name!r}")
-        if not v.has_parity(want):
-            raise ParityViolation(
-                f"{name} is {'even' if want is Parity.EVEN else 'odd'} "
-                f"but its value has parity {v.parity.name}")
-    return GrassmannElement(L, prog.run(env, L)[0])
+    """Evaluate at a Grassmann-valued point (see `Program.evaluate`)."""
+    return expr._program.evaluate(values, L)[0]
 
 
 def eval_dense(expr: Expr, env: Mapping[str, np.ndarray], L: int) -> np.ndarray:
-    """Raw-array evaluation without parity checks (integrator hot path).
+    """Raw-array evaluation of one expression without parity checks.
 
     Env arrays have shape (..., 2^L); leading axes are independent rows that
     broadcast, and every row has the bits it would have evaluated alone.
@@ -1038,10 +1036,16 @@ class SuperMorphism:
     def identity(cls, sig: ChartSignature) -> "SuperMorphism":
         return cls(sig, sig, {name: sig.variable(name) for name in sig.names})
 
+    @cached_property
+    def _program(self) -> Program:
+        """The program of the pullbacks in target order, compiled once."""
+        return Program(self.pullbacks.values())
+
     def apply_values(self, values: Mapping[str, GrassmannElement],
                      L: int | None = None) -> dict[str, GrassmannElement]:
-        """Coordinates of the image of a Grassmann-valued source point."""
-        return {name: evaluate(e, values, L) for name, e in self.pullbacks.items()}
+        """Coordinates of the image of a Grassmann-valued source point, from
+        one run of the pullbacks' program."""
+        return dict(zip(self.pullbacks, self._program.evaluate(values, L)))
 
     def __eq__(self, other):
         return (isinstance(other, SuperMorphism) and other.source == self.source

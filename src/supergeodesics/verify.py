@@ -446,7 +446,7 @@ def run_metric_suite(fx: Fixtures) -> list[Check]:
     pts = np.stack([random_superpoint(chart, L, rng).as_array()
                     for _ in range(_METRIC_POINTS)])
     for c in _chunks(_METRIC_POINTS, kern.n, kern.D):
-        G = kern.eval_metric(pts[c])
+        G, dG = kern._eval_live(pts[c])
         gamma = kern.christoffel(pts[c])
         # graded symmetry Gamma^k_ij = (-1)^{|i||j|} Gamma^k_ji
         sym = gamma - kern.s1[:, :, None] * gamma.swapaxes(-3, -2)
@@ -454,7 +454,6 @@ def run_metric_suite(fx: Fixtures) -> list[Check]:
         if wrong.any():
             par_dev = max(par_dev, float(np.max(np.abs(gamma[..., wrong]))))
         # metric compatibility (oracle in the module docstring)
-        dG = kern.eval_dmetric(pts[c])
         gT = gamma.transpose(_last_axes(gamma.ndim, (1, 2, 0, 3)))  # Gamma^l_ij
         t1 = batched_mul(gT[..., :, :, :, None, :], G[..., None, None, :, :, :], L)
         term1 = t1.sum(axis=-3)          # [i,j,k] = sum_l Gamma^l_ij g_lk

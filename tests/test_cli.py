@@ -1040,6 +1040,15 @@ class TestOneErrorLine:
          "--point gives 'x' more than once"),
         (bundled_doc("c1x_r12"), ("exp", "--point", "x=0.5, x =0.5"), 2,
          "--point gives 'x' more than once"),
+        (bundled_doc("c1x_r12"), ("christoffel", "--ic", "run", "--point",
+                                  "x=0.7"), 2,
+         "give --point or --ic, not both"),
+        (bundled_doc("c1x_r12"), ("exp", "--ic", "run", "--point", "x=0.3"),
+         2, "give --point or --ic, not both"),
+        (bundled_doc("c1x_r12"), ("verify", "--suite", "metric", "--tol",
+                                  "metric_invariants=1e-300", "--tol",
+                                  "metric_invariants=1"), 2,
+         "--tol gives 'metric_invariants' more than once"),
     ], ids=["point_symmetry", "negative_control", "ic", "name_number",
             "name_null", "name_list", "metric_bool", "pullback_bool",
             "pullback_list", "exp_point_string", "exp_point_bool",
@@ -1047,7 +1056,8 @@ class TestOneErrorLine:
             "isometry_at_L2_four_odd", "geodesic_out_missing_dir",
             "geodesic_out_is_dir", "verify_out_missing_dir",
             "verify_out_is_dir", "christoffel_point_repeated",
-            "exp_point_repeated"])
+            "exp_point_repeated", "christoffel_point_and_ic",
+            "exp_point_and_ic", "verify_tol_repeated"])
     def test_bad_input(self, capsys, tmp_path, doc, argv, code, text):
         model = write_model(tmp_path, "model", doc)
         argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]

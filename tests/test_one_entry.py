@@ -10,7 +10,11 @@ a constant metric, the kernel's constructor.  And `expmap` alone knows which
 exp rows a check reads: each check's builder returns its rows with the
 function that finishes them, `verify` imports no private helper of
 `expmap`, builds its checks in `Fixtures.checks` and reads their rows in
-`Fixtures.exp` (the plan) and `Fixtures.measure` only.  Like
+`Fixtures.exp` (the plan) and `Fixtures.measure` only.  An expression is
+evaluated through a `superexpr.Program` of all the expressions a site
+evaluates at the same points: no function of the package evaluates one
+expression at a time through `eval_dense` or the module-level
+`superexpr.evaluate`, which stay for callers outside the package.  Like
 `test_one_judge.py`, this parses each module of `supergeodesics` with the
 standard `ast` module.
 """
@@ -138,3 +142,56 @@ def test_exp_row_users_detected():
     assert users(planted_trees, "plan_naturality") == [
         "verify.py:run_isometry_suite"]
     assert users(planted_trees, "rows") == ["verify.py:Fixtures.exp"]
+
+
+ONE_EXPRESSION = ("eval_dense", "evaluate")
+
+
+def one_expression_users(trees: dict[str, ast.Module]) -> list[str]:
+    """module:function of each function or method that uses `eval_dense` or
+    the module-level `superexpr.evaluate`: as a bare name (the name in
+    `superexpr` itself, an imported name or its alias) or as an attribute
+    of the `superexpr` module (or its alias).  `Program.evaluate`, an
+    attribute of a program, does not count."""
+    out = []
+    for module, tree in trees.items():
+        names, modules = set(ONE_EXPRESSION), {"superexpr"}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    if node.module == "superexpr" and alias.name in names:
+                        names.add(alias.asname or alias.name)
+                    elif node.module is None and alias.name == "superexpr":
+                        modules.add(alias.asname or alias.name)
+        for label, fn in functions(tree):
+            if any((isinstance(node, ast.Name) and node.id in names)
+                   or (isinstance(node, ast.Attribute)
+                       and node.attr in ONE_EXPRESSION
+                       and isinstance(node.value, ast.Name)
+                       and node.value.id in modules)
+                   for node in ast.walk(fn)):
+                out.append(f"{module}:{label}")
+    return sorted(out)
+
+
+def test_one_program_per_evaluation_site():
+    assert one_expression_users(TREES) == []
+
+
+def test_one_expression_users_detected():
+    planted = ast.parse(
+        "from . import superexpr as sx\n"
+        "from .superexpr import Program, eval_dense, evaluate as ev\n\n"
+        "def lhs(e, env):\n    return eval_dense(e, env, 0)\n\n"
+        "def image(phi, p):\n"
+        "    return {n: ev(e, p) for n, e in phi.pullbacks.items()}\n\n"
+        "def nested(e, p):\n    return lambda: sx.evaluate(e, p)\n\n"
+        "class Kernel:\n    def const(self, e):\n"
+        "        return superexpr.eval_dense(e, {}, 0)\n\n"
+        "    def apply(self, p):\n"
+        "        return self._program.evaluate(p, 0)\n\n"
+        "def jacobian(exprs, p):\n"
+        "    return Program(exprs).evaluate(p, 0)\n")
+    assert one_expression_users({"expmap.py": planted}) == [
+        "expmap.py:Kernel.const", "expmap.py:image", "expmap.py:lhs",
+        "expmap.py:nested"]
